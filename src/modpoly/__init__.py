@@ -13,7 +13,6 @@ from .cosets import (
     build_system,
     p1_list,
     p1_normalize,
-    reduce_to_coset,
 )
 from .cuboid import CuboidGraph, SurfaceInvariants, build_graph, graph_invariants, is_normal, pointed_isomorphic
 from .polygon import SpecialPolygon, assemble, build_polygon, cut_to_tree, develop, validate_special

@@ -1,5 +1,9 @@
 """Right-coset actions of PSL2(Z) on G\\PSL2(Z) as permutation systems.
 
+The pair of permutations decides the subgroup: the coset of any element is
+where its S/T word leads from the coset of the identity, one walk for every
+subgroup however it was built.
+
 The generic path enumerates cosets from a membership oracle by breadth-first
 search, comparing against every known representative (quadratic in the index).
 The classical congruence subgroups get dedicated builders whose total cost is
@@ -21,13 +25,11 @@ from .modint import (
     Factorization,
     ResidueRow,
     complete_row_to_sl2,
-    coprime_lift,
     crt,
-    egcd,
     factorize,
     inverse_mod,
 )
-from .psl2 import IDENTITY, S, U, Psl2Elt
+from .psl2 import IDENTITY, S, U, Psl2Elt, t_runs
 
 
 class MembershipError(ValueError):
@@ -42,11 +44,13 @@ class CosetSystem:
 
     sigma_s and sigma_u are permutations of range(n) with sigma_s^2 = id and
     sigma_u^3 = id, acting transitively; `distinguished` is the coset of the
-    identity.
+    identity.  The orbits of T = U^2 * S are tabulated at construction: for
+    each label, `t_cycle` holds its T-orbit in walking order (the list is
+    shared by the whole orbit) and `t_pos` its position there, so a run T^q
+    moves a label by one table jump.
     """
 
-    def __init__(self, family, level, labels, sigma_s, sigma_u, distinguished,
-                 label_index=None, oracle=None, oracle_reps=None):
+    def __init__(self, family, level, labels, sigma_s, sigma_u, distinguished):
         self.family = family
         self.level = level
         self.labels = labels
@@ -54,11 +58,19 @@ class CosetSystem:
         self.sigma_s = sigma_s
         self.sigma_u = sigma_u
         self.distinguished = distinguished
-        self._label_index = label_index
-        self._oracle = oracle
-        self._oracle_reps = oracle_reps
-        self._gamma_mats = None
         self.validate()
+        self.t_cycle: list[list[int]] = [None] * self.n
+        self.t_pos = [0] * self.n
+        for start in range(self.n):
+            if self.t_cycle[start] is not None:
+                continue
+            cycle = []
+            x = start
+            while self.t_cycle[x] is None:
+                self.t_cycle[x] = cycle
+                self.t_pos[x] = len(cycle)
+                cycle.append(x)
+                x = sigma_s[sigma_u[sigma_u[x]]]  # right action of T = U^2 * S
 
     def validate(self):
         n = self.n
@@ -85,50 +97,24 @@ class CosetSystem:
         if count != n:
             raise ValueError("coset action is not transitive")
 
-    def member(self, g: Psl2Elt) -> bool:
-        """Membership test for the subgroup this system belongs to."""
-        N = self.level
-        f = self.family
-        if f == "gamma0":
-            return g.c % N == 0
-        if f == "gamma_upper0":
-            return g.b % N == 0
-        if f == "gamma1":
-            return g.c % N == 0 and _diag_pm_one(g, N)
-        if f == "gamma_upper1":
-            return g.b % N == 0 and _diag_pm_one(g, N)
-        if f == "gamma":
-            return g.b % N == 0 and g.c % N == 0 and _diag_pm_one(g, N)
-        return self._oracle(g)
+    def coset(self, g: Psl2Elt) -> int:
+        """Label of the coset G*g: walk g = T^r0 * S * T^r1 * ... * S * T^rk
+        from the distinguished label, one table jump per run of T."""
+        ss, cycle_of, pos = self.sigma_s, self.t_cycle, self.t_pos
+        x = self.distinguished
+        for k, r in enumerate(t_runs(g)):
+            if k:
+                x = ss[x]
+            cycle = cycle_of[x]
+            x = cycle[(pos[x] + r) % len(cycle)]
+        return x
 
-    def rep(self, i: int) -> Psl2Elt:
-        """An exact PSL2(Z) representative of coset i."""
-        if self._oracle_reps is not None:
-            return self._oracle_reps[i]
-        N = self.level
-        f = self.family
-        label = self.labels[i]
-        if f == "gamma0":
-            return lift_sl2(_matrix_bottom(label, N), N)
-        if f == "gamma_upper0":
-            return lift_sl2(_matrix_top(label, N), N)
-        if f == "gamma1":
-            u, row = label
-            return lift_sl2(_mat_mul_mod(_diag(u, N), _matrix_bottom(row, N), N), N)
-        if f == "gamma_upper1":
-            u, row = label
-            return lift_sl2(_mat_mul_mod(_diag(u, N), _matrix_top(row, N), N), N)
-        if f == "gamma":
-            return lift_sl2(self._gamma_mats[i], N)
-        raise ValueError(f"unknown family {f}")
+    def member(self, g: Psl2Elt) -> bool:
+        """Membership test: the walk of g returns to the distinguished label."""
+        return self.coset(g) == self.distinguished
 
     def __repr__(self):
         return f"CosetSystem({self.family}, level={self.level}, n={self.n})"
-
-
-def _diag_pm_one(g: Psl2Elt, N: int) -> bool:
-    a, d = g.a % N, g.d % N
-    return (a == 1 % N and d == 1 % N) or (a == (-1) % N and d == (-1) % N)
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +195,6 @@ def p1_list(N: int) -> list[tuple[int, int]]:
     return points
 
 
-def stabilizer_reps(p: int, m: int, i: int) -> list[int]:
-    """Representatives of (Z/p^m)* modulo the stabilizer of p^i, 1 <= i < m."""
-    if not 1 <= i <= m - 1:
-        raise ValueError(f"need 1 <= i <= m-1, got i={i}, m={m}")
-    bound = p ** (m - i)
-    return [a for a in range(1, bound) if a % p != 0]
-
-
 # ---------------------------------------------------------------------------
 # matrices mod N
 
@@ -224,12 +202,6 @@ def _matrix_bottom(row: tuple[int, int], N: int) -> tuple[int, int, int, int]:
     """Determinant-1 matrix mod N with prescribed bottom row."""
     (x, y), (a, b) = complete_row_to_sl2(ResidueRow(N, row[0], row[1]))
     return (x, y, a, b)
-
-
-def _matrix_top(row: tuple[int, int], N: int) -> tuple[int, int, int, int]:
-    """Determinant-1 matrix mod N with prescribed top row."""
-    (x, y), (a, b) = complete_row_to_sl2(ResidueRow(N, row[0], row[1]))
-    return (a, b, (-x) % N, (-y) % N)
 
 
 def _diag(u: int, N: int) -> tuple[int, int, int, int]:
@@ -241,27 +213,6 @@ def _mat_mul_mod(m1, m2, N):
     e, f, g, h = m2
     return ((a * e + b * g) % N, (a * f + b * h) % N,
             (c * e + d * g) % N, (c * f + d * h) % N)
-
-
-def lift_sl2(mat: tuple[int, int, int, int], N: int) -> Psl2Elt:
-    """Lift a determinant-1 matrix mod N to an exact element of PSL2(Z)
-    congruent to it entry by entry."""
-    if N == 1:
-        return IDENTITY
-    a, b, c, d = (x % N for x in mat)
-    if (a * d - b * c) % N != 1 % N:
-        raise ValueError("matrix does not have determinant 1 mod N")
-    if c == 0 and d == 0:
-        raise ValueError("bottom row is zero mod N")
-    c0, d0 = coprime_lift(c, d, N)
-    _, s, t = egcd(c0, d0)  # c0*s + d0*t = 1
-    a0, b0 = t, -s  # det [[a0, b0], [c0, d0]] = 1
-    # shift the top row by a multiple of the bottom row to hit (a, b) mod N
-    lam = ((a - a0) * s + (b - b0) * t) % N
-    a1, b1 = a0 + lam * c0, b0 + lam * d0
-    if (a1 - a) % N or (b1 - b) % N:
-        raise ValueError("row adjustment failed; input not unimodular mod N")
-    return Psl2Elt(a1, b1, c0, d0)
 
 
 def unit_classes(N: int) -> list[int]:
@@ -318,8 +269,9 @@ def _triple_u(triple):
 # ---------------------------------------------------------------------------
 # builders
 
-def build_from_oracle(member, max_index: int) -> CosetSystem:
-    """Enumerate G\\PSL2(Z) from a membership oracle by BFS.
+def _oracle_bfs(member, max_index: int) -> tuple[int, list[int], list[int]]:
+    """Enumerate G\\PSL2(Z) from a membership oracle by BFS; returns the
+    index and the two permutations, with the identity's coset labelled 0.
 
     Coset identity is decided by testing member(candidate * rep^-1) against
     the known representatives, so the total cost is quadratic in the index.
@@ -349,9 +301,16 @@ def build_from_oracle(member, max_index: int) -> CosetSystem:
                 elt_coset[h] = j
             sigma.append(j)
         i += 1
+    return len(reps), sigma_s, sigma_u
+
+
+def build_from_oracle(member, max_index: int) -> CosetSystem:
+    """Coset system of the subgroup a membership oracle decides.  The oracle
+    is only called while the cosets are enumerated; the system answers every
+    later question from its permutations."""
+    n, sigma_s, sigma_u = _oracle_bfs(member, max_index)
     try:
-        return CosetSystem("oracle", None, list(range(len(reps))), sigma_s, sigma_u, 0,
-                           oracle=member, oracle_reps=reps)
+        return CosetSystem("oracle", None, list(range(n)), sigma_s, sigma_u, 0)
     except ValueError as err:
         raise ValueError(f"membership oracle is inconsistent (merge conflict): {err}") from err
 
@@ -373,8 +332,7 @@ def _build_p1_family(N: int, family: str) -> CosetSystem:
             rep, _ = p1_normalize(N, *_row_act(lab, letter, N), factors=factors)
             sigma[i] = index[rep]
     base = (0, 0) if N == 1 else ((0, 1) if family == "gamma0" else (1, 0))
-    return CosetSystem(family, N, labels, sigma_s, sigma_u, index[base],
-                       label_index=index)
+    return CosetSystem(family, N, labels, sigma_s, sigma_u, index[base])
 
 
 def build_gamma0(N: int) -> CosetSystem:
@@ -409,8 +367,7 @@ def _build_unit_family(N: int, family: str) -> CosetSystem:
                 cls = _canon_unit(u * u2, N)
             sigma[i] = index[(cls, rep)]
     base = (_canon_unit(1, N), (0, 0) if N == 1 else ((0, 1) if lower else (1, 0)))
-    return CosetSystem(family, N, labels, sigma_s, sigma_u, index[base],
-                       label_index=index)
+    return CosetSystem(family, N, labels, sigma_s, sigma_u, index[base])
 
 
 def build_gamma1(N: int) -> CosetSystem:
@@ -425,17 +382,15 @@ def build_gamma(N: int) -> CosetSystem:
     """Coset system of Gamma(N) with triple labels, N >= 3.
 
     For N <= 2 the triple encoding cannot separate signs, so those levels are
-    routed through the oracle builder on the congruence condition.
+    enumerated by the oracle BFS on the congruence condition (b = c = 0 mod N
+    forces a = d = +-1 mod N there).
     """
     if N < 1:
         raise ValueError(f"level must be >= 1, got {N}")
     if N <= 2:
-        def member(g, _N=N):
-            return g.b % _N == 0 and g.c % _N == 0 and _diag_pm_one(g, _N)
-        system = build_from_oracle(member, max_index=10)
-        system.family = "gamma"
-        system.level = N
-        return system
+        n, sigma_s, sigma_u = _oracle_bfs(lambda g: g.b % N == 0 and g.c % N == 0,
+                                          max_index=10)
+        return CosetSystem("gamma", N, list(range(n)), sigma_s, sigma_u, 0)
     mats = []
     points = p1_list(N)
     units = unit_classes(N)
@@ -445,19 +400,14 @@ def build_gamma(N: int) -> CosetSystem:
             DA = _mat_mul_mod(_diag(u, N), A, N)
             for t in range(N):
                 mats.append(_mat_mul_mod((1, t, 0, 1), DA, N))
-    order = sorted(range(len(mats)), key=lambda k: gamma_triple(mats[k], N))
-    mats = [mats[k] for k in order]
-    labels = [gamma_triple(m, N) for m in mats]
+    labels = sorted(gamma_triple(m, N) for m in mats)
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != len(labels):
         raise ValueError("triple encoding collided; not a bijection")
     sigma_s = [index[_triple_s(lab, N)] for lab in labels]
     sigma_u = [index[_triple_u(lab)] for lab in labels]
-    system = CosetSystem("gamma", N, labels, sigma_s, sigma_u,
-                         index[gamma_triple((1, 0, 0, 1), N)],
-                         label_index=index)
-    system._gamma_mats = mats
-    return system
+    return CosetSystem("gamma", N, labels, sigma_s, sigma_u,
+                       index[gamma_triple((1, 0, 0, 1), N)])
 
 
 def build_system(family: str, N: int) -> CosetSystem:
@@ -474,37 +424,3 @@ def build_system(family: str, N: int) -> CosetSystem:
     if N < 1:
         raise ValueError(f"level must be >= 1, got {N}")
     return builders[family](N)
-
-
-# ---------------------------------------------------------------------------
-# reduction
-
-def reduce_to_coset(system: CosetSystem, g: Psl2Elt) -> tuple[int, Psl2Elt]:
-    """Label of the coset of g plus a witness in G with witness * rep = g."""
-    if system._oracle_reps is not None:
-        for i, rep in enumerate(system._oracle_reps):
-            witness = g * rep.inv()
-            if system.member(witness):
-                return i, witness
-        raise MembershipError("element is not reducible in this oracle system")
-    f = system.family
-    N = system.level
-    if f == "gamma0":
-        label, _ = p1_normalize(N, g.c, g.d)
-    elif f == "gamma_upper0":
-        label, _ = p1_normalize(N, g.a, g.b)
-    elif f == "gamma1":
-        rep, u = p1_normalize(N, g.c, g.d)
-        label = (_canon_unit(inverse_mod(u, N), N) if N > 1 else 0, rep)
-    elif f == "gamma_upper1":
-        rep, u = p1_normalize(N, g.a, g.b)
-        label = (_canon_unit(u, N) if N > 1 else 0, rep)
-    elif f == "gamma":
-        label = gamma_triple(g.mod(N), N)
-    else:
-        raise ValueError(f"unknown family {f}")
-    i = system._label_index[label]
-    witness = g * system.rep(i).inv()
-    if not system.member(witness):
-        raise ValueError("internal error: witness fails the congruence test")
-    return i, witness

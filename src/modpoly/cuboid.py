@@ -17,16 +17,13 @@ from .cosets import CosetSystem
 
 class CuboidGraph:
     def __init__(self, system: CosetSystem):
+        # the system validated its permutations when it was constructed
         n = system.n
         ss, su = system.sigma_s, system.sigma_u
-        if sorted(ss) != list(range(n)) or any(ss[ss[i]] != i for i in range(n)):
-            raise ValueError("sigma_s is not an involution")
-        if sorted(su) != list(range(n)) or any(su[su[su[i]]] != i for i in range(n)):
-            raise ValueError("sigma_u is not built from fixed points and 3-cycles")
         self.system = system
         self.n = n
-        self.sigma_s = list(ss)
-        self.sigma_u = list(su)
+        self.sigma_s = ss
+        self.sigma_u = su
         self.distinguished = system.distinguished
 
         self.v0: list[list[int]] = []
@@ -48,20 +45,6 @@ class CuboidGraph:
             for x in orbit:
                 self.edge_v1[x] = len(self.v1)
             self.v1.append(orbit)
-
-        # endpoints of the distinguished edge; when a second edge joins the
-        # same pair of vertices, record whether it follows or precedes the
-        # distinguished edge in the cyclic order at the trivalent vertex
-        r = self.distinguished
-        self.distinguished_v0 = self.edge_v0[r]
-        self.distinguished_v1 = self.edge_v1[r]
-        self.distinguished_double_after: bool | None = None
-        cyc = self.v1[self.distinguished_v1]
-        if len(cyc) == 3:
-            others = [e for e in cyc if e != r and self.edge_v0[e] == self.distinguished_v0]
-            if others:
-                pos = cyc.index(r)
-                self.distinguished_double_after = cyc[(pos + 1) % 3] in others
 
     def __repr__(self):
         return f"CuboidGraph(n={self.n}, v0={len(self.v0)}, v1={len(self.v1)})"
@@ -85,25 +68,15 @@ class SurfaceInvariants:
 
 def graph_invariants(graph: CuboidGraph) -> SurfaceInvariants:
     """Surface data read off the graph: elliptic counts are the fixed points
-    of the two actions, cusps are the orbits of the T-action, the Betti
-    number comes from the Euler characteristic."""
+    of the two actions, cusps are the orbits of the T-action (their lengths,
+    the cusp widths, are the system's T-cycles), the Betti number comes from
+    the Euler characteristic."""
     n = graph.n
     ss, su = graph.sigma_s, graph.sigma_u
     e2 = sum(1 for i in range(n) if ss[i] == i)
     e3 = sum(1 for i in range(n) if su[i] == i)
-    seen = [False] * n
-    widths = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        size = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            size += 1
-            x = ss[su[su[x]]]  # right action of T = U^2 * S
-        widths.append(size)
-    widths.sort()
+    t_cycle, t_pos = graph.system.t_cycle, graph.system.t_pos
+    widths = sorted(len(t_cycle[x]) for x in range(n) if t_pos[x] == 0)
     cusps = len(widths)
     betti = n - (len(graph.v0) + len(graph.v1)) + 1
     if (betti + 1 - cusps) % 2 != 0 or betti + 1 - cusps < 0:

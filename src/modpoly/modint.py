@@ -84,16 +84,6 @@ def factorize(n: int) -> Factorization:
     return list(_factorize_cached(n))
 
 
-def crt_split(row: ResidueRow, factors: Factorization) -> list[ResidueRow]:
-    """Reduce a row mod N componentwise to rows mod each prime power of N."""
-    n = 1
-    for p, m in factors:
-        n *= p**m
-    if n != row.n:
-        raise ValueError(f"factorization of {n} does not match modulus {row.n}")
-    return [ResidueRow(p**m, row.a % p**m, row.b % p**m) for p, m in factors]
-
-
 def crt(residues: list[int], moduli: list[int]) -> int:
     """Chinese remainder lift for pairwise coprime moduli."""
     x, n = 0, 1
@@ -106,23 +96,6 @@ def crt(residues: list[int], moduli: list[int]) -> int:
         x += n * (((r - x) * inv_n) % m)
         n *= m
     return x % n if n > 1 else 0
-
-
-def crt_combine(rows: list[ResidueRow]) -> ResidueRow:
-    """Combine rows over pairwise coprime moduli into one row mod the product.
-
-    Each coordinate of the result reduces, modulo every input modulus, to the
-    corresponding input coordinate; combine and split are mutually inverse.
-    """
-    if not rows:
-        raise ValueError("cannot combine an empty list of rows")
-    moduli = [r.n for r in rows]
-    a = crt([r.a for r in rows], moduli)
-    b = crt([r.b for r in rows], moduli)
-    n = 1
-    for m in moduli:
-        n *= m
-    return ResidueRow(n, a, b)
 
 
 def coprime_lift(a: int, b: int, n: int) -> tuple[int, int]:

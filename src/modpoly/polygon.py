@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cosets import CosetSystem, reduce_to_coset
+from .cosets import CosetSystem
 from .cuboid import CuboidGraph, build_graph, graph_invariants
 from .psl2 import CUSP_INF, CUSP_ZERO, IDENTITY, S, U, Cusp, Psl2Elt, act_cusp
 from .reduce import (
@@ -79,10 +79,6 @@ class CutTree:
         self.order = order
         self.parent = parent
         self.root = graph.distinguished
-
-    @property
-    def cut_halves(self) -> dict[int, tuple[int, int]]:
-        return {v: (self.graph.v0[v][0], self.graph.v0[v][1]) for v in sorted(self.cuts)}
 
 
 def cut_to_tree(graph: CuboidGraph) -> CutTree:
@@ -160,7 +156,7 @@ def develop(tree: CutTree) -> list[Psl2Elt]:
 def generator_features(sigma_s, sigma_u, edge_v0, cuts):
     """Canonical list of generator-producing features, sorted by the smallest
     participating edge: cut vertices, order-2 fixed edges, order-3 fixed
-    edges.  Shared with the combinatorial rewriting path."""
+    edges.  The rewriting path reads them from the polygon."""
     n = len(sigma_s)
     feats = []
     done_cuts = set()
@@ -197,8 +193,7 @@ class SpecialPolygon:
     independent generator per pairing orbit."""
 
     def __init__(self, system, graph, tree, dev, triangles, sides, pairing,
-                 generators, features, feature_index, base_point, constraints,
-                 cusp_vertices, elliptic2, elliptic3):
+                 generators, features, feature_index, base_point, constraints):
         self.system = system
         self.graph = graph
         self.tree = tree
@@ -211,9 +206,6 @@ class SpecialPolygon:
         self.feature_index = feature_index
         self.base_point = base_point
         self.constraints = constraints
-        self.cusp_vertices = cusp_vertices
-        self.elliptic2 = elliptic2
-        self.elliptic3 = elliptic3
         self._trace_ready = False
 
     @property
@@ -319,8 +311,7 @@ def assemble(tree: CutTree, dev: list[Psl2Elt]) -> SpecialPolygon:
         gen, order = generators[i]
         if order != expected_order[kind]:
             raise ValueError(f"internal error: generator for {kind} has order {order}")
-        label, _ = reduce_to_coset(system, gen)
-        if label != system.distinguished:
+        if not system.member(gen):
             raise ValueError("internal error: emitted generator fails membership")
         feature_index[(kind, data)] = i
 
@@ -380,20 +371,10 @@ def assemble(tree: CutTree, dev: list[Psl2Elt]) -> SpecialPolygon:
     base = ExactPoint(Fraction(1, 4), Fraction(1))
     constraints = _constraints_from_sides(sides, base)
 
-    cusp_vertices = []
-    seen_cusps = set()
-    for side in sides:
-        for endpoint in (side.start, side.end):
-            if endpoint[0] == "cusp" and endpoint[1] not in seen_cusps:
-                seen_cusps.add(endpoint[1])
-                cusp_vertices.append(endpoint[1])
-    elliptic2 = [e for e in range(n) if ss[e] == e]
-    elliptic3 = [e for e in range(n) if su[e] == e]
-
     poly = SpecialPolygon(system, graph, tree, dev,
                           [(e, dev[e]) for e in range(n)],
                           sides, pairing, generators, feats, feature_index,
-                          base, constraints, cusp_vertices, elliptic2, elliptic3)
+                          base, constraints)
     if not poly.contains(base.x, base.y**2, strict=True):
         raise ValueError("internal error: base point is not interior")
     return poly
@@ -539,8 +520,7 @@ def validate_special(poly: SpecialPolygon) -> list[str]:
     for k, (gen, order) in enumerate(poly.generators):
         if gen.torsion_order() != order:
             out.append(f"generator {k} order mismatch")
-        label, _ = reduce_to_coset(poly.system, gen)
-        if label != poly.system.distinguished:
+        if not poly.system.member(gen):
             out.append(f"generator {k} fails the membership check")
 
     return out

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from math import gcd
 
-from .modint import egcd
 
 # word letters: ("S", 1), ("U", 1) or ("U", 2)
 SUWord = list[tuple[str, int]]
@@ -64,9 +63,6 @@ class Psl2Elt:
 
     def tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
-
-    def mod(self, n: int) -> tuple[int, int, int, int]:
-        return (self.a % n, self.b % n, self.c % n, self.d % n)
 
     def trace(self) -> int:
         return self.a + self.d
@@ -159,27 +155,6 @@ def act_cusp(g: Psl2Elt, x: Cusp) -> Cusp:
     return Cusp(g.a * x.p + g.b * x.q, g.c * x.p + g.d * x.q)
 
 
-def mul(g: Psl2Elt, h: Psl2Elt) -> Psl2Elt:
-    return g * h
-
-
-def inv(g: Psl2Elt) -> Psl2Elt:
-    return g.inv()
-
-
-def su_evaluate(word: SUWord) -> Psl2Elt:
-    """Left-to-right product of a word in S and U."""
-    result = IDENTITY
-    for gen, e in word:
-        if gen == "S":
-            result = result * S
-        elif e == 1:
-            result = result * U
-        else:
-            result = result * U * U
-    return result
-
-
 def su_reduce(word: SUWord) -> SUWord:
     """Free-product reduction: cancel S*S and merge adjacent powers of U."""
     out: SUWord = []
@@ -198,29 +173,38 @@ def su_reduce(word: SUWord) -> SUWord:
     return out
 
 
+def t_runs(g: Psl2Elt) -> list[int]:
+    """Exponents [r0, r1, ..., rk] with g = T^r0 * S * T^r1 * S * ... * S * T^rk,
+    found by Euclidean descent on the bottom row.  Each quotient is the
+    nearest integer to d/c, so |c| at least halves per step and k is at most
+    the bit length of c."""
+    h = g
+    runs: list[int] = []
+    while h.c != 0:
+        q = (2 * h.d + h.c) // (2 * h.c)
+        # h * T^-q * S has bottom row +-(d - q*c, -c), and |d - q*c| <= c/2
+        h = Psl2Elt._make(h.b - q * h.a, -h.a, h.d - q * h.c, -h.c)
+        runs.append(q)
+    # h is now sign-normalized with c = 0, so h = T^m exactly
+    runs.append(h.b)
+    runs.reverse()
+    return runs
+
+
+def _t_power(k: int) -> SUWord:
+    if k > 0:
+        return [("U", 2), ("S", 1)] * k
+    if k < 0:
+        return [("S", 1), ("U", 1)] * (-k)
+    return []
+
+
 def decompose_su(g: Psl2Elt) -> SUWord:
     """Write g as a reduced word in S and U by Euclidean descent on the
     bottom row; evaluating the word left to right reproduces g exactly."""
-    h = g
-    quotients: list[int] = []
-    while h.c != 0:
-        q = h.d // h.c
-        # h * T^-q * S shrinks |c| strictly
-        b2 = h.d - q * h.c
-        h = Psl2Elt._make(h.b - q * h.a, -h.a, b2, -h.c)
-        quotients.append(q)
-    # h is now sign-normalized with c = 0, so h = T^m exactly
-    m = h.b
-
-    def t_power(k: int) -> SUWord:
-        if k > 0:
-            return [("U", 2), ("S", 1)] * k
-        if k < 0:
-            return [("S", 1), ("U", 1)] * (-k)
-        return []
-
-    word: SUWord = t_power(m)
-    for q in reversed(quotients):
+    runs = t_runs(g)
+    word: SUWord = _t_power(runs[0])
+    for r in runs[1:]:
         word.append(("S", 1))
-        word.extend(t_power(q))
+        word.extend(_t_power(r))
     return su_reduce(word)

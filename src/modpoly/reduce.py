@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .cosets import MembershipError, reduce_to_coset
+from .cosets import MembershipError
 from .psl2 import Cusp, Psl2Elt, decompose_su
 
 # word in the independent generators: (generator index, exponent) pairs
@@ -233,22 +233,22 @@ def evaluate_word(generators, word: GenWord) -> Psl2Elt:
 # ---------------------------------------------------------------------------
 # combinatorial rewriting along the coset permutations (Schreier path)
 
-def express_schreier(system, dev, cuts, g: Psl2Elt, generators=None) -> GenWord:
-    """Write g as a word in the independent generators by walking its S/U
-    letter word through the coset permutations from the distinguished label.
+def express_schreier(poly, g: Psl2Elt) -> GenWord:
+    """Write g as a word in the polygon's independent generators by walking
+    its S/U letter word through the coset permutations from the distinguished
+    label.
 
     Letters that move along the developed spanning structure contribute
     nothing; crossing a cut vertex or sitting at a fixed label emits the
-    corresponding side-pairing generator.
+    corresponding side-pairing generator.  A walk that ends anywhere else
+    than the distinguished label is the verdict that g is not in the
+    subgroup.
     """
-    from .polygon import generator_features, materialize_generators
-
+    system = poly.system
     ss, su = system.sigma_s, system.sigma_u
-    edge_v0 = _edge_v0_map(ss)
-    feats = generator_features(ss, su, edge_v0, cuts)
-    if generators is None:
-        generators = materialize_generators(feats, dev, ss)
-    feat_pos = {(kind, data): i for i, (_, _, kind, data) in enumerate(feats)}
+    edge_v0 = poly.graph.edge_v0
+    cuts = poly.cut_vertices
+    feat_pos = poly.feature_index
 
     word: GenWord = []
     label = system.distinguished
@@ -270,24 +270,16 @@ def express_schreier(system, dev, cuts, g: Psl2Elt, generators=None) -> GenWord:
                     word.append((feat_pos[("e3", label)], -1))
                 label = nxt
     if label != system.distinguished:
-        raise MembershipError("element does not lie in the subgroup (walk ends "
-                              f"at label {label}, not {system.distinguished})")
-    word = reduce_word(word, generators)
-    if evaluate_word(generators, word) != g:
+        raise _not_member(system, g, label)
+    word = reduce_word(word, poly.generators)
+    if evaluate_word(poly.generators, word) != g:
         raise ValueError("internal error: rewritten word does not evaluate back")
     return word
 
 
-def _edge_v0_map(sigma_s) -> list[int]:
-    n = len(sigma_s)
-    out = [-1] * n
-    k = 0
-    for e in range(n):
-        if out[e] == -1:
-            out[e] = k
-            out[sigma_s[e]] = k
-            k += 1
-    return out
+def _not_member(system, g: Psl2Elt, label: int) -> MembershipError:
+    return MembershipError(f"matrix {g} is not in the subgroup ({system.family}, "
+                           f"level {system.level}): its coset is {label}")
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +317,13 @@ def locate_point(poly, z: ExactPoint) -> tuple[ExactPoint, GenWord]:
 
 
 def express(poly, g: Psl2Elt, use_trace: bool = False) -> GenWord:
-    """Word in the polygon's independent generators evaluating exactly to g."""
-    label, _ = reduce_to_coset(poly.system, g)
-    if label != poly.system.distinguished:
-        raise MembershipError(
-            f"matrix {g} is not in the subgroup ({poly.system.family}, "
-            f"level {poly.system.level}): its coset is {label}")
+    """Word in the polygon's independent generators evaluating exactly to g;
+    raises MembershipError when g is not in the subgroup."""
     if not use_trace:
-        return express_schreier(poly.system, poly.dev, poly.cut_vertices, g,
-                                generators=poly.generators)
+        return express_schreier(poly, g)
+    label = poly.system.coset(g)
+    if label != poly.system.distinguished:
+        raise _not_member(poly.system, g, label)
     z = act_point(g, poly.base_point)
     w, word = locate_point(poly, z)
     if w != poly.base_point or evaluate_word(poly.generators, word) != g:

@@ -12,6 +12,7 @@ from math import gcd
 from modpoly.cosets import build_system
 from modpoly.cuboid import build_graph
 from modpoly.polygon import build_polygon, cut_to_tree, develop
+from modpoly.psl2 import IDENTITY, S, U
 
 
 def prime_factors(n):
@@ -137,6 +138,19 @@ def gamma1_prime_data(p):
     n = gamma1_index(p)
     k = (p - 1) // 2
     return n, 0, 0, 2 * k, sorted([1] * k + [p] * k)
+
+
+def su_evaluate(word):
+    """Left-to-right product of a word of ("S", 1), ("U", 1), ("U", 2) letters."""
+    result = IDENTITY
+    for gen, e in word:
+        if gen == "S":
+            result = result * S
+        elif e == 1:
+            result = result * U
+        else:
+            result = result * U * U
+    return result
 
 
 def member_predicate(family, N):

@@ -147,8 +147,7 @@ def test_criterion_5_reduction_round_trip():
                     word.append((i, e))
                 g = evaluate_word(gens, word)
                 w1 = express(poly, g)
-                w2 = express_schreier(poly.system, poly.dev, poly.cut_vertices, g,
-                                      generators=gens)
+                w2 = express_schreier(poly, g)
                 assert evaluate_word(gens, w1) == g
                 assert evaluate_word(gens, w2) == g
             for _ in range(20):

@@ -14,18 +14,16 @@ from modpoly.cosets import (
     build_gamma_upper1,
     build_system,
     gamma_triple,
-    lift_sl2,
     p1_list,
     p1_normalize,
-    reduce_to_coset,
-    stabilizer_reps,
     unit_classes,
     xpoint,
 )
 from modpoly.cuboid import build_graph, pointed_isomorphic
+from modpoly.polygon import build_polygon, validate_special
 from modpoly.psl2 import IDENTITY, S, T, U, Psl2Elt
 
-from oracles import gamma0_index, gamma1_index, gamma_index, member_predicate
+from oracles import built_tree_dev, gamma0_index, gamma1_index, gamma_index, member_predicate
 
 
 def brute_force_orbit(N, a, b):
@@ -93,14 +91,6 @@ def test_p1_list_is_transversal():
             assert p1_normalize(N, *rep)[0] == rep
         assert sum(len(o) for o in seen) == len(
             [(a, b) for a in range(N) for b in range(N) if gcd(gcd(a, b), N) == 1])
-
-
-def test_stabilizer_reps():
-    assert stabilizer_reps(2, 3, 1) == [1, 3]
-    assert stabilizer_reps(3, 2, 1) == [1, 2]
-    assert stabilizer_reps(2, 2, 1) == [1]
-    with pytest.raises(ValueError):
-        stabilizer_reps(2, 3, 3)
 
 
 def test_unit_classes():
@@ -192,45 +182,65 @@ def test_index_formulas_up_to_30():
 
 
 def test_reduce_to_coset_examples():
+    # the coset walk reduces an element to the label of its coset
     s11 = build_gamma0(11)
-    label, witness = reduce_to_coset(s11, IDENTITY)
-    assert label == s11.distinguished and witness == IDENTITY
-
-    label, witness = reduce_to_coset(s11, T)
-    assert s11.labels[label] == (0, 1)
-    assert witness == T
+    assert s11.coset(IDENTITY) == s11.distinguished
+    assert s11.labels[s11.coset(T)] == (0, 1)
+    assert s11.member(T) and not s11.member(S)
 
     s2 = build_gamma0(2)
-    label, witness = reduce_to_coset(s2, S)
-    assert s2.labels[label] == (1, 0)
-    assert witness == IDENTITY
+    assert s2.labels[s2.coset(S)] == (1, 0)
+    assert s2.coset(S * T * T) == s2.coset(S)
 
 
 def test_reduce_to_coset_witness_property():
+    # the developed matrix of edge e lies in coset e, so g * dev[coset(g)]^-1
+    # is a witness in G, checked by the closed-form membership test
     rng = random.Random(12)
     for family, N in [("gamma0", 12), ("gamma_upper0", 9), ("gamma1", 7),
                       ("gamma_upper1", 8), ("gamma", 4)]:
-        system = build_system(family, N)
+        tree, dev = built_tree_dev(family, N)
+        system = tree.graph.system
         member = member_predicate(family, N)
         for _ in range(50):
             g = IDENTITY
             for _ in range(rng.randint(0, 12)):
                 g = g * (S if rng.random() < 0.5 else U)
-            label, witness = reduce_to_coset(system, g)
-            assert member(witness)
-            assert witness * system.rep(label) == g
+            assert member(g * dev[system.coset(g)].inv())
 
 
-def test_lift_sl2():
-    rng = random.Random(13)
-    for _ in range(300):
-        N = rng.randint(2, 120)
-        g = IDENTITY
-        for _ in range(rng.randint(0, 10)):
-            g = g * (S if rng.random() < 0.5 else U)
-        mat = g.mod(N)
-        lifted = lift_sl2(mat, N)
-        assert lifted.mod(N) == mat or lifted.mod(N) == tuple((-x) % N for x in mat)
+def test_member_huge_translation_is_one_jump():
+    system = build_system("gamma0", 11)
+    assert system.member(T ** 10**9)
+    assert system.coset(T ** (10**9 + 1)) == system.coset(T)
+    assert build_system("gamma", 7).member(T ** (10**9 + 1))  # 10**9 + 1 = 0 mod 7
+    assert not build_system("gamma", 7).member(T ** (10**9 + 2))
+
+
+def test_t_cycles_are_the_cusp_orbits():
+    system = build_system("gamma0", 4)
+    for x in range(system.n):
+        cycle = system.t_cycle[x]
+        assert cycle[system.t_pos[x]] == x
+        y = cycle[(system.t_pos[x] + 1) % len(cycle)]
+        assert y == system.sigma_s[system.sigma_u[system.sigma_u[x]]]
+    widths = sorted(len(system.t_cycle[x]) for x in range(system.n) if system.t_pos[x] == 0)
+    assert widths == [1, 1, 4]
+
+
+def test_oracle_polygon_without_oracle_calls():
+    calls = [0]
+
+    def member(g):
+        calls[0] += 1
+        return g.c % 20 == 0
+
+    system = build_from_oracle(member, max_index=100)
+    after_build = calls[0]
+    poly = build_polygon(system)
+    assert validate_special(poly) == []
+    assert system.member(T) and not system.member(S)
+    assert calls[0] == after_build
 
 
 def test_validate_rejects_bad_permutations():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from modpoly.cosets import build_from_oracle, build_system
+from modpoly.cosets import CosetSystem, build_from_oracle, build_system
 from modpoly.cuboid import (
     build_graph,
     distinguished_edge_orbit,
@@ -159,19 +159,6 @@ def test_normality_cross_check():
         assert not is_normal(built_graph("gamma0", N))
 
 
-def test_distinguished_double_edge_flag():
-    # Gamma0(2): the trivalent vertex is joined twice to the bivalent vertex
-    # of the distinguished edge, so the before/after flag is set
-    g = built_graph("gamma0", 2)
-    assert g.distinguished_double_after is not None
-    cyc = g.v1[g.distinguished_v1]
-    partner = g.sigma_s[g.distinguished]
-    pos = cyc.index(g.distinguished)
-    assert g.distinguished_double_after == (cyc[(pos + 1) % 3] == partner)
-    # Gamma(5) has simple edges everywhere around the distinguished pair
-    assert built_graph("gamma", 5).distinguished_double_after is None
-
-
 def test_json_and_dot_deterministic():
     g = built_graph("gamma0", 6)
     blob = to_json(g)
@@ -186,10 +173,7 @@ def test_json_and_dot_deterministic():
 
 
 def test_malformed_system_rejected():
-    class Fake:
-        n = 2
-        sigma_s = [1, 0]
-        sigma_u = [1, 0]  # order 2, not allowed
-        distinguished = 0
+    # a malformed permutation pair never reaches the graph: the coset system
+    # refuses it when it is constructed
     with pytest.raises(ValueError):
-        build_graph(Fake())
+        build_graph(CosetSystem("oracle", None, [0, 1], [1, 0], [1, 0], 0))  # sigma_u has order 2

@@ -6,8 +6,7 @@ from modpoly.modint import (
     ResidueRow,
     complete_row_to_sl2,
     coprime_lift,
-    crt_combine,
-    crt_split,
+    crt,
     egcd,
     factorize,
     inverse_mod,
@@ -59,47 +58,15 @@ def test_factorize_reconstructs():
         assert primes == sorted(set(primes))
 
 
-def test_crt_split_examples():
-    rows = crt_split(ResidueRow(12, 5, 7), factorize(12))
-    assert [(r.n, r.a, r.b) for r in rows] == [(4, 1, 3), (3, 2, 1)]
-    rows = crt_split(ResidueRow(4, 1, 3), factorize(4))
-    assert [(r.n, r.a, r.b) for r in rows] == [(4, 1, 3)]
-    rows = crt_split(ResidueRow(6, 1, 1), factorize(6))
-    assert [(r.n, r.a, r.b) for r in rows] == [(2, 1, 1), (3, 1, 1)]
-    with pytest.raises(ValueError):
-        crt_split(ResidueRow(12, 5, 7), factorize(6))
-
-
-def test_crt_combine_examples():
-    # componentwise CRT: the result reduces to each input mod its modulus
-    row = crt_combine([ResidueRow(4, 1, 3), ResidueRow(3, 2, 1)])
-    assert (row.n, row.a, row.b) == (12, 5, 7)
-    assert (row.a % 4, row.b % 4) == (1, 3)
-    assert (row.a % 3, row.b % 3) == (2, 1)
-    row = crt_combine([ResidueRow(7, 3, 4)])
-    assert (row.n, row.a, row.b) == (7, 3, 4)
-    row = crt_combine([ResidueRow(2, 1, 1), ResidueRow(3, 1, 1)])
-    assert (row.n, row.a, row.b) == (6, 1, 1)
-
-
-def test_crt_combine_rejects_common_factor():
-    with pytest.raises(ValueError):
-        crt_combine([ResidueRow(4, 1, 1), ResidueRow(6, 1, 1)])
-
-
 def test_crt_round_trip():
     rng = random.Random(2)
-    from math import gcd
     for n in (6, 12, 30, 60, 360, 1001):
-        factors = factorize(n)
+        moduli = [p**m for p, m in factorize(n)]
         for _ in range(50):
-            a = rng.randrange(n)
-            b = rng.randrange(n)
-            if gcd(gcd(a, b), n) != 1:
-                continue
-            row = ResidueRow(n, a, b)
-            back = crt_combine(crt_split(row, factors))
-            assert back == row
+            x = rng.randrange(n)
+            assert crt([x % q for q in moduli], moduli) == x
+    with pytest.raises(ValueError):
+        crt([1, 1], [4, 6])
 
 
 def test_complete_row_examples():

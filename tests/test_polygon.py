@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from modpoly.cosets import reduce_to_coset
 from modpoly.cuboid import graph_invariants
 from modpoly.polygon import (
     assemble,
@@ -18,7 +17,7 @@ from modpoly.polygon import (
 from modpoly.psl2 import IDENTITY, S, U, Psl2Elt
 from modpoly.reduce import evaluate_word
 
-from oracles import TEST_GROUPS, built_graph, built_polygon, built_system, built_tree_dev
+from oracles import TEST_GROUPS, built_graph, built_polygon, built_system, built_tree_dev, member_predicate
 
 
 def test_cut_counts():
@@ -28,13 +27,6 @@ def test_cut_counts():
     assert len(tree.cuts) == 3
     tree, _ = built_tree_dev("gamma", 2)
     assert len(tree.cuts) == 2
-
-
-def test_cut_halves():
-    tree, _ = built_tree_dev("gamma0", 11)
-    for v0i, (e, f) in tree.cut_halves.items():
-        assert tree.graph.v0[v0i] == [e, f]
-        assert tree.graph.sigma_s[e] == f
 
 
 def test_develop_root_and_counts():
@@ -68,8 +60,7 @@ def test_develop_is_schreier_transversal():
         tree, dev = built_tree_dev(family, N)
         system = tree.graph.system
         for e, g in enumerate(dev):
-            label, _ = reduce_to_coset(system, g)
-            assert label == e
+            assert system.coset(g) == e
 
 
 def test_whole_group_polygon():
@@ -126,10 +117,9 @@ def test_validate_detects_corruption():
 def test_generators_membership_and_orders():
     for family, N in TEST_GROUPS:
         poly = built_polygon(family, N)
-        system = poly.system
+        member = member_predicate(family, N)
         for gen, order in poly.generators:
-            label, _ = reduce_to_coset(system, gen)
-            assert label == system.distinguished
+            assert member(gen) and poly.system.member(gen)
             if order == 2:
                 assert gen * gen == IDENTITY and gen != IDENTITY
             elif order == 3:

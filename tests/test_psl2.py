@@ -14,9 +14,11 @@ from modpoly.psl2 import (
     act_cusp,
     decompose_su,
     parse_matrix,
-    su_evaluate,
     su_reduce,
+    t_runs,
 )
+
+from oracles import su_evaluate
 
 
 def test_generator_relations():
@@ -133,3 +135,31 @@ def test_parse_matrix():
         parse_matrix("1,1,x,1")
     with pytest.raises(ValueError):
         parse_matrix("1,1,1,1")
+
+
+def runs_product(runs):
+    h = T ** runs[0]
+    for r in runs[1:]:
+        h = h * S * T**r
+    return h
+
+
+def test_t_runs_round_trip():
+    rng = random.Random(7)
+    for _ in range(200):
+        g = su_evaluate([("U", rng.randint(1, 2)) if rng.random() < 0.5 else ("S", 1)
+                         for _ in range(rng.randint(0, 30))])
+        assert runs_product(t_runs(g)) == g
+    assert t_runs(T ** 10**9) == [10**9]
+    assert t_runs(S) == [0, 0]
+
+
+def test_t_runs_count_is_logarithmic():
+    # S T^n S = [[-1, 0], [n, -1]]: a descent that rounds d/c down takes one
+    # step per unit of n here, rounding to the nearest integer a few
+    n = 10**12
+    assert len(t_runs(S * T**n * S)) <= 4
+    for g in (S * T**n * S * T, T**n * S * T**-n * S * U):
+        runs = t_runs(g)
+        assert runs_product(runs) == g
+        assert len(runs) <= 2 * max(abs(x) for x in g.tuple()).bit_length() + 2

@@ -160,23 +160,22 @@ def test_express_rejects_non_members():
     with pytest.raises(MembershipError):
         express(poly, T)
     with pytest.raises(MembershipError):
-        express_schreier(poly.system, poly.dev, poly.cut_vertices, T,
-                         generators=poly.generators)
+        express_schreier(poly, T)
+
+
+def test_express_refusal_names_the_coset():
+    poly = built_polygon("gamma0", 11)
+    label = poly.system.coset(S)
+    assert label != poly.system.distinguished
+    for use_trace in (False, True):
+        with pytest.raises(MembershipError, match=f"not in the subgroup .*its coset is {label}$"):
+            express(poly, S, use_trace=use_trace)
 
 
 def test_express_schreier_whole_group():
     poly = built_polygon("gamma0", 1)
-    word = express_schreier(poly.system, poly.dev, poly.cut_vertices, U,
-                            generators=poly.generators)
+    word = express_schreier(poly, U)
     assert evaluate_word(poly.generators, word) == U
-
-
-def test_express_schreier_standalone_generators():
-    # without an explicit generator list the canonical one is rebuilt
-    poly = built_polygon("gamma0", 11)
-    g = poly.generators[0][0] * poly.generators[1][0]
-    word = express_schreier(poly.system, poly.dev, poly.cut_vertices, g)
-    assert evaluate_word(poly.generators, word) == g
 
 
 def test_round_trip_both_methods():
