@@ -131,5 +131,6 @@ def complete_row_to_sl2(row: ResidueRow) -> tuple[tuple[int, int], tuple[int, in
     aa, bb = coprime_lift(a, b, n)
     _, s, t = egcd(aa, bb)  # aa*s + bb*t = 1
     x, y = t % n, (-s) % n
-    assert (x * b - y * a) % n == 1 % n
+    if (x * b - y * a) % n != 1 % n:
+        raise ValueError("internal error: completed row does not have determinant 1")
     return (x, y), (a, b)

@@ -32,6 +32,8 @@ from .reduce import (
     elliptic2_point,
     elliptic3_point,
     geodesic_between_cusps,
+    geodesic_param,
+    lift,
 )
 
 U2 = U * U
@@ -56,17 +58,38 @@ class Side:
     start: Endpoint
     end: Endpoint
     geodesic: Geodesic
+    # parameter range lo < hi on the geodesic (reduce.geodesic_param), hi
+    # None for the cusp at infinity; lo_ell marks an elliptic vertex at the
+    # low end, ell_order is its order (None for a side between two cusps)
+    lo: Fraction
+    hi: Fraction | None
+    lo_ell: bool
+    ell_order: int | None
     pair: int = -1
     gen: int = -1
     gen_exp: int = 0
-    # trace bookkeeping: parameter range on the side's geodesic (x for
-    # circles, y^2 for vertical lines); None = unbounded toward a cusp
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    lo_ell: bool = False
-    hi_ell: bool = False
-    ell_order: int | None = None
-    cusp_boundary_value: Fraction | None = None
+
+
+def _side(kind: str, edge: int, carrier: Psl2Elt, start: Endpoint, end: Endpoint,
+          geodesic: Geodesic) -> Side:
+    """A side with its parameter range, complete when it is made."""
+    ends = [_end_param(geodesic, start), _end_param(geodesic, end)]
+    if ends[0][0] is None or (ends[1][0] is not None and ends[1][0] < ends[0][0]):
+        ends.reverse()
+    (lo, lo_ell), (hi, _) = ends
+    ell_order = next((p[1] for p in (start, end) if p[0] == "ell"), None)
+    return Side(kind, edge, carrier, start, end, geodesic, lo, hi, lo_ell, ell_order)
+
+
+def _end_param(geod: Geodesic, endpoint: Endpoint) -> tuple[Fraction | None, bool]:
+    """Parameter of a side's endpoint (None for the cusp at infinity) and
+    whether the endpoint is elliptic."""
+    if endpoint[0] == "ell":
+        return geodesic_param(geod, lift(endpoint[2], endpoint[3])), True
+    c = endpoint[1]
+    if c.q == 0:
+        return None, False
+    return geodesic_param(geod, lift(Fraction(c.p, c.q), Fraction(0))), False
 
 
 class CutTree:
@@ -206,7 +229,6 @@ class SpecialPolygon:
         self.feature_index = feature_index
         self.base_point = base_point
         self.constraints = constraints
-        self._trace_ready = False
 
     @property
     def cut_vertices(self):
@@ -214,17 +236,12 @@ class SpecialPolygon:
 
     def contains(self, x: Fraction, y2: Fraction, strict: bool = False) -> bool:
         """Exact membership of a point given as (x, y^2)."""
-        for geod, sign in self.constraints:
-            v = geod.eval_at(x, y2) * sign
+        n, m, k = lift(x, y2)
+        for a, b, c in self.constraints:
+            v = a * n + b * m + c * k
             if v < 0 or (strict and v == 0):
                 return False
         return True
-
-    def trace_sides(self):
-        if not self._trace_ready:
-            _prepare_trace_data(self)
-            self._trace_ready = True
-        return self.sides
 
     def __repr__(self):
         return (f"SpecialPolygon(n={len(self.triangles)}, sides={len(self.sides)}, "
@@ -322,28 +339,28 @@ def assemble(tree: CutTree, dev: list[Psl2Elt]) -> SpecialPolygon:
         created = []
         if k == 0:
             x3, y23 = elliptic3_point(g)
-            sides.append(Side("e3_arc", e, g, _cusp_end(g, CUSP_ZERO),
-                              _ell_end(3, x3, y23),
-                              _transformed_geodesic(g, CUSP_ZERO, Cusp(2, 1))))
+            sides.append(_side("e3_arc", e, g, _cusp_end(g, CUSP_ZERO),
+                               _ell_end(3, x3, y23),
+                               _transformed_geodesic(g, CUSP_ZERO, Cusp(2, 1))))
             created.append(len(sides) - 1)
         elif k == 1:
             x3, y23 = elliptic3_point(g)
-            sides.append(Side("e3_line", e, g, _ell_end(3, x3, y23),
-                              _cusp_end(g, CUSP_INF),
-                              _transformed_geodesic(g, Cusp(1, 2), CUSP_INF)))
+            sides.append(_side("e3_line", e, g, _ell_end(3, x3, y23),
+                               _cusp_end(g, CUSP_INF),
+                               _transformed_geodesic(g, Cusp(1, 2), CUSP_INF)))
             created.append(len(sides) - 1)
         else:
             axis = _transformed_geodesic(g, CUSP_INF, CUSP_ZERO)
             if ss[e] == e:
                 x2, y22 = elliptic2_point(g)
-                sides.append(Side("odd_inf", e, g, _cusp_end(g, CUSP_INF),
-                                  _ell_end(2, x2, y22), axis))
-                sides.append(Side("odd_zero", e, g, _ell_end(2, x2, y22),
-                                  _cusp_end(g, CUSP_ZERO), axis))
+                sides.append(_side("odd_inf", e, g, _cusp_end(g, CUSP_INF),
+                                   _ell_end(2, x2, y22), axis))
+                sides.append(_side("odd_zero", e, g, _ell_end(2, x2, y22),
+                                   _cusp_end(g, CUSP_ZERO), axis))
                 created.extend([len(sides) - 2, len(sides) - 1])
             else:
-                sides.append(Side("even", e, g, _cusp_end(g, CUSP_INF),
-                                  _cusp_end(g, CUSP_ZERO), axis))
+                sides.append(_side("even", e, g, _cusp_end(g, CUSP_INF),
+                                   _cusp_end(g, CUSP_ZERO), axis))
                 created.append(len(sides) - 1)
         slot_sides[(e, k)] = created
 
@@ -396,45 +413,17 @@ def _transformed_geodesic(g: Psl2Elt, c1: Cusp, c2: Cusp) -> Geodesic:
 
 
 def _constraints_from_sides(sides, base: ExactPoint):
-    by2 = base.y**2
+    """One integer triple per distinct side geodesic, signed so that its dot
+    product with the lifted base point is positive."""
+    n, m, k = lift(base.x, base.y**2)
     out = []
-    seen = set()
-    for side in sides:
-        geod = side.geodesic
-        if geod in seen:
-            continue
-        seen.add(geod)
-        v = geod.eval_at(base.x, by2)
+    for geod in dict.fromkeys(side.geodesic for side in sides):
+        a, b, c = geod
+        v = a * n + b * m + c * k
         if v == 0:
             raise ValueError("internal error: base point lies on a side geodesic")
-        out.append((geod, 1 if v > 0 else -1))
+        out.append(geod if v > 0 else (-a, -b, -c))
     return out
-
-
-def _prepare_trace_data(poly: SpecialPolygon):
-    """Attach parameter ranges and elliptic metadata to every side."""
-    for side in poly.sides:
-        geod = side.geodesic
-        ends = []
-        for endpoint in (side.start, side.end):
-            if endpoint[0] == "cusp":
-                cusp = endpoint[1]
-                value = None if cusp.q == 0 else Fraction(cusp.p, cusp.q)
-                if geod.kind == "v":
-                    ends.append((Fraction(0) if value is not None else None, False))
-                else:
-                    ends.append((value, False))
-                side.cusp_boundary_value = value
-            else:
-                _, order, x, y2 = endpoint
-                side.ell_order = order
-                param = y2 if geod.kind == "v" else x
-                ends.append((param, True))
-        (p1, e1), (p2, e2) = ends
-        if p1 is None or (p2 is not None and p2 < p1):
-            (p1, e1), (p2, e2) = (p2, e2), (p1, e1)
-        side.lo, side.lo_ell = p1, e1
-        side.hi, side.hi_ell = p2, e2
 
 
 def build_polygon(system: CosetSystem) -> SpecialPolygon:
@@ -596,9 +585,7 @@ def to_svg(poly: SpecialPolygon, width: int = 640, clamp_height: float = 2.5) ->
             return float(endpoint[2]), float(endpoint[3]) ** 0.5
         c = endpoint[1]
         if c.q == 0:
-            geod = side.geodesic
-            x = float(geod.pos)
-            return x, clamp_height
+            return -side.geodesic.c / side.geodesic.b, clamp_height
         return c.p / c.q, 0.0
 
     parts = [
@@ -614,11 +601,12 @@ def to_svg(poly: SpecialPolygon, width: int = 640, clamp_height: float = 2.5) ->
         (x1, y1), (x2, y2) = (endpoint_xy(side, side.start), endpoint_xy(side, side.end))
         sx1, sy1 = to_screen(x1, y1)
         sx2, sy2 = to_screen(x2, y2)
-        if side.geodesic.kind == "v":
+        a, b, c = side.geodesic
+        if a == 0:
             parts.append(f'<line x1="{sx1:.2f}" y1="{sy1:.2f}" x2="{sx2:.2f}" '
                          f'y2="{sy2:.2f}" stroke="{color}" stroke-width="2" fill="none"/>')
         else:
-            r = float(side.geodesic.r2) ** 0.5 * scale
+            r = ((b * b - 4 * a * c) / (4 * a * a)) ** 0.5 * scale
             large = 0
             sweep = 1 if x1 < x2 else 0
             parts.append(f'<path d="M {sx1:.2f} {sy1:.2f} A {r:.2f} {r:.2f} 0 {large} '

@@ -1,17 +1,23 @@
 """Locating points on the fundamental domain and rewriting group elements
 as words in the independent generators.
 
-All geometry is exact.  Input points have rational coordinates, so every
-traced geodesic is a vertical line or a semicircle with rational center and
-radius squared, and every comparison reduces to signs of rational numbers or
-of a + b*sqrt(3) with rational a, b.
+All geometry is exact and, for geodesics, integer.  A geodesic is the
+primitive integer triple (a, b, c) of the curve a(x^2+y^2) + bx + c = 0 (a
+semicircle when a > 0, a vertical line when a = 0), and a rational point is
+an integer triple (n, m, k), k > 0, proportional to (x^2+y^2, x, 1).  A
+point lies on a geodesic, or on one side of it, by the sign of the dot
+product of the two triples; the geodesic through two points and the point
+where two geodesics meet are both cross products.  Only point coordinates
+and positions along a geodesic are Fractions, and the tangent directions at
+order-3 vertices are compared in Q + Q*sqrt(3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from .cosets import MembershipError
 from .psl2 import Cusp, Psl2Elt, decompose_su
@@ -27,99 +33,93 @@ class TraceDegenerateError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExactPoint:
-    """Rational point x + iy of the upper half-plane."""
+    """Rational point x + iy of the upper half-plane.  Coordinates are
+    Fractions; an int is converted, any other type (float, Decimal, bool)
+    is refused."""
 
     x: Fraction
     y: Fraction
 
     def __post_init__(self):
+        for name in ("x", "y"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise ValueError(f"point coordinate {name} = {v!r} is not an int or a Fraction")
+            if not isinstance(v, Fraction):
+                object.__setattr__(self, name, Fraction(v))
         if self.y <= 0:
             raise ValueError(f"point {self.x} + {self.y}i is not in the upper half-plane")
 
 
-@dataclass(frozen=True)
-class Geodesic:
-    """Vertical line x = pos, or semicircle with center pos and radius^2 r2."""
+class Geodesic(NamedTuple):
+    """The geodesic a(x^2+y^2) + bx + c = 0 as a primitive integer triple,
+    normalised so that a > 0 (a semicircle) or a = 0 and b < 0 (the
+    vertical line x = -c/b).  Its ideal endpoints are the roots of the
+    binary form aX^2 + bXY + cY^2."""
 
-    kind: str  # "v" or "c"
-    pos: Fraction
-    r2: Fraction | None = None
-
-    def __post_init__(self):
-        if self.kind == "c" and (self.r2 is None or self.r2 <= 0):
-            raise ValueError("circle geodesic needs positive radius^2")
+    a: int
+    b: int
+    c: int
 
     def eval_at(self, x: Fraction, y2: Fraction) -> Fraction:
         """Defining expression; zero exactly on the geodesic."""
-        if self.kind == "v":
-            return x - self.pos
-        return (x - self.pos) ** 2 + y2 - self.r2
+        return self.a * (x * x + y2) + self.b * x + self.c
 
     def transform(self, g: Psl2Elt) -> "Geodesic":
-        """Image geodesic under a Moebius transformation, computed from the
-        symmetric functions of the ideal endpoints (stays rational)."""
-        a, b, c, d = (Fraction(v) for v in g.tuple())
-        if self.kind == "v":
-            e1 = _moebius_boundary(g, self.pos)
-            e2 = _moebius_boundary(g, None)
-            return geodesic_from_boundary(e1, e2)
-        s = 2 * self.pos
-        p = self.pos**2 - self.r2
-        q = c * c * p + c * d * s + d * d
-        if q == 0:
-            # -d/c is an ideal endpoint; its partner maps to a finite value
-            other = s + d / c
-            return geodesic_from_boundary(_moebius_boundary(g, other), None)
-        p2 = (a * a * p + a * b * s + b * b) / q
-        s2 = (2 * a * c * p + (a * d + b * c) * s + 2 * b * d) / q
-        center = s2 / 2
-        r2 = center**2 - p2
-        if r2 <= 0:
-            raise ValueError("transformed geodesic degenerated")
-        return Geodesic("c", center, r2)
+        """Image under g: the endpoint form composed with g^-1."""
+        p, q, r, s = g.tuple()
+        a, b, c = self
+        return _geodesic(a * s * s - b * r * s + c * r * r,
+                         b * (p * s + q * r) - 2 * (a * q * s + c * p * r),
+                         a * q * q - b * p * q + c * p * p)
 
 
-def _moebius_boundary(g: Psl2Elt, x: Fraction | None) -> Fraction | None:
-    """Boundary action; None stands for infinity."""
-    if x is None:
-        if g.c == 0:
-            return None
-        return Fraction(g.a, g.c)
-    den = g.c * x + g.d
-    if den == 0:
+def _geodesic(a: int, b: int, c: int) -> Geodesic:
+    g = gcd(a, b, c)
+    if a < 0 or (a == 0 and b > 0):
+        g = -g
+    return Geodesic(a // g, b // g, c // g)
+
+
+def lift(x: Fraction, y2: Fraction) -> tuple[int, int, int]:
+    """Integer triple (n, m, k), k > 0, proportional to (x^2+y^2, x, 1) for
+    the point x + iy given as (x, y^2)."""
+    s = x * x + y2
+    k = lcm(s.denominator, x.denominator)
+    return s.numerator * (k // s.denominator), x.numerator * (k // x.denominator), k
+
+
+def _cross(u, v) -> tuple[int, int, int]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def meet(g1: Geodesic, g2: Geodesic) -> tuple[int, int, int] | None:
+    """Point triple where two geodesics cross in the upper half-plane, or
+    None: k = 0 for the same geodesic, two vertical lines or concentric
+    circles, and nk - m^2 = k^2 y^2 <= 0 when they do not cross above the
+    real axis."""
+    n, m, k = _cross(g1, g2)
+    if k < 0:
+        n, m, k = -n, -m, -k
+    if k == 0 or n * k - m * m <= 0:
         return None
-    return (g.a * x + g.b) / den
-
-
-def geodesic_from_boundary(e1: Fraction | None, e2: Fraction | None) -> Geodesic:
-    """Geodesic with the given ideal endpoints (None = infinity)."""
-    if e1 is None and e2 is None:
-        raise ValueError("both endpoints at infinity")
-    if e1 is None:
-        return Geodesic("v", e2)
-    if e2 is None:
-        return Geodesic("v", e1)
-    if e1 == e2:
-        raise ValueError("coincident ideal endpoints")
-    center = (e1 + e2) / 2
-    return Geodesic("c", center, ((e1 - e2) / 2) ** 2)
+    return n, m, k
 
 
 def geodesic_between_cusps(c1: Cusp, c2: Cusp) -> Geodesic:
-    return geodesic_from_boundary(
-        None if c1.q == 0 else Fraction(c1.p, c1.q),
-        None if c2.q == 0 else Fraction(c2.p, c2.q),
-    )
+    """(q1 q2, -(p1 q2 + p2 q1), p1 p2): the form (q1 X - p1 Y)(q2 X - p2 Y).
+    Reduced cusps with q >= 0 and infinity = 1/0 make it primitive and
+    normalised."""
+    if c1 == c2:
+        raise ValueError("coincident ideal endpoints")
+    return Geodesic(c1.q * c2.q, -(c1.p * c2.q + c2.p * c1.q), c1.p * c2.p)
 
 
 def geodesic_through(p: ExactPoint, q: ExactPoint) -> Geodesic:
     """The geodesic through two distinct rational points."""
     if p == q:
         raise ValueError("need two distinct points")
-    if p.x == q.x:
-        return Geodesic("v", p.x)
-    center = (q.x**2 + q.y**2 - p.x**2 - p.y**2) / (2 * (q.x - p.x))
-    return Geodesic("c", center, (p.x - center) ** 2 + p.y**2)
+    return _geodesic(*_cross(lift(p.x, p.y**2), lift(q.x, q.y**2)))
 
 
 def act_point(g: Psl2Elt, z: ExactPoint) -> ExactPoint:
@@ -166,8 +166,6 @@ def rational_sqrt(f: Fraction) -> Fraction | None:
 # vertices; pairs (a, b) stand for a + b*sqrt(3)
 
 Q3 = tuple[Fraction, Fraction]
-
-Q3_ZERO: Q3 = (Fraction(0), Fraction(0))
 
 
 def q3_mul(u: Q3, v: Q3) -> Q3:
@@ -331,20 +329,21 @@ def express(poly, g: Psl2Elt, use_trace: bool = False) -> GenWord:
     return word
 
 
-def _param(geod: Geodesic, x: Fraction, y2: Fraction) -> Fraction:
-    """Strictly monotone coordinate along a geodesic (x on circles, y^2 on
-    vertical lines)."""
-    return y2 if geod.kind == "v" else x
+def geodesic_param(geod: Geodesic, point: tuple[int, int, int]) -> Fraction:
+    """Coordinate of a point triple along a geodesic, increasing in the
+    direction of its tangent: x on circles, x^2+y^2 on vertical lines."""
+    n, m, k = point
+    return Fraction(m if geod.a else n, k)
 
 
 def _trace(poly, z0: ExactPoint, z: ExactPoint,
            record: list | None = None) -> tuple[ExactPoint, GenWord]:
-    sides = poly.trace_sides()
+    sides = poly.sides
     gens = poly.generators
     word: GenWord = []
     t = z
     geod = geodesic_through(z0, z)
-    ax, ay2 = z0.x, z0.y**2
+    source = lift(z0.x, z0.y**2)
 
     for _ in range(_MAX_TRACE_STEPS):
         if record is not None:
@@ -356,8 +355,8 @@ def _trace(poly, z0: ExactPoint, z: ExactPoint,
                 raise ValueError("internal error: trace postcondition failed")
             return t, word
 
-        pa = _param(geod, ax, ay2)
-        pt = _param(geod, tx, ty2)
+        pa = geodesic_param(geod, source)
+        pt = geodesic_param(geod, lift(tx, ty2))
         if pa == pt:
             raise TraceDegenerateError("target and source share the geodesic parameter")
         dsign = 1 if pt > pa else -1
@@ -374,23 +373,15 @@ def _trace(poly, z0: ExactPoint, z: ExactPoint,
         if best is None:
             raise TraceDegenerateError("no boundary crossing found on an exiting segment")
 
-        _, kind, side, px, py2 = best
-        if kind == "side":
-            gi, ge = side.gen, side.gen_exp
-            r = gens[gi][0] ** ge
-            word.append((gi, -ge))
-        else:
-            order = side.ell_order
-            gi = side.gen
-            if order == 2:
-                ge = 1
-                r = gens[gi][0]
-            else:
-                ge = _pick_rotation(poly, geod, dsign, side, px, py2)
-                r = gens[gi][0] ** ge
-            word.append((gi, -ge))
+        _, kind, side, (n, m, k) = best
+        px, py2 = Fraction(m, k), Fraction(n * k - m * m, k * k)
+        gi, ge = side.gen, side.gen_exp
+        if kind == "vertex":
+            ge = 1 if side.ell_order == 2 else _pick_rotation(poly, geod, dsign, side, px, py2)
+        r = gens[gi][0] ** ge
+        word.append((gi, -ge))
         t = act_point(r, t)
-        ax, ay2 = act_quad(r, px, py2)
+        source = lift(*act_quad(r, px, py2))
         geod = geod.transform(r)
     raise TraceDegenerateError("step budget exhausted")
 
@@ -398,49 +389,25 @@ def _trace(poly, z0: ExactPoint, z: ExactPoint,
 def _side_crossing(geod: Geodesic, side, pa, pt, dsign):
     """Intersection of the travel segment with one polygon side.
 
-    Returns (param, "side" | "vertex", side, x, y2) or None.  Crossings are
-    strict between the segment ends; hitting an elliptic endpoint of the side
-    is reported as a vertex hit.
+    Returns (param, "side" | "vertex", side, point triple) or None.
+    Crossings are strict between the segment ends; hitting an end of the
+    side's range is reported as a vertex hit, since a cusp end lies on the
+    real axis and only an elliptic end can be met in H.
     """
-    sg = side.geodesic
-    if sg == geod:
-        return None
-    # intersection point of the two geodesics
-    if geod.kind == "v" and sg.kind == "v":
-        return None
-    if geod.kind == "v":
-        x = geod.pos
-        y2 = sg.r2 - (x - sg.pos) ** 2
-    elif sg.kind == "v":
-        x = sg.pos
-        y2 = geod.r2 - (x - geod.pos) ** 2
-    else:
-        if sg.pos == geod.pos:
-            return None  # concentric circles never cross in H
-        x = (geod.r2 - sg.r2 + sg.pos**2 - geod.pos**2) / (2 * (sg.pos - geod.pos))
-        y2 = geod.r2 - (x - geod.pos) ** 2
-    if y2 <= 0:
+    point = meet(geod, side.geodesic)
+    if point is None:
         return None
 
     # within the travel segment, strictly
-    p = _param(geod, x, y2)
+    p = geodesic_param(geod, point)
     if not ((p - pa) * dsign > 0 and (pt - p) * dsign > 0):
         return None
 
     # within the side segment
-    sp = _param(sg, x, y2)
-    lo, lo_ell, hi, hi_ell = side.lo, side.lo_ell, side.hi, side.hi_ell
-    if lo is not None:
-        if sp < lo or (sp == lo and not lo_ell):
-            return None
-        if sp == lo and lo_ell:
-            return (p, "vertex", side, x, y2)
-    if hi is not None:
-        if sp > hi or (sp == hi and not hi_ell):
-            return None
-        if sp == hi and hi_ell:
-            return (p, "vertex", side, x, y2)
-    return (p, "side", side, x, y2)
+    sp = geodesic_param(side.geodesic, point)
+    if sp < side.lo or (side.hi is not None and sp > side.hi):
+        return None
+    return (p, "vertex" if sp == side.lo or sp == side.hi else "side", side, point)
 
 
 def _pick_rotation(poly, geod: Geodesic, dsign: int, side, vx: Fraction, vy2: Fraction) -> int:
@@ -468,23 +435,14 @@ def _pick_rotation(poly, geod: Geodesic, dsign: int, side, vx: Fraction, vy2: Fr
 
 
 def _tangent(geod: Geodesic, x: Fraction, yroot3: Fraction, dsign: int):
-    """Unit-free tangent direction ((a+b sqrt3), (c+d sqrt3)) at a point with
-    y = yroot3 * sqrt(3), oriented along increasing parameter * dsign."""
-    if geod.kind == "v":
-        return (Q3_ZERO, (Fraction(dsign), Fraction(0)))
-    # tangent to the circle: (y, center - x), x-component sign = dsign
-    return ((Fraction(0), dsign * yroot3), (dsign * (geod.pos - x), Fraction(0)))
+    """Tangent (2ay, -(2ax+b)) at x + iy with y = yroot3 * sqrt(3), as a pair
+    of Q3 numbers, along increasing parameter times dsign."""
+    return ((0, dsign * 2 * geod.a * yroot3), (-dsign * (2 * geod.a * x + geod.b), 0))
 
 
 def _side_direction(side, vx: Fraction, yroot3: Fraction):
     """Direction from the elliptic vertex along the side toward its cusp end."""
-    sg = side.geodesic
-    target = side.cusp_boundary_value  # Fraction or None (= infinity)
-    if sg.kind == "v":
-        toward_inf = target is None
-        return (Q3_ZERO, (Fraction(1 if toward_inf else -1), Fraction(0)))
-    sign = 1 if target > vx else -1
-    return ((Fraction(0), sign * yroot3), (sign * (sg.pos - vx), Fraction(0)))
+    return _tangent(side.geodesic, vx, yroot3, 1 if side.lo_ell else -1)
 
 
 def _apply_differential(r: Psl2Elt, vx: Fraction, yroot3: Fraction, direction):

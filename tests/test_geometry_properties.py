@@ -1,0 +1,78 @@
+"""Property tests of the integer geodesic geometry: over random rational
+points, cusps and S/U words, transforming a geodesic agrees exactly with
+joining the transformed points, the meet of two crossing geodesics lies on
+both, and polygon membership agrees with a Fraction evaluation of every
+constraint."""
+
+from fractions import Fraction
+from functools import reduce
+
+from hypothesis import assume, given, settings, strategies as st
+
+from modpoly.psl2 import IDENTITY, S, U, Cusp, act_cusp
+from modpoly.reduce import (
+    ExactPoint,
+    act_point,
+    geodesic_between_cusps,
+    geodesic_through,
+    lift,
+    meet,
+)
+
+from oracles import built_polygon
+
+coords = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+heights = st.fractions(min_value=Fraction(1, 60), max_value=20, max_denominator=60)
+points = st.builds(ExactPoint, coords, heights)
+cusps = st.one_of(
+    st.just(Cusp(1, 0)),
+    st.builds(Cusp, st.integers(-200, 200), st.integers(1, 200)),
+)
+elements = st.lists(st.sampled_from([S, U, U * U]), max_size=16).map(
+    lambda word: reduce(lambda g, h: g * h, word, IDENTITY))
+
+BOUNDED = settings(max_examples=150, deadline=None)
+
+
+@BOUNDED
+@given(points, points, elements)
+def test_transform_of_join_is_join_of_images(p, q, g):
+    assume(p != q)
+    image = geodesic_through(act_point(g, p), act_point(g, q))
+    assert geodesic_through(p, q).transform(g) == image
+
+
+@BOUNDED
+@given(cusps, cusps, elements)
+def test_transform_of_cusp_geodesic_is_geodesic_of_images(c1, c2, g):
+    assume(c1 != c2)
+    assert (geodesic_between_cusps(c1, c2).transform(g)
+            == geodesic_between_cusps(act_cusp(g, c1), act_cusp(g, c2)))
+
+
+@BOUNDED
+@given(points, points, points)
+def test_meet_of_crossing_geodesics_lies_on_both(z, p, q):
+    # two geodesics through z cross exactly at z unless they coincide
+    assume(len({z, p, q}) == 3)
+    g1, g2 = geodesic_through(z, p), geodesic_through(z, q)
+    point = meet(g1, g2)
+    if g1 == g2:
+        assert point is None
+        return
+    n, m, k = point
+    x, y2 = Fraction(m, k), Fraction(n * k - m * m, k * k)
+    assert (x, y2) == (z.x, z.y**2)
+    assert g1.eval_at(x, y2) == 0 and g2.eval_at(x, y2) == 0
+    n2, m2, k2 = lift(z.x, z.y**2)
+    assert n * k2 == n2 * k and m * k2 == m2 * k
+
+
+@BOUNDED
+@given(st.sampled_from([("gamma0", 11), ("gamma", 3), ("gamma1", 5)]), points)
+def test_contains_matches_fraction_evaluation(group, z):
+    poly = built_polygon(*group)
+    x, y2 = z.x, z.y**2
+    values = [a * (x * x + y2) + b * x + c for a, b, c in poly.constraints]
+    assert poly.contains(x, y2) == all(v >= 0 for v in values)
+    assert poly.contains(x, y2, strict=True) == all(v > 0 for v in values)

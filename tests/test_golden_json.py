@@ -1,0 +1,21 @@
+"""Polygon JSON stays byte-identical: SHA-256 of ``to_json`` against the
+digests recorded in perfbench/golden.json (read only)."""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from modpoly.cosets import build_system
+from modpoly.polygon import build_polygon, to_json
+
+GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden.json")
+
+
+@pytest.mark.parametrize("family, level", [("gamma0", 11), ("gamma", 5), ("gamma0", 1009)])
+def test_polygon_json_matches_golden_digest(family, level):
+    with open(GOLDEN) as handle:
+        expected = json.load(handle)["polygon_sha256"][f"{family}({level})"]
+    text = to_json(build_polygon(build_system(family, level)))
+    assert hashlib.sha256(text.encode()).hexdigest() == expected

@@ -1,0 +1,40 @@
+"""The polygon is immutable after construction: concurrent locate and
+express --trace queries give the sequential answers and leave every side
+exactly as it was built."""
+
+import copy
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+
+from modpoly.cosets import build_system
+from modpoly.polygon import build_polygon
+from modpoly.reduce import ExactPoint, evaluate_word, express, locate_point
+
+F = Fraction
+
+
+def test_threaded_queries_leave_the_polygon_unchanged():
+    poly = build_polygon(build_system("gamma0", 13))
+    snapshot = copy.deepcopy([vars(side) for side in poly.sides])
+    attributes = set(vars(poly))
+    gens = poly.generators
+    points = [ExactPoint(F(x, 7), F(1, y)) for x in range(-20, 21, 3) for y in (2, 5, 11)]
+    elements = [evaluate_word(gens, [(i % len(gens), 1), ((3 * i + 1) % len(gens), -1)])
+                for i in range(12)]
+
+    def queries(_=None):
+        return ([locate_point(poly, z) for z in points],
+                [express(poly, g, use_trace=True) for g in elements])
+
+    expected = queries()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(queries, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 4
+    assert [vars(side) for side in poly.sides] == snapshot
+    assert set(vars(poly)) == attributes

@@ -94,6 +94,15 @@ def test_complete_row_determinant_random():
         assert complete_row_to_sl2(ResidueRow(n, a, b)) == ((x, y), (a, b))
 
 
+def test_complete_row_check_survives_optimisation(monkeypatch):
+    # the determinant check is a raised error, not an assert that python -O
+    # strips: feed it wrong Bezout coefficients
+    import modpoly.modint as modint
+    monkeypatch.setattr(modint, "egcd", lambda a, b: (1, 0, 0))
+    with pytest.raises(ValueError, match="internal error"):
+        complete_row_to_sl2(ResidueRow(7, 2, 5))
+
+
 def test_coprime_lift():
     from math import gcd
     rng = random.Random(4)

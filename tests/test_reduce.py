@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -37,10 +38,16 @@ def random_word(rng, gens, max_syllables):
 
 
 def test_geodesic_through_examples():
+    # the line x = 0 is -x = 0, the circle x^2 + y^2 = 2 is (1, 0, -2)
     g = geodesic_through(ExactPoint(F(0), F(1)), ExactPoint(F(0), F(2)))
-    assert g == Geodesic("v", F(0))
+    assert g == Geodesic(0, -1, 0)
     g = geodesic_through(ExactPoint(F(-1), F(1)), ExactPoint(F(1), F(1)))
-    assert g.kind == "c" and g.pos == 0 and g.r2 == 2
+    assert g == Geodesic(1, 0, -2)
+    # primitive and normalised: x = 3/2 is (0, -2, 3), centre 1/2 with
+    # radius^2 5/4 is (1, -1, -1)
+    g = geodesic_through(ExactPoint(F(3, 2), F(1)), ExactPoint(F(3, 2), F(7)))
+    assert g == Geodesic(0, -2, 3)
+    assert geodesic_through(ExactPoint(F(1), F(1)), ExactPoint(F(0), F(1))) == Geodesic(1, -1, -1)
     p, q = ExactPoint(F(1, 4), F(1)), ExactPoint(F(3, 4), F(5, 4))
     g = geodesic_through(p, q)
     assert g.eval_at(p.x, p.y**2) == 0
@@ -86,6 +93,16 @@ def test_exact_point_validation():
         ExactPoint(F(0), F(0))
     with pytest.raises(ValueError):
         ExactPoint(F(1), F(-2))
+
+
+def test_exact_point_coordinate_types():
+    z = ExactPoint(1, 2)
+    assert type(z.x) is Fraction and type(z.y) is Fraction and z == ExactPoint(F(1), F(2))
+    refused = [(0.7, 0.05), (0.3, 0.1), (F(3, 10), 0.1), (Decimal("0.3"), F(1)), (True, F(1)),
+               (F(1), True)]
+    for x, y in refused:
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            ExactPoint(x, y)
 
 
 def test_locate_point_inside():
@@ -245,7 +262,7 @@ def test_trace_hits_order3_vertices_exactly():
         gens = poly.generators
         z0 = poly.base_point
         checked = 0
-        for side in poly.trace_sides():
+        for side in poly.sides:
             if side.kind != "e3_arc":
                 continue
             _, _, x3, y23 = side.end
