@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 for usage or parse errors, 2 for domain errors
-(typically a matrix that fails the subgroup membership test).
+Exit codes: 0 on success, 1 for usage or parse errors and for groups whose
+index exceeds --max-index, 2 for domain errors (typically a matrix that fails
+the subgroup membership test).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import time
 from fractions import Fraction
 
 from . import cuboid, polygon
-from .cosets import FAMILIES, MembershipError, build_system
+from .cosets import FAMILIES, MAX_INDEX, MembershipError, build_system
 from .psl2 import parse_matrix
 from .reduce import ExactPoint, act_point, evaluate_word, express, locate_point
 
@@ -27,9 +28,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _add_max_index(sub):
+    sub.add_argument("--max-index", type=int, default=MAX_INDEX,
+                     help=f"refuse groups of larger index (default {MAX_INDEX})")
+
+
 def _add_group_args(sub):
     sub.add_argument("--group", required=True, choices=FAMILIES)
     sub.add_argument("--level", required=True, type=int)
+    _add_max_index(sub)
 
 
 def _build_parser() -> _Parser:
@@ -71,6 +78,7 @@ def _build_parser() -> _Parser:
     p = subs.add_parser("bench", help="build-time scaling rows (level, index, seconds)")
     p.add_argument("--group", required=True, choices=FAMILIES)
     p.add_argument("--levels", required=True, help="comma-separated levels")
+    _add_max_index(p)
     p.add_argument("--output", default=None)
 
     return parser
@@ -79,6 +87,13 @@ def _build_parser() -> _Parser:
 def _check_level(level: int):
     if level < 1:
         raise UsageError(f"--level must be >= 1, got {level}")
+
+
+def _build_system(group: str, level: int, max_index: int):
+    try:
+        return build_system(group, level, max_index=max_index)
+    except ValueError as err:  # the index exceeds max_index
+        raise UsageError(str(err)) from None
 
 
 def _emit(text: str, output: str | None):
@@ -118,7 +133,7 @@ def _dispatch(args) -> int:
     if cmd == "bench":
         return _cmd_bench(args)
     _check_level(args.level)
-    system = build_system(args.group, args.level)
+    system = _build_system(args.group, args.level, args.max_index)
 
     if cmd == "graph":
         graph = cuboid.build_graph(system)
@@ -202,7 +217,7 @@ def _cmd_bench(args) -> int:
     lines = []
     for level in levels:
         start = time.perf_counter()
-        system = build_system(args.group, level)
+        system = _build_system(args.group, level, args.max_index)
         polygon.build_polygon(system)
         elapsed = time.perf_counter() - start
         lines.append(f"{level}\t{system.n}\t{elapsed:.3f}")

@@ -7,11 +7,21 @@ subgroup however it was built.
 The generic path enumerates cosets from a membership oracle by breadth-first
 search, comparing against every known representative (quadratic in the index).
 The classical congruence subgroups get dedicated builders whose total cost is
-the index times a polylog factor:
+the index times a polylog factor, and `build_system` refuses a group whose
+index, computed from the factorisation of N, exceeds its max_index:
 
 * Gamma0(N) / Gamma^0(N) act on the projective line over Z/N; a coset is the
-  class of the bottom (resp. top) row of any representative matrix.
-* Gamma1(N) / Gamma^1(N) refine those by a diagonal unit class mod +-1.
+  class of the bottom (resp. top) row of any representative matrix.  The
+  line is built from tables made once per level: for each prime power q of
+  N, its labels, the unit inverses mod q, and the image and scaling unit of
+  every label under S and U (sum |P^1(Z/q)| normalisations in all); globally,
+  the CRT idempotents lift a combination of local labels with no gcd, one
+  sort orders the lifted labels, and the permutations compose the local
+  images in mixed radix.  A build costs O(index * number of prime factors)
+  list operations plus that sort.
+* Gamma1(N) / Gamma^1(N) refine those by a diagonal unit class mod +-1.  The
+  P^1 image of a point and its unit are read once per point and letter; each
+  class then costs one multiplication mod N and one table lookup.
 * Gamma(N) cosets are stored as triples of points of X = (Z/N)^2 / +-1: the
   two matrix columns plus the class of their sum, which pins down the pair of
   column signs so that both generator actions become local triple rewrites.
@@ -19,13 +29,13 @@ the index times a polylog factor:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd
 
 from .modint import (
     Factorization,
     ResidueRow,
     complete_row_to_sl2,
-    crt,
     factorize,
     inverse_mod,
 )
@@ -97,17 +107,21 @@ class CosetSystem:
         if count != n:
             raise ValueError("coset action is not transitive")
 
-    def coset(self, g: Psl2Elt) -> int:
-        """Label of the coset G*g: walk g = T^r0 * S * T^r1 * ... * S * T^rk
-        from the distinguished label, one table jump per run of T."""
+    def walk(self, runs: list[int]) -> int:
+        """Label reached from the distinguished label by
+        T^r0 * S * T^r1 * ... * S * T^rk, one table jump per run."""
         ss, cycle_of, pos = self.sigma_s, self.t_cycle, self.t_pos
         x = self.distinguished
-        for k, r in enumerate(t_runs(g)):
+        for k, r in enumerate(runs):
             if k:
                 x = ss[x]
             cycle = cycle_of[x]
             x = cycle[(pos[x] + r) % len(cycle)]
         return x
+
+    def coset(self, g: Psl2Elt) -> int:
+        """Label of the coset G*g: the walk of g's runs of T."""
+        return self.walk(t_runs(g))
 
     def member(self, g: Psl2Elt) -> bool:
         """Membership test: the walk of g returns to the distinguished label."""
@@ -118,55 +132,47 @@ class CosetSystem:
 
 
 # ---------------------------------------------------------------------------
-# Projective line over Z/N
+# Projective line over Z/N, built from per-prime-power tables
+#
+# P^1(Z/N) is the product of the lines P^1(Z/q) over the prime powers q || N.
+# Each local line is tabulated once per level: its labels, the inverses of
+# the units mod q, and the image label and scaling unit of every label under
+# S and U.  A global label lifts one local label per prime power through the
+# CRT idempotents e_i (e_i = 1 mod q_i, 0 mod the other prime powers), and
+# the global actions compose the local images in mixed radix.
 
-def p1_normalize_pp(p: int, m: int, a: int, b: int) -> tuple[tuple[int, int], int]:
-    """Canonical representative and scaling unit for (a : b) mod p^m."""
+def _unit_inverses(p: int, m: int) -> list[int]:
+    """Inverse mod q = p^m of every residue, 0 at the non-units.  For a prime
+    the recurrence inv[i] = -(q // i) * inv[q % i] fills the table in O(q)."""
     q = p**m
-    a %= q
-    b %= q
-    if a == 0:
-        return (0, 1), b % q
-    g = gcd(a, q)
-    c = a // g
-    if g == 1:
-        return (1, (b * inverse_mod(c, q)) % q), a
-    pmi = q // g
-    b2 = (b * inverse_mod(c, q)) % pmi
-    u = (b * inverse_mod(b2, q)) % q
-    return (g, b2), u
+    inv = [0] * q
+    inv[1] = 1
+    if m == 1:
+        for i in range(2, q):
+            inv[i] = (q - q // i) * inv[q % i] % q
+    else:
+        for x in range(2, q):
+            if x % p:
+                inv[x] = pow(x, -1, q)
+    return inv
 
 
-def p1_normalize(N: int, a: int, b: int,
-                 factors: Factorization | None = None) -> tuple[tuple[int, int], int]:
-    """Canonical representative of (a : b) in P^1(Z/N) plus the unit u with
-    u * rep == (a, b) mod N."""
-    if N == 1:
-        return (0, 0), 0
-    a %= N
-    b %= N
-    if gcd(gcd(a, b), N) != 1:
-        raise ValueError(f"({a}, {b}) is not coprime mod {N}")
-    if factors is None:
-        factors = factorize(N)
-    if len(factors) == 1:
-        p, m = factors[0]
-        return p1_normalize_pp(p, m, a, b)
-    reps = []
-    units = []
-    moduli = []
-    for p, m in factors:
-        q = p**m
-        rep, u = p1_normalize_pp(p, m, a % q, b % q)
-        reps.append(rep)
-        units.append(u)
-        moduli.append(q)
-    ra = crt([r[0] for r in reps], moduli)
-    rb = crt([r[1] for r in reps], moduli)
-    return (ra, rb), crt(units, moduli)
+def _normalize_pp(p: int, q: int, inverse, x: int, y: int) -> tuple[tuple[int, int], int]:
+    """Canonical label of (x : y) in P^1(Z/q), q = p^m, and the unit u with
+    u * label == (x, y) mod q.  x and y are residues mod q, not both
+    divisible by p; inverse(c) is the inverse of the unit c mod q."""
+    if x == 0:
+        return (0, 1), y
+    if x % p:
+        return (1, y * inverse(x) % q), x
+    g = gcd(x, q)
+    b = y * inverse(x // g) % (q // g)
+    return (g, b), y * inverse(b) % q
 
 
 def _p1_list_pp(p: int, m: int) -> list[tuple[int, int]]:
+    """Canonical labels of P^1(Z/p^m), sorted: (0, 1), every (1, b), and
+    (p^i, b) for 0 < i < m and units b < p^(m-i)."""
     q = p**m
     out = [(0, 1)]
     out.extend((1, b) for b in range(q))
@@ -176,23 +182,99 @@ def _p1_list_pp(p: int, m: int) -> list[tuple[int, int]]:
     return out
 
 
+def _pp_index(p: int, q: int, label: tuple[int, int]) -> int:
+    """Position of a canonical label in `_p1_list_pp`."""
+    g, b = label
+    if g == 0:
+        return 0
+    if g == 1:
+        return 1 + b
+    return 1 + q + q // p - q // g + (b - 1) - (b - 1) // p
+
+
+def _idempotents(N: int, factors: Factorization) -> list[int]:
+    """CRT idempotents of the prime powers of N: a residue r_i mod each q_i
+    lifts to sum(r_i * e_i) mod N."""
+    out = []
+    for p, m in factors:
+        r = N // p**m
+        out.append(r * pow(r, -1, p**m) % N)
+    return out
+
+
+def p1_normalize(N: int, a: int, b: int) -> tuple[tuple[int, int], int]:
+    """Canonical representative of (a : b) in P^1(Z/N) plus the unit u with
+    u * rep == (a, b) mod N."""
+    if N == 1:
+        return (0, 0), 0
+    a %= N
+    b %= N
+    if gcd(gcd(a, b), N) != 1:
+        raise ValueError(f"({a}, {b}) is not coprime mod {N}")
+    factors = factorize(N)
+    ra = rb = unit = 0
+    for (p, m), e in zip(factors, _idempotents(N, factors)):
+        q = p**m
+        (x, y), u = _normalize_pp(p, q, lambda c: pow(c, -1, q), a % q, b % q)
+        ra += x * e
+        rb += y * e
+        unit += u * e
+    return (ra % N, rb % N), unit % N
+
+
+def _row_act(row: tuple[int, int], mat: Psl2Elt, N: int) -> tuple[int, int]:
+    # (a' : b') . [a b; c d] = (a'a + b'c : a'b + b'd)
+    x, y = row
+    return ((x * mat.a + y * mat.c) % N, (x * mat.b + y * mat.d) % N)
+
+
+def _p1_line(N: int, letters=(), unit_exponent: int = 0):
+    """Sorted labels of P^1(Z/N) and, for each letter, the permutation of the
+    labels it induces with the scaling unit of each image (raised to
+    `unit_exponent`; not computed when that is 0).
+
+    Works per prime power and in mixed radix: combination c of local labels
+    lifts to one global pair, and its image under a letter is the
+    combination of the local images.  Sorting the lifted pairs once maps
+    combinations to label positions.
+    """
+    factors = factorize(N)
+    lift_a, lift_b = [0], [0]
+    images = [[0] for _ in letters]
+    units = [[0] for _ in letters]
+    for (p, m), e in zip(factors, _idempotents(N, factors)):
+        q = p**m
+        local = _p1_list_pp(p, m)
+        n = len(local)
+        lift_a = [A + x * e for A in lift_a for x, _ in local]
+        lift_b = [B + y * e for B in lift_b for _, y in local]
+        inverse = _unit_inverses(p, m).__getitem__
+        for k, letter in enumerate(letters):
+            image, scale = [], []
+            for label in local:
+                rep, u = _normalize_pp(p, q, inverse, *_row_act(label, letter, q))
+                image.append(_pp_index(p, q, rep))
+                if unit_exponent:
+                    scale.append((u if unit_exponent > 0 else inverse(u)) * e)
+            images[k] = [c * n + i for c in images[k] for i in image]
+            if unit_exponent:
+                units[k] = [U + v for U in units[k] for v in scale]
+    keys = [(A % N) * N + B % N for A, B in zip(lift_a, lift_b)]
+    del lift_a, lift_b  # index-sized: free them before the sorted tables exist
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    pos = [0] * len(order)
+    for k, c in enumerate(order):
+        pos[c] = k
+    labels = [divmod(keys[c], N) for c in order]
+    actions = [([pos[image[c]] for c in order],
+                [unit[c] % N for c in order] if unit_exponent else None)
+               for image, unit in zip(images, units)]
+    return labels, actions
+
+
 def p1_list(N: int) -> list[tuple[int, int]]:
     """All canonical representatives of P^1(Z/N), sorted."""
-    if N == 1:
-        return [(0, 0)]
-    factors = factorize(N)
-    lists = [_p1_list_pp(p, m) for p, m in factors]
-    moduli = [p**m for p, m in factors]
-    combos = [[]]
-    for lst in lists:
-        combos = [c + [x] for c in combos for x in lst]
-    points = []
-    for combo in combos:
-        a = crt([x[0] for x in combo], moduli)
-        b = crt([x[1] for x in combo], moduli)
-        points.append((a, b))
-    points.sort()
-    return points
+    return _p1_line(N)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +302,6 @@ def unit_classes(N: int) -> list[int]:
     if N == 1:
         return [0]
     return sorted({min(u, N - u) for u in range(1, N) if gcd(u, N) == 1})
-
-
-def _canon_unit(u: int, N: int) -> int:
-    if N == 1:
-        return 0
-    u %= N
-    return min(u, N - u)
 
 
 # ---------------------------------------------------------------------------
@@ -315,24 +390,10 @@ def build_from_oracle(member, max_index: int) -> CosetSystem:
         raise ValueError(f"membership oracle is inconsistent (merge conflict): {err}") from err
 
 
-def _row_act(row: tuple[int, int], mat: Psl2Elt, N: int) -> tuple[int, int]:
-    # (a' : b') . [a b; c d] = (a'a + b'c : a'b + b'd)
-    x, y = row
-    return ((x * mat.a + y * mat.c) % N, (x * mat.b + y * mat.d) % N)
-
-
 def _build_p1_family(N: int, family: str) -> CosetSystem:
-    factors = factorize(N)
-    labels = p1_list(N)
-    index = {lab: i for i, lab in enumerate(labels)}
-    sigma_s = [0] * len(labels)
-    sigma_u = [0] * len(labels)
-    for i, lab in enumerate(labels):
-        for sigma, letter in ((sigma_s, S), (sigma_u, U)):
-            rep, _ = p1_normalize(N, *_row_act(lab, letter, N), factors=factors)
-            sigma[i] = index[rep]
+    labels, ((sigma_s, _), (sigma_u, _)) = _p1_line(N, (S, U))
     base = (0, 0) if N == 1 else ((0, 1) if family == "gamma0" else (1, 0))
-    return CosetSystem(family, N, labels, sigma_s, sigma_u, index[base])
+    return CosetSystem(family, N, labels, sigma_s, sigma_u, bisect_left(labels, base))
 
 
 def build_gamma0(N: int) -> CosetSystem:
@@ -347,27 +408,27 @@ def build_gamma_upper0(N: int) -> CosetSystem:
 
 def _build_unit_family(N: int, family: str) -> CosetSystem:
     """Shared builder for Gamma1(N) and Gamma^1(N): labels are pairs
-    (diagonal unit class mod +-1, projective point)."""
-    factors = factorize(N)
-    points = p1_list(N)
-    units = unit_classes(N)
-    labels = sorted((u, pt) for u in units for pt in points)
-    index = {lab: i for i, lab in enumerate(labels)}
+    (diagonal unit class mod +-1, projective point), sorted, so the label
+    (units[k], points[i]) sits at k * len(points) + i.
+
+    A letter maps (u, pt) to (u * w, pt'), where pt' and the unit w depend
+    on pt alone: w is the scaling unit of pt' for Gamma^1, its inverse for
+    Gamma1.  Both come from the P^1 tables once per point.
+    """
     lower = family == "gamma1"
-    sigma_s = [0] * len(labels)
-    sigma_u = [0] * len(labels)
-    for i, (u, pt) in enumerate(labels):
-        for sigma, letter in ((sigma_s, S), (sigma_u, U)):
-            rep, u2 = p1_normalize(N, *_row_act(pt, letter, N), factors=factors)
-            if N == 1:
-                cls = 0
-            elif lower:
-                cls = _canon_unit(u * inverse_mod(u2, N), N)
-            else:
-                cls = _canon_unit(u * u2, N)
-            sigma[i] = index[(cls, rep)]
-    base = (_canon_unit(1, N), (0, 0) if N == 1 else ((0, 1) if lower else (1, 0)))
-    return CosetSystem(family, N, labels, sigma_s, sigma_u, index[base])
+    points, actions = _p1_line(N, (S, U), unit_exponent=-1 if lower else 1)
+    units = unit_classes(N)
+    npts = len(points)
+    class_of = [0] * N
+    for k, c in enumerate(units):
+        class_of[c] = class_of[-c % N] = k
+    sigma_s, sigma_u = [[class_of[u * w % N] * npts + i
+                         for u in units for i, w in zip(image, scale)]
+                        for image, scale in actions]
+    labels = [(u, pt) for u in units for pt in points]
+    base = (0, 0) if N == 1 else ((0, 1) if lower else (1, 0))
+    return CosetSystem(family, N, labels, sigma_s, sigma_u,
+                       class_of[1 % N] * npts + bisect_left(points, base))
 
 
 def build_gamma1(N: int) -> CosetSystem:
@@ -410,8 +471,41 @@ def build_gamma(N: int) -> CosetSystem:
                        index[gamma_triple((1, 0, 0, 1), N)])
 
 
-def build_system(family: str, N: int) -> CosetSystem:
-    """Dispatch on a family descriptor string."""
+def coset_index(family: str, N: int) -> int:
+    """Index in PSL2(Z) of the family's group at level N, from the
+    factorisation of N alone: N * prod(1 + 1/p) for Gamma0 and Gamma^0, times
+    |(Z/N)^x / +-1| for Gamma1 and Gamma^1, and N^3 * prod(1 - 1/p^2) / 2 for
+    Gamma(N), N >= 3."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if N < 1:
+        raise ValueError(f"level must be >= 1, got {N}")
+    primes = [p for p, _ in factorize(N)]
+    if family == "gamma":
+        index = N**3
+        for p in primes:
+            index = index // (p * p) * (p * p - 1)
+        return index if N <= 2 else index // 2
+    index = N
+    for p in primes:
+        index = index // p * (p + 1)
+    if family in ("gamma1", "gamma_upper1") and N > 2:
+        phi = N
+        for p in primes:
+            phi = phi // p * (p - 1)
+        index *= phi // 2
+    return index
+
+
+# the largest index build_system admits by default: 2.5 times the largest
+# index the tests and the benchmark build (100 004, for Gamma0(100003)), and
+# about 0.8 GB for the whole polygon pipeline
+MAX_INDEX = 250_000
+
+
+def build_system(family: str, N: int, max_index: int = MAX_INDEX) -> CosetSystem:
+    """Dispatch on a family descriptor string.  A group whose index exceeds
+    max_index is refused with ValueError before anything is allocated."""
     builders = {
         "gamma0": build_gamma0,
         "gamma_upper0": build_gamma_upper0,
@@ -423,4 +517,9 @@ def build_system(family: str, N: int) -> CosetSystem:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if N < 1:
         raise ValueError(f"level must be >= 1, got {N}")
+    if N > max_index:  # every index is at least the level: no need to factorise
+        raise ValueError(f"{family}({N}): the level exceeds max_index={max_index}")
+    index = coset_index(family, N)
+    if index > max_index:
+        raise ValueError(f"{family}({N}) has index {index}, above max_index={max_index}")
     return builders[family](N)

@@ -1,4 +1,4 @@
-"""Exact modular arithmetic: extended gcd, factorization, CRT, row completion.
+"""Exact modular arithmetic: extended gcd, inverses, factorization, row completion.
 
 Everything here is plain integer arithmetic; no floating point, no external
 number theory packages.  Trial division is deliberate: the moduli this library
@@ -51,12 +51,10 @@ def egcd(a: int, b: int) -> tuple[int, int, int]:
 
 def inverse_mod(a: int, n: int) -> int:
     """Inverse of a modulo n; raises if gcd(a, n) != 1."""
-    if n == 1:
-        return 0
-    g, x, _ = egcd(a % n, n)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible mod {n}")
-    return x % n
+    try:
+        return pow(a, -1, n)
+    except ValueError:
+        raise ValueError(f"{a} is not invertible mod {n}") from None
 
 
 @lru_cache(maxsize=4096)
@@ -82,20 +80,6 @@ def factorize(n: int) -> Factorization:
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     return list(_factorize_cached(n))
-
-
-def crt(residues: list[int], moduli: list[int]) -> int:
-    """Chinese remainder lift for pairwise coprime moduli."""
-    x, n = 0, 1
-    for r, m in zip(residues, moduli):
-        if m == 1:
-            continue
-        g, inv_n, _ = egcd(n % m, m)
-        if g != 1:
-            raise ValueError(f"moduli not coprime: gcd so far with {m} is {g}")
-        x += n * (((r - x) * inv_n) % m)
-        n *= m
-    return x % n if n > 1 else 0
 
 
 def coprime_lift(a: int, b: int, n: int) -> tuple[int, int]:

@@ -156,20 +156,18 @@ def act_cusp(g: Psl2Elt, x: Cusp) -> Cusp:
 
 
 def su_reduce(word: SUWord) -> SUWord:
-    """Free-product reduction: cancel S*S and merge adjacent powers of U."""
+    """Free-product reduction: cancel S*S and merge adjacent powers of U.
+    The output stays reduced after every letter, so a new letter only ever
+    meets the last one."""
     out: SUWord = []
-    for letter in word:
-        out.append(letter)
-        while len(out) >= 2 and out[-1][0] == out[-2][0]:
-            gen, e1 = out[-2]
-            _, e2 = out[-1]
-            out.pop()
-            out.pop()
-            if gen == "U":
-                e = (e1 + e2) % 3
-                if e:
-                    out.append(("U", e))
+    for gen, e in word:
+        if out and out[-1][0] == gen:
+            e += out.pop()[1]
+            if gen == "U" and e % 3:
+                out.append(("U", e % 3))
             # S*S vanishes
+        else:
+            out.append((gen, e))
     return out
 
 
@@ -199,12 +197,16 @@ def _t_power(k: int) -> SUWord:
     return []
 
 
-def decompose_su(g: Psl2Elt) -> SUWord:
-    """Write g as a reduced word in S and U by Euclidean descent on the
-    bottom row; evaluating the word left to right reproduces g exactly."""
-    runs = t_runs(g)
+def su_word(runs: list[int]) -> SUWord:
+    """Reduced S/U word of T^r0 * S * T^r1 * S * ... * S * T^rk."""
     word: SUWord = _t_power(runs[0])
     for r in runs[1:]:
         word.append(("S", 1))
         word.extend(_t_power(r))
     return su_reduce(word)
+
+
+def decompose_su(g: Psl2Elt) -> SUWord:
+    """Write g as a reduced word in S and U by Euclidean descent on the
+    bottom row; evaluating the word left to right reproduces g exactly."""
+    return su_word(t_runs(g))

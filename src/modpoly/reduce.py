@@ -20,7 +20,7 @@ from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .cosets import MembershipError
-from .psl2 import Cusp, Psl2Elt, decompose_su
+from .psl2 import Cusp, Psl2Elt, su_word, t_runs
 
 # word in the independent generators: (generator index, exponent) pairs
 GenWord = list[tuple[int, int]]
@@ -238,37 +238,37 @@ def express_schreier(poly, g: Psl2Elt) -> GenWord:
 
     Letters that move along the developed spanning structure contribute
     nothing; crossing a cut vertex or sitting at a fixed label emits the
-    corresponding side-pairing generator.  A walk that ends anywhere else
-    than the distinguished label is the verdict that g is not in the
-    subgroup.
+    corresponding side-pairing generator.  Membership is decided first, by
+    walking g's runs of T through the T-cycle table (one jump per run), so a
+    non-member is refused before any letter is expanded.
     """
     system = poly.system
+    runs = t_runs(g)
+    label = system.walk(runs)
+    if label != system.distinguished:
+        raise _not_member(system, g, label)
     ss, su = system.sigma_s, system.sigma_u
     edge_v0 = poly.graph.edge_v0
     cuts = poly.cut_vertices
     feat_pos = poly.feature_index
 
     word: GenWord = []
-    label = system.distinguished
-    for gen, e in decompose_su(g):
-        steps = [("S", 1)] if gen == "S" else [("U", 1)] * e
-        for letter, _ in steps:
-            if letter == "S":
-                nxt = ss[label]
-                if nxt == label:
-                    word.append((feat_pos[("e2", label)], 1))
-                elif edge_v0[label] in cuts:
-                    orbit_min = min(label, nxt)
-                    exp = -1 if label == orbit_min else 1
-                    word.append((feat_pos[("cut", edge_v0[label])], exp))
-                label = nxt
-            else:
+    for gen, e in su_word(runs):
+        if gen == "S":
+            nxt = ss[label]
+            if nxt == label:
+                word.append((feat_pos[("e2", label)], 1))
+            elif edge_v0[label] in cuts:
+                orbit_min = min(label, nxt)
+                exp = -1 if label == orbit_min else 1
+                word.append((feat_pos[("cut", edge_v0[label])], exp))
+            label = nxt
+        else:
+            for _ in range(e):
                 nxt = su[label]
                 if nxt == label:
                     word.append((feat_pos[("e3", label)], -1))
                 label = nxt
-    if label != system.distinguished:
-        raise _not_member(system, g, label)
     word = reduce_word(word, poly.generators)
     if evaluate_word(poly.generators, word) != g:
         raise ValueError("internal error: rewritten word does not evaluate back")

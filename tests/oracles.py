@@ -172,6 +172,114 @@ def member_predicate(family, N):
     raise ValueError(family)
 
 
+# ---------------------------------------------------------------------------
+# reference P^1 coset systems: one CRT normalisation per label and letter,
+# written without the library's tables
+
+def prime_powers(N):
+    """(p, q) for each prime power q = p^m exactly dividing N."""
+    out = []
+    for p in prime_factors(N):
+        q = p
+        while N % (q * p) == 0:
+            q *= p
+        out.append((p, q))
+    return out
+
+
+def reference_crt(residues, moduli):
+    """Chinese remainder lift for pairwise coprime moduli."""
+    x, n = 0, 1
+    for r, m in zip(residues, moduli):
+        x += n * ((r - x) * pow(n, -1, m) % m)
+        n *= m
+    return x % n
+
+
+def reference_p1_normalize(N, a, b):
+    """Canonical (a : b) in P^1(Z/N) and its scaling unit, normalised at each
+    prime power q || N and lifted by CRT."""
+    if N == 1:
+        return (0, 0), 0
+    reps, units, moduli = [], [], []
+    for p, q in prime_powers(N):
+        x, y = a % q, b % q
+        if x == 0:
+            rep, u = (0, 1), y
+        else:
+            g = gcd(x, q)
+            c = x // g
+            if g == 1:
+                rep, u = (1, y * pow(c, -1, q) % q), x
+            else:
+                b2 = y * pow(c, -1, q) % (q // g)
+                rep, u = (g, b2), y * pow(b2, -1, q) % q
+        reps.append(rep)
+        units.append(u)
+        moduli.append(q)
+    return ((reference_crt([r[0] for r in reps], moduli),
+             reference_crt([r[1] for r in reps], moduli)),
+            reference_crt(units, moduli))
+
+
+def reference_p1_list(N):
+    """Canonical representatives of P^1(Z/N), sorted: every combination of
+    one local representative per prime power q || N -- (0, 1), (1, b), and
+    (p^i, b) with b a unit below q / p^i -- lifted by CRT."""
+    if N == 1:
+        return [(0, 0)]
+    moduli, local_lists = [], []
+    for p, q in prime_powers(N):
+        moduli.append(q)
+        local = [(0, 1)] + [(1, b) for b in range(q)]
+        pi = p
+        while pi < q:
+            local.extend((pi, b) for b in range(1, q // pi) if b % p)
+            pi *= p
+        local_lists.append(local)
+    combos = [[]]
+    for local in local_lists:
+        combos = [c + [x] for c in combos for x in local]
+    return sorted((reference_crt([x[0] for x in c], moduli),
+                   reference_crt([x[1] for x in c], moduli)) for c in combos)
+
+
+def _row_act(row, letter, N):
+    x, y = row
+    return (x * letter.a + y * letter.c) % N, (x * letter.b + y * letter.d) % N
+
+
+def reference_system(family, N):
+    """(labels, sigma_s, sigma_u, distinguished) of a P^1 family, one
+    normalisation per label and letter."""
+    points = reference_p1_list(N)
+    if family in ("gamma0", "gamma_upper0"):
+        labels = points
+        index = {lab: i for i, lab in enumerate(labels)}
+        sigmas = [[index[reference_p1_normalize(N, *_row_act(lab, letter, N))[0]]
+                   for lab in labels] for letter in (S, U)]
+        base = (0, 0) if N == 1 else ((0, 1) if family == "gamma0" else (1, 0))
+        return labels, sigmas[0], sigmas[1], index[base]
+    lower = family == "gamma1"
+
+    def canon(u):
+        return 0 if N == 1 else min(u % N, -u % N)
+
+    units = sorted({canon(u) for u in range(1, N + 1) if gcd(u, N) == 1})
+    labels = sorted((u, pt) for u in units for pt in points)
+    index = {lab: i for i, lab in enumerate(labels)}
+    sigmas = []
+    for letter in (S, U):
+        sigma = []
+        for u, pt in labels:
+            rep, u2 = reference_p1_normalize(N, *_row_act(pt, letter, N))
+            w = 0 if N == 1 else (pow(u2, -1, N) if lower else u2)
+            sigma.append(index[(canon(u * w), rep)])
+        sigmas.append(sigma)
+    base = (canon(1), (0, 0) if N == 1 else ((0, 1) if lower else (1, 0)))
+    return labels, sigmas[0], sigmas[1], index[base]
+
+
 # stock test groups used across the suite
 TEST_GROUPS = ([("gamma0", N) for N in (2, 3, 4, 5, 6, 7, 10, 11, 13)]
                + [("gamma", N) for N in (2, 3, 4, 5)]

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+import modpoly.cosets as cosets
 from modpoly.cli import main
 
 
@@ -170,3 +172,29 @@ def test_output_file(tmp_path, capsys):
                        "--output", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["n"] == 3
+
+
+def test_level_above_max_index_is_refused_before_building(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the system was built")
+
+    for name in ("build_gamma0", "_p1_line", "factorize"):
+        monkeypatch.setattr(cosets, name, never)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "graph", "--group", "gamma0", "--level", "1000000000")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert "max_index" in err
+
+
+def test_max_index_option(capsys):
+    # gamma1(1009) has index 1010 * 504 = 509040 > the default limit: refused
+    # from the closed form at once
+    code, _, err = run(capsys, "invariants", "--group", "gamma1", "--level", "1009")
+    assert code == 1 and "index 509040" in err
+    code, _, err = run(capsys, "invariants", "--group", "gamma0", "--level", "11",
+                       "--max-index", "11")
+    assert code == 1 and "index 12" in err
+    code, out, _ = run(capsys, "invariants", "--group", "gamma0", "--level", "11",
+                       "--max-index", "12")
+    assert code == 0 and json.loads(out)["index"] == 12

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+import modpoly.cosets as cosets
 from modpoly.cosets import (
     FAMILIES,
     MembershipError,
@@ -13,6 +14,7 @@ from modpoly.cosets import (
     build_gamma_upper0,
     build_gamma_upper1,
     build_system,
+    coset_index,
     gamma_triple,
     p1_list,
     p1_normalize,
@@ -266,3 +268,25 @@ def test_build_system_rejects_bad_input():
         build_system("gamma0", 0)
     with pytest.raises(ValueError):
         build_system("nope", 2)
+
+
+def test_coset_index_is_the_closed_form():
+    for N in range(1, 61):
+        assert coset_index("gamma0", N) == coset_index("gamma_upper0", N) == gamma0_index(N)
+        assert coset_index("gamma1", N) == coset_index("gamma_upper1", N) == gamma1_index(N)
+        assert coset_index("gamma", N) == gamma_index(N)
+    for family in FAMILIES:
+        for N in (1, 2, 3, 12, 30):
+            assert coset_index(family, N) == build_system(family, N).n
+
+
+def test_build_system_refuses_above_max_index(monkeypatch):
+    assert build_system("gamma0", 11, max_index=12).n == 12
+    with pytest.raises(ValueError, match="index 12, above max_index=11"):
+        build_system("gamma0", 11, max_index=11)
+    with pytest.raises(ValueError, match="index 60, above"):
+        build_system("gamma", 5, max_index=59)
+    # a level above the limit is refused without factorising it
+    monkeypatch.setattr(cosets, "factorize", None)
+    with pytest.raises(ValueError, match="level exceeds max_index"):
+        build_system("gamma0", 10**30)

@@ -1,5 +1,6 @@
 """Polygon JSON stays byte-identical: SHA-256 of ``to_json`` against the
-digests recorded in perfbench/golden.json (read only)."""
+digests recorded in perfbench/golden.json (read only).  The composite levels
+exercise the per-prime-power P^1 tables."""
 
 import hashlib
 import json
@@ -13,7 +14,9 @@ from modpoly.polygon import build_polygon, to_json
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden.json")
 
 
-@pytest.mark.parametrize("family, level", [("gamma0", 11), ("gamma", 5), ("gamma0", 1009)])
+@pytest.mark.parametrize("family, level", [("gamma0", 11), ("gamma", 5), ("gamma0", 1009),
+                                           ("gamma1", 210), ("gamma_upper1", 330),
+                                           ("gamma0", 15015)])
 def test_polygon_json_matches_golden_digest(family, level):
     with open(GOLDEN) as handle:
         expected = json.load(handle)["polygon_sha256"][f"{family}({level})"]

@@ -6,7 +6,6 @@ from modpoly.modint import (
     ResidueRow,
     complete_row_to_sl2,
     coprime_lift,
-    crt,
     egcd,
     factorize,
     inverse_mod,
@@ -56,17 +55,6 @@ def test_factorize_reconstructs():
             primes.append(p)
         assert prod == n
         assert primes == sorted(set(primes))
-
-
-def test_crt_round_trip():
-    rng = random.Random(2)
-    for n in (6, 12, 30, 60, 360, 1001):
-        moduli = [p**m for p, m in factorize(n)]
-        for _ in range(50):
-            x = rng.randrange(n)
-            assert crt([x % q for q in moduli], moduli) == x
-    with pytest.raises(ValueError):
-        crt([1, 1], [4, 6])
 
 
 def test_complete_row_examples():

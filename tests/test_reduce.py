@@ -1,4 +1,5 @@
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -187,6 +188,17 @@ def test_express_refusal_names_the_coset():
     for use_trace in (False, True):
         with pytest.raises(MembershipError, match=f"not in the subgroup .*its coset is {label}$"):
             express(poly, S, use_trace=use_trace)
+
+
+def test_express_refuses_a_long_run_at_once():
+    # S * T^(10^9) * S has c = 10^9 = -1 mod 11: the walk of its three runs
+    # refuses it before any of its 2 * 10^9 letters is expanded
+    poly = built_polygon("gamma0", 11)
+    g = S * T**10**9 * S
+    start = time.perf_counter()
+    with pytest.raises(MembershipError, match=f"its coset is {poly.system.coset(g)}$"):
+        express(poly, g)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_express_schreier_whole_group():
