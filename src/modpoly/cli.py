@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import cuboid, polygon
 from .cosets import FAMILIES, MAX_INDEX, MembershipError, build_system
@@ -39,6 +41,12 @@ def _add_group_args(sub):
     _add_max_index(sub)
 
 
+def _add_stats(sub):
+    sub.add_argument("--stats", action="store_true",
+                     help="write the seconds per layer, the sizes and the peak memory "
+                          "as one JSON object to stderr")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="modpoly", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -47,19 +55,23 @@ def _build_parser() -> _Parser:
     _add_group_args(p)
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--output", default=None)
+    _add_stats(p)
 
     p = subs.add_parser("polygon", help="emit the fundamental polygon")
     _add_group_args(p)
     p.add_argument("--format", choices=("json", "svg"), default="json")
     p.add_argument("--output", default=None)
+    _add_stats(p)
 
     p = subs.add_parser("generators", help="emit the independent generators")
     _add_group_args(p)
     p.add_argument("--output", default=None)
+    _add_stats(p)
 
     p = subs.add_parser("invariants", help="emit surface invariants")
     _add_group_args(p)
     p.add_argument("--output", default=None)
+    _add_stats(p)
 
     p = subs.add_parser("express", help="write a subgroup element as a generator word")
     _add_group_args(p)
@@ -108,6 +120,33 @@ def _dumps(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ": "), indent=2) + "\n"
 
 
+def _timed(seconds: dict, layer: str, fn, *args):
+    """Call fn(*args) and record its wall time under seconds[layer]."""
+    start = time.perf_counter()
+    out = fn(*args)
+    seconds[layer] = time.perf_counter() - start
+    return out
+
+
+def _build_polygon(system, seconds: dict):
+    """build_polygon's layers, one call each, timed one by one."""
+    graph = _timed(seconds, "graph", cuboid.build_graph, system)
+    tree = _timed(seconds, "tree", polygon.cut_to_tree, graph)
+    dev = _timed(seconds, "develop", polygon.develop, tree)
+    return _timed(seconds, "assemble", polygon.assemble, tree, dev)
+
+
+def _write_stats(args, seconds: dict, counts: dict):
+    """One JSON object on stderr: seconds per layer, the sizes the command
+    computed and the process's peak resident memory (ru_maxrss, KiB on
+    Linux)."""
+    stats = {"command": args.command, "group": args.group, "level": args.level,
+             "seconds": {layer: round(s, 6) for layer, s in seconds.items()},
+             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+             **counts}
+    sys.stderr.write(json.dumps(stats, sort_keys=True) + "\n")
+
+
 def _frac(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -133,40 +172,9 @@ def _dispatch(args) -> int:
     if cmd == "bench":
         return _cmd_bench(args)
     _check_level(args.level)
+    if cmd in ("graph", "polygon", "generators", "invariants"):
+        return _cmd_build(args)
     system = _build_system(args.group, args.level, args.max_index)
-
-    if cmd == "graph":
-        graph = cuboid.build_graph(system)
-        text = cuboid.to_json(graph) if args.format == "json" else cuboid.to_dot(graph)
-        _emit(text, args.output)
-        return 0
-
-    if cmd == "polygon":
-        poly = polygon.build_polygon(system)
-        text = polygon.to_json(poly) if args.format == "json" else polygon.to_svg(poly)
-        _emit(text, args.output)
-        return 0
-
-    if cmd == "generators":
-        poly = polygon.build_polygon(system)
-        data = [{"matrix": list(g.tuple()), "order": order} for g, order in poly.generators]
-        _emit(_dumps(data), args.output)
-        return 0
-
-    if cmd == "invariants":
-        inv = cuboid.graph_invariants(cuboid.build_graph(system))
-        data = {
-            "index": inv.n,
-            "e2": inv.e2,
-            "e3": inv.e3,
-            "cusps": inv.cusp_count,
-            "cusp_widths": list(inv.cusp_widths),
-            "betti": inv.betti,
-            "genus": inv.genus,
-            "generators": inv.n_generators,
-        }
-        _emit(_dumps(data), args.output)
-        return 0
 
     if cmd == "express":
         try:
@@ -205,6 +213,44 @@ def _dispatch(args) -> int:
         return 0
 
     raise UsageError(f"unknown command {cmd!r}")
+
+
+def _cmd_build(args) -> int:
+    """graph, polygon, generators and invariants, with each layer timed for
+    --stats."""
+    cmd = args.command
+    seconds: dict[str, float] = {}
+    system = _timed(seconds, "system", _build_system, args.group, args.level, args.max_index)
+    counts = {"index": system.n}
+    if cmd == "graph":
+        graph = _timed(seconds, "graph", cuboid.build_graph, system)
+        render = partial(cuboid.to_json if args.format == "json" else cuboid.to_dot, graph)
+    elif cmd == "invariants":
+        graph = _timed(seconds, "graph", cuboid.build_graph, system)
+        inv = _timed(seconds, "invariants", cuboid.graph_invariants, graph)
+        counts["generators"] = inv.n_generators
+        render = partial(_dumps, {
+            "index": inv.n,
+            "e2": inv.e2,
+            "e3": inv.e3,
+            "cusps": inv.cusp_count,
+            "cusp_widths": list(inv.cusp_widths),
+            "betti": inv.betti,
+            "genus": inv.genus,
+            "generators": inv.n_generators,
+        })
+    else:
+        poly = _build_polygon(system, seconds)
+        counts.update(sides=len(poly.sides), generators=len(poly.generators))
+        if cmd == "polygon":
+            render = partial(polygon.to_json if args.format == "json" else polygon.to_svg, poly)
+        else:
+            render = partial(_dumps, [{"matrix": list(g.tuple()), "order": order}
+                                      for g, order in poly.generators])
+    _timed(seconds, "write", lambda: _emit(render(), args.output))
+    if args.stats:
+        _write_stats(args, seconds, counts)
+    return 0
 
 
 def _cmd_bench(args) -> int:

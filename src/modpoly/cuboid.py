@@ -9,10 +9,10 @@ orbit, which keeps every construction canonical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .cosets import CosetSystem
+from .jsonout import extend_array, int_array
 
 
 class CuboidGraph:
@@ -145,15 +145,17 @@ def pointed_isomorphic(g1: CuboidGraph, g2: CuboidGraph) -> bool:
 
 
 def to_json(graph: CuboidGraph) -> str:
-    data = {
-        "n": graph.n,
-        "sigma_S": graph.sigma_s,
-        "sigma_U": graph.sigma_u,
-        "distinguished": graph.distinguished,
-        "v0": graph.v0,
-        "v1": graph.v1,
-    }
-    return json.dumps(data, sort_keys=True, separators=(",", ": "), indent=2) + "\n"
+    """The graph's permutations, distinguished edge and vertex orbits, laid
+    out by the template writer of ``jsonout``: byte for byte the text of
+    json.dumps(sort_keys=True, indent=2) over the same data."""
+    parts = [f'{{\n  "distinguished": {graph.distinguished},\n  "n": {graph.n},\n  "sigma_S": ',
+             int_array(graph.sigma_s, "  "), ',\n  "sigma_U": ', int_array(graph.sigma_u, "  "),
+             ',\n  "v0": ']
+    extend_array(parts, (int_array(orbit, "    ") for orbit in graph.v0), "  ")
+    parts.append(',\n  "v1": ')
+    extend_array(parts, (int_array(orbit, "    ") for orbit in graph.v1), "  ")
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def to_dot(graph: CuboidGraph) -> str:

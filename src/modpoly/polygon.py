@@ -17,13 +17,13 @@ angle 2 pi/3 for an order-3 elliptic vertex.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cosets import CosetSystem
 from .cuboid import CuboidGraph, build_graph, graph_invariants
+from .jsonout import extend_array
 from .psl2 import CUSP_INF, CUSP_ZERO, IDENTITY, S, U, Cusp, Psl2Elt, act_cusp
 from .reduce import (
     ExactPoint,
@@ -45,6 +45,7 @@ _MOVES = {"S": S, "U": U, "U2": U2}
 #   odd_zero  (i, 0)              lower half of an axis copy
 #   e3_arc    (e^(i pi/3), 0)     arc side at an order-3 vertex
 #   e3_line   (e^(i pi/3), inf)   vertical side at an order-3 vertex
+SIDE_KINDS = ("even", "odd_inf", "odd_zero", "e3_arc", "e3_line")
 
 # endpoint tags: ("cusp", Cusp) or ("ell", order, x, y2)
 Endpoint = tuple
@@ -530,36 +531,47 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
-def _endpoint_json(endpoint: Endpoint):
+def _endpoint_text(endpoint: Endpoint) -> str:
+    """A side endpoint as the JSON object that opens at indent 8."""
     if endpoint[0] == "cusp":
         c = endpoint[1]
-        return {"cusp": "oo" if c.q == 0 else f"{c.p}/{c.q}"}
+        cusp = "oo" if c.q == 0 else f"{c.p}/{c.q}"
+        return f'{{\n          "cusp": "{cusp}"\n        }}'
     _, order, x, y2 = endpoint
-    return {"elliptic": {"order": order, "x": _frac_str(x), "y2": _frac_str(y2)}}
+    return (f'{{\n          "elliptic": {{\n            "order": {order},\n'
+            f'            "x": "{_frac_str(x)}",\n            "y2": "{_frac_str(y2)}"\n'
+            '          }\n        }')
+
+
+def _side_text(side: Side) -> str:
+    """A side as the JSON object that opens at indent 4."""
+    if side.kind not in SIDE_KINDS:
+        raise ValueError(f"internal error: side kind {side.kind!r} is not one of {SIDE_KINDS}")
+    g = side.carrier
+    return (f'{{\n      "carrier": [\n        {g.a},\n        {g.b},\n        {g.c},\n'
+            f'        {g.d}\n      ],\n      "edge": {side.edge},\n      "endpoints": [\n'
+            f'        {_endpoint_text(side.start)},\n        {_endpoint_text(side.end)}\n'
+            f'      ],\n      "exponent": {side.gen_exp},\n      "generator": {side.gen},\n'
+            f'      "kind": "{side.kind}",\n      "pair": {side.pair}\n    }}')
 
 
 def to_json(poly: SpecialPolygon) -> str:
-    data = {
-        "triangles": [list(g.tuple()) for _, g in poly.triangles],
-        "sides": [
-            {
-                "kind": s.kind,
-                "edge": s.edge,
-                "carrier": list(s.carrier.tuple()),
-                "endpoints": [_endpoint_json(s.start), _endpoint_json(s.end)],
-                "pair": s.pair,
-                "generator": s.gen,
-                "exponent": s.gen_exp,
-            }
-            for s in poly.sides
-        ],
-        "generators": [
-            {"matrix": list(g.tuple()), "order": order}
-            for g, order in poly.generators
-        ],
-        "base_point": [_frac_str(poly.base_point.x), _frac_str(poly.base_point.y)],
-    }
-    return json.dumps(data, sort_keys=True, separators=(",", ": "), indent=2) + "\n"
+    """The polygon's triangles, sides, generators and base point, laid out
+    by the template writer of ``jsonout``: byte for byte the text of
+    json.dumps(sort_keys=True, indent=2) over the same data."""
+    base = poly.base_point
+    parts = ['{\n  "base_point": [\n    "', _frac_str(base.x), '",\n    "',
+             _frac_str(base.y), '"\n  ],\n  "generators": ']
+    extend_array(parts, (f'{{\n      "matrix": [\n        {g.a},\n        {g.b},\n'
+                         f'        {g.c},\n        {g.d}\n      ],\n      "order": {order}\n    }}'
+                         for g, order in poly.generators), "  ")
+    parts.append(',\n  "sides": ')
+    extend_array(parts, map(_side_text, poly.sides), "  ")
+    parts.append(',\n  "triangles": ')
+    extend_array(parts, (f"[\n      {g.a},\n      {g.b},\n      {g.c},\n      {g.d}\n    ]"
+                         for _, g in poly.triangles), "  ")
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def to_svg(poly: SpecialPolygon, width: int = 640, clamp_height: float = 2.5) -> str:

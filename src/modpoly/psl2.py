@@ -133,9 +133,6 @@ class Cusp:
         self.p = p
         self.q = q
 
-    def is_infinity(self) -> bool:
-        return self.q == 0
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Cusp) and self.p == other.p and self.q == other.q
 

@@ -61,10 +61,6 @@ class Geodesic(NamedTuple):
     b: int
     c: int
 
-    def eval_at(self, x: Fraction, y2: Fraction) -> Fraction:
-        """Defining expression; zero exactly on the geodesic."""
-        return self.a * (x * x + y2) + self.b * x + self.c
-
     def transform(self, g: Psl2Elt) -> "Geodesic":
         """Image under g: the endpoint form composed with g^-1."""
         p, q, r, s = g.tuple()

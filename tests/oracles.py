@@ -280,6 +280,64 @@ def reference_system(family, N):
     return labels, sigmas[0], sigmas[1], index[base]
 
 
+# ---------------------------------------------------------------------------
+# reference JSON data: the dicts the writers serialised through json.dumps
+# before they became templates; the writer tests compare against
+# json.dumps(data, sort_keys=True, separators=(",", ": "), indent=2) + "\n"
+
+def _frac_text(f):
+    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+
+
+def reference_endpoint_data(endpoint):
+    if endpoint[0] == "cusp":
+        c = endpoint[1]
+        return {"cusp": "oo" if c.q == 0 else f"{c.p}/{c.q}"}
+    _, order, x, y2 = endpoint
+    return {"elliptic": {"order": order, "x": _frac_text(x), "y2": _frac_text(y2)}}
+
+
+def reference_polygon_data(poly):
+    return {
+        "triangles": [list(g.tuple()) for _, g in poly.triangles],
+        "sides": [
+            {
+                "kind": s.kind,
+                "edge": s.edge,
+                "carrier": list(s.carrier.tuple()),
+                "endpoints": [reference_endpoint_data(s.start), reference_endpoint_data(s.end)],
+                "pair": s.pair,
+                "generator": s.gen,
+                "exponent": s.gen_exp,
+            }
+            for s in poly.sides
+        ],
+        "generators": [
+            {"matrix": list(g.tuple()), "order": order}
+            for g, order in poly.generators
+        ],
+        "base_point": [_frac_text(poly.base_point.x), _frac_text(poly.base_point.y)],
+    }
+
+
+def reference_graph_data(graph):
+    return {
+        "n": graph.n,
+        "sigma_S": graph.sigma_s,
+        "sigma_U": graph.sigma_u,
+        "distinguished": graph.distinguished,
+        "v0": graph.v0,
+        "v1": graph.v1,
+    }
+
+
+def geodesic_eval_at(geod, x, y2):
+    """a(x^2 + y^2) + bx + c for the geodesic (a, b, c) at the point given as
+    (x, y^2); zero exactly on the geodesic."""
+    a, b, c = geod
+    return a * (x * x + y2) + b * x + c
+
+
 # stock test groups used across the suite
 TEST_GROUPS = ([("gamma0", N) for N in (2, 3, 4, 5, 6, 7, 10, 11, 13)]
                + [("gamma", N) for N in (2, 3, 4, 5)]

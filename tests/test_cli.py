@@ -198,3 +198,29 @@ def test_max_index_option(capsys):
     code, out, _ = run(capsys, "invariants", "--group", "gamma0", "--level", "11",
                        "--max-index", "12")
     assert code == 0 and json.loads(out)["index"] == 12
+
+
+@pytest.mark.parametrize("command, layers, counts", [
+    ("graph", ["graph", "system", "write"], ["index"]),
+    ("polygon", ["assemble", "develop", "graph", "system", "tree", "write"],
+     ["generators", "index", "sides"]),
+    ("generators", ["assemble", "develop", "graph", "system", "tree", "write"],
+     ["generators", "index", "sides"]),
+    ("invariants", ["graph", "invariants", "system", "write"], ["generators", "index"]),
+])
+def test_stats_leave_stdout_unchanged(capsys, command, layers, counts):
+    argv = [command, "--group", "gamma0", "--level", "11"]
+    code, plain, plain_err = run(capsys, *argv)
+    assert (code, plain_err) == (0, "")
+    code, out, err = run(capsys, *argv, "--stats")
+    assert code == 0
+    assert out == plain
+    stats = json.loads(err)
+    assert sorted(stats["seconds"]) == layers
+    assert all(s >= 0 for s in stats["seconds"].values())
+    assert stats["index"] == 12
+    assert sorted(set(stats) - {"command", "group", "level", "seconds", "peak_rss_mb"}) == counts
+    assert (stats["command"], stats["group"], stats["level"]) == (command, "gamma0", 11)
+    assert stats["peak_rss_mb"] > 0
+    if command == "polygon":
+        assert (stats["sides"], stats["generators"]) == (6, 3)

@@ -19,7 +19,7 @@ from modpoly.reduce import (
     meet,
 )
 
-from oracles import built_polygon
+from oracles import built_polygon, geodesic_eval_at
 
 coords = st.fractions(min_value=-20, max_value=20, max_denominator=60)
 heights = st.fractions(min_value=Fraction(1, 60), max_value=20, max_denominator=60)
@@ -63,7 +63,7 @@ def test_meet_of_crossing_geodesics_lies_on_both(z, p, q):
     n, m, k = point
     x, y2 = Fraction(m, k), Fraction(n * k - m * m, k * k)
     assert (x, y2) == (z.x, z.y**2)
-    assert g1.eval_at(x, y2) == 0 and g2.eval_at(x, y2) == 0
+    assert geodesic_eval_at(g1, x, y2) == 0 and geodesic_eval_at(g2, x, y2) == 0
     n2, m2, k2 = lift(z.x, z.y**2)
     assert n * k2 == n2 * k and m * k2 == m2 * k
 
