@@ -1,6 +1,6 @@
 """Coset graphs, special polygons and reduction for subgroups of PSL2(Z)."""
 
-from .psl2 import IDENTITY, S, T, U, Cusp, Psl2Elt, act_cusp, decompose_su
+from .psl2 import IDENTITY, S, T, U, Cusp, Psl2Elt, act_cusp
 from .cosets import (
     CosetSystem,
     MembershipError,

@@ -20,17 +20,20 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .cosets import CosetSystem
 from .cuboid import CuboidGraph, build_graph, graph_invariants
 from .jsonout import extend_array
 from .psl2 import CUSP_INF, CUSP_ZERO, IDENTITY, S, U, Cusp, Psl2Elt, act_cusp
 from .reduce import (
+    I_POINT,
+    RHO_POINT,
     ExactPoint,
     Geodesic,
-    act_quad,
-    elliptic2_point,
-    elliptic3_point,
+    Point,
+    act,
+    det2,
     geodesic_between_cusps,
     geodesic_param,
     lift,
@@ -38,6 +41,8 @@ from .reduce import (
 
 U2 = U * U
 _MOVES = {"S": S, "U": U, "U2": U2}
+# far ends of the model arc (0, 2) and vertical line (1/2, infinity)
+CUSP_TWO, CUSP_HALF = Cusp(2, 1), Cusp(1, 2)
 
 # side kinds: copies of the model geodesic segments
 #   even      (0, inf)            full copy, paired across a cut
@@ -47,8 +52,12 @@ _MOVES = {"S": S, "U": U, "U2": U2}
 #   e3_line   (e^(i pi/3), inf)   vertical side at an order-3 vertex
 SIDE_KINDS = ("even", "odd_inf", "odd_zero", "e3_arc", "e3_line")
 
-# endpoint tags: ("cusp", Cusp) or ("ell", order, x, y2)
+# endpoint tags: ("cusp", Cusp) or ("ell", order, point triple)
 Endpoint = tuple
+
+# the polygon's base point, interior to the root triangle
+BASE_POINT = ExactPoint(Fraction(1, 4), Fraction(1))
+_BASE = lift(BASE_POINT.x, BASE_POINT.y**2)
 
 
 @dataclass
@@ -59,11 +68,12 @@ class Side:
     start: Endpoint
     end: Endpoint
     geodesic: Geodesic
-    # parameter range lo < hi on the geodesic (reduce.geodesic_param), hi
-    # None for the cusp at infinity; lo_ell marks an elliptic vertex at the
-    # low end, ell_order is its order (None for a side between two cusps)
-    lo: Fraction
-    hi: Fraction | None
+    # position range lo < hi on the geodesic (reduce.geodesic_param), as
+    # (num, den) pairs, hi None for the cusp at infinity; lo_ell marks an
+    # elliptic vertex at the low end, ell_order is its order (None for a
+    # side between two cusps)
+    lo: tuple[int, int]
+    hi: tuple[int, int] | None
     lo_ell: bool
     ell_order: int | None
     pair: int = -1
@@ -73,24 +83,25 @@ class Side:
 
 def _side(kind: str, edge: int, carrier: Psl2Elt, start: Endpoint, end: Endpoint,
           geodesic: Geodesic) -> Side:
-    """A side with its parameter range, complete when it is made."""
+    """A side with its position range, complete when it is made."""
     ends = [_end_param(geodesic, start), _end_param(geodesic, end)]
-    if ends[0][0] is None or (ends[1][0] is not None and ends[1][0] < ends[0][0]):
+    if ends[0][0] is None or (ends[1][0] is not None and det2(ends[1][0], ends[0][0]) < 0):
         ends.reverse()
     (lo, lo_ell), (hi, _) = ends
     ell_order = next((p[1] for p in (start, end) if p[0] == "ell"), None)
     return Side(kind, edge, carrier, start, end, geodesic, lo, hi, lo_ell, ell_order)
 
 
-def _end_param(geod: Geodesic, endpoint: Endpoint) -> tuple[Fraction | None, bool]:
-    """Parameter of a side's endpoint (None for the cusp at infinity) and
-    whether the endpoint is elliptic."""
+def _end_param(geod: Geodesic, endpoint: Endpoint) -> tuple[tuple[int, int] | None, bool]:
+    """Position of a side's endpoint (None for the cusp at infinity) and
+    whether the endpoint is elliptic.  A finite cusp p/q sits at x = p/q on
+    a circle and at x^2 = p^2/q^2 on a vertical line."""
     if endpoint[0] == "ell":
-        return geodesic_param(geod, lift(endpoint[2], endpoint[3])), True
+        return geodesic_param(geod, endpoint[2]), True
     c = endpoint[1]
     if c.q == 0:
         return None, False
-    return geodesic_param(geod, lift(Fraction(c.p, c.q), Fraction(0))), False
+    return ((c.p, c.q) if geod.a else (c.p * c.p, c.q * c.q)), False
 
 
 class CutTree:
@@ -237,7 +248,12 @@ class SpecialPolygon:
 
     def contains(self, x: Fraction, y2: Fraction, strict: bool = False) -> bool:
         """Exact membership of a point given as (x, y^2)."""
-        n, m, k = lift(x, y2)
+        return self._contains(lift(x, y2), strict)
+
+    def _contains(self, point: Point, strict: bool = False) -> bool:
+        """Exact membership of a point triple: a nonnegative (with strict, a
+        positive) dot product with every constraint."""
+        n, m, k = point
         for a, b, c in self.constraints:
             v = a * n + b * m + c * k
             if v < 0 or (strict and v == 0):
@@ -304,14 +320,6 @@ def _walk_boundary(graph, cuts):
             raise ValueError("internal error: boundary walk does not close")
 
 
-def _cusp_end(g: Psl2Elt, c: Cusp) -> Endpoint:
-    return ("cusp", act_cusp(g, c))
-
-
-def _ell_end(order: int, x: Fraction, y2: Fraction) -> Endpoint:
-    return ("ell", order, x, y2)
-
-
 def assemble(tree: CutTree, dev: list[Psl2Elt]) -> SpecialPolygon:
     """Build the polygon: one triangle per edge, boundary sides with exact
     endpoints, the pairing involution and one generator per pair."""
@@ -338,30 +346,28 @@ def assemble(tree: CutTree, dev: list[Psl2Elt]) -> SpecialPolygon:
     for e, k in _walk_boundary(graph, cuts):
         g = dev[e]
         created = []
+        # each cusp image is made once and gives both an endpoint and the
+        # side geodesic
         if k == 0:
-            x3, y23 = elliptic3_point(g)
-            sides.append(_side("e3_arc", e, g, _cusp_end(g, CUSP_ZERO),
-                               _ell_end(3, x3, y23),
-                               _transformed_geodesic(g, CUSP_ZERO, Cusp(2, 1))))
+            zero = act_cusp(g, CUSP_ZERO)
+            sides.append(_side("e3_arc", e, g, ("cusp", zero), ("ell", 3, act(g, RHO_POINT)),
+                               geodesic_between_cusps(zero, act_cusp(g, CUSP_TWO))))
             created.append(len(sides) - 1)
         elif k == 1:
-            x3, y23 = elliptic3_point(g)
-            sides.append(_side("e3_line", e, g, _ell_end(3, x3, y23),
-                               _cusp_end(g, CUSP_INF),
-                               _transformed_geodesic(g, Cusp(1, 2), CUSP_INF)))
+            inf = act_cusp(g, CUSP_INF)
+            sides.append(_side("e3_line", e, g, ("ell", 3, act(g, RHO_POINT)), ("cusp", inf),
+                               geodesic_between_cusps(act_cusp(g, CUSP_HALF), inf)))
             created.append(len(sides) - 1)
         else:
-            axis = _transformed_geodesic(g, CUSP_INF, CUSP_ZERO)
+            inf, zero = act_cusp(g, CUSP_INF), act_cusp(g, CUSP_ZERO)
+            axis = geodesic_between_cusps(inf, zero)
             if ss[e] == e:
-                x2, y22 = elliptic2_point(g)
-                sides.append(_side("odd_inf", e, g, _cusp_end(g, CUSP_INF),
-                                   _ell_end(2, x2, y22), axis))
-                sides.append(_side("odd_zero", e, g, _ell_end(2, x2, y22),
-                                   _cusp_end(g, CUSP_ZERO), axis))
+                vertex = ("ell", 2, act(g, I_POINT))
+                sides.append(_side("odd_inf", e, g, ("cusp", inf), vertex, axis))
+                sides.append(_side("odd_zero", e, g, vertex, ("cusp", zero), axis))
                 created.extend([len(sides) - 2, len(sides) - 1])
             else:
-                sides.append(_side("even", e, g, _cusp_end(g, CUSP_INF),
-                                   _cusp_end(g, CUSP_ZERO), axis))
+                sides.append(_side("even", e, g, ("cusp", inf), ("cusp", zero), axis))
                 created.append(len(sides) - 1)
         slot_sides[(e, k)] = created
 
@@ -386,14 +392,13 @@ def assemble(tree: CutTree, dev: list[Psl2Elt]) -> SpecialPolygon:
     if any(p < 0 for p in pairing):
         raise ValueError("internal error: unpaired boundary side")
 
-    base = ExactPoint(Fraction(1, 4), Fraction(1))
-    constraints = _constraints_from_sides(sides, base)
+    constraints = _constraints_from_sides(sides, _BASE)
 
     poly = SpecialPolygon(system, graph, tree, dev,
                           [(e, dev[e]) for e in range(n)],
                           sides, pairing, generators, feats, feature_index,
-                          base, constraints)
-    if not poly.contains(base.x, base.y**2, strict=True):
+                          BASE_POINT, constraints)
+    if not poly._contains(_BASE, strict=True):
         raise ValueError("internal error: base point is not interior")
     return poly
 
@@ -409,14 +414,10 @@ def _pair(sides, pairing, i, j, gen_idx, exp_forward, exp_back=None):
     sides[j].gen_exp = -exp_forward if exp_back is None else exp_back
 
 
-def _transformed_geodesic(g: Psl2Elt, c1: Cusp, c2: Cusp) -> Geodesic:
-    return geodesic_between_cusps(act_cusp(g, c1), act_cusp(g, c2))
-
-
-def _constraints_from_sides(sides, base: ExactPoint):
+def _constraints_from_sides(sides, base: Point):
     """One integer triple per distinct side geodesic, signed so that its dot
-    product with the lifted base point is positive."""
-    n, m, k = lift(base.x, base.y**2)
+    product with the base point triple is positive."""
+    n, m, k = base
     out = []
     for geod in dict.fromkeys(side.geodesic for side in sides):
         a, b, c = geod
@@ -519,16 +520,17 @@ def validate_special(poly: SpecialPolygon) -> list[str]:
 def _map_endpoint(g: Psl2Elt, endpoint: Endpoint) -> Endpoint:
     if endpoint[0] == "cusp":
         return ("cusp", act_cusp(g, endpoint[1]))
-    _, order, x, y2 = endpoint
-    nx, ny2 = act_quad(g, x, y2)
-    return ("ell", order, nx, ny2)
+    return ("ell", endpoint[1], act(g, endpoint[2]))
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+def _ratio_str(num: int, den: int) -> str:
+    """num/den, den > 0, in lowest terms; an integer has no denominator."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return f"{num}/{den}" if den != 1 else str(num)
 
 
 def _endpoint_text(endpoint: Endpoint) -> str:
@@ -537,9 +539,10 @@ def _endpoint_text(endpoint: Endpoint) -> str:
         c = endpoint[1]
         cusp = "oo" if c.q == 0 else f"{c.p}/{c.q}"
         return f'{{\n          "cusp": "{cusp}"\n        }}'
-    _, order, x, y2 = endpoint
+    _, order, (n, m, k) = endpoint
     return (f'{{\n          "elliptic": {{\n            "order": {order},\n'
-            f'            "x": "{_frac_str(x)}",\n            "y2": "{_frac_str(y2)}"\n'
+            f'            "x": "{_ratio_str(m, k)}",\n'
+            f'            "y2": "{_ratio_str(n * k - m * m, k * k)}"\n'
             '          }\n        }')
 
 
@@ -560,8 +563,8 @@ def to_json(poly: SpecialPolygon) -> str:
     by the template writer of ``jsonout``: byte for byte the text of
     json.dumps(sort_keys=True, indent=2) over the same data."""
     base = poly.base_point
-    parts = ['{\n  "base_point": [\n    "', _frac_str(base.x), '",\n    "',
-             _frac_str(base.y), '"\n  ],\n  "generators": ']
+    parts = ['{\n  "base_point": [\n    "', _ratio_str(*base.x.as_integer_ratio()), '",\n    "',
+             _ratio_str(*base.y.as_integer_ratio()), '"\n  ],\n  "generators": ']
     extend_array(parts, (f'{{\n      "matrix": [\n        {g.a},\n        {g.b},\n'
                          f'        {g.c},\n        {g.d}\n      ],\n      "order": {order}\n    }}'
                          for g, order in poly.generators), "  ")
@@ -583,7 +586,8 @@ def to_svg(poly: SpecialPolygon, width: int = 640, clamp_height: float = 2.5) ->
             if endpoint[0] == "cusp" and endpoint[1].q != 0:
                 xs.append(endpoint[1].p / endpoint[1].q)
             elif endpoint[0] == "ell":
-                xs.append(float(endpoint[2]))
+                _, m, k = endpoint[2]
+                xs.append(m / k)
     x_min = min(xs, default=0.0) - 0.3
     x_max = max(xs, default=1.0) + 0.3
     scale = width / (x_max - x_min)
@@ -594,7 +598,8 @@ def to_svg(poly: SpecialPolygon, width: int = 640, clamp_height: float = 2.5) ->
 
     def endpoint_xy(side: Side, endpoint: Endpoint) -> tuple[float, float]:
         if endpoint[0] == "ell":
-            return float(endpoint[2]), float(endpoint[3]) ** 0.5
+            n, m, k = endpoint[2]
+            return m / k, (n * k - m * m) ** 0.5 / k
         c = endpoint[1]
         if c.q == 0:
             return -side.geodesic.c / side.geodesic.b, clamp_height

@@ -201,9 +201,3 @@ def su_word(runs: list[int]) -> SUWord:
         word.append(("S", 1))
         word.extend(_t_power(r))
     return su_reduce(word)
-
-
-def decompose_su(g: Psl2Elt) -> SUWord:
-    """Write g as a reduced word in S and U by Euclidean descent on the
-    bottom row; evaluating the word left to right reproduces g exactly."""
-    return su_word(t_runs(g))

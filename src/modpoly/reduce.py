@@ -1,15 +1,20 @@
 """Locating points on the fundamental domain and rewriting group elements
 as words in the independent generators.
 
-All geometry is exact and, for geodesics, integer.  A geodesic is the
-primitive integer triple (a, b, c) of the curve a(x^2+y^2) + bx + c = 0 (a
-semicircle when a > 0, a vertical line when a = 0), and a rational point is
-an integer triple (n, m, k), k > 0, proportional to (x^2+y^2, x, 1).  A
-point lies on a geodesic, or on one side of it, by the sign of the dot
-product of the two triples; the geodesic through two points and the point
-where two geodesics meet are both cross products.  Only point coordinates
-and positions along a geodesic are Fractions, and the tangent directions at
-order-3 vertices are compared in Q + Q*sqrt(3).
+All geometry is exact and integer.  A geodesic is the primitive integer
+triple (a, b, c) of the curve a(x^2+y^2) + bx + c = 0 (a semicircle when
+a > 0, a vertical line when a = 0), and a point is a primitive integer triple
+(n, m, k), k > 0, proportional to (x^2+y^2, x, 1).  A point lies on a
+geodesic, or on one side of it, by the sign of the dot product of the two
+triples; the geodesic through two points and the point where two geodesics
+meet are both cross products.  Points move by the symmetric square of g, an
+integer matrix of determinant 1 (so a primitive triple stays primitive and
+two points are equal exactly when their triples are), and a position along
+a geodesic is an integer pair (num, den), den > 0, compared by
+cross-multiplication.  Fractions appear only at the API boundary: the
+ExactPoint a caller passes in, lifted once, and the point locate_point
+returns.  A tangent direction at an order-3 vertex (m + i*sqrt(3))/k is
+the integer pair (beta, gamma) of (beta*sqrt(3), gamma).
 """
 
 from __future__ import annotations
@@ -77,23 +82,42 @@ def _geodesic(a: int, b: int, c: int) -> Geodesic:
     return Geodesic(a // g, b // g, c // g)
 
 
-def lift(x: Fraction, y2: Fraction) -> tuple[int, int, int]:
-    """Integer triple (n, m, k), k > 0, proportional to (x^2+y^2, x, 1) for
-    the point x + iy given as (x, y^2)."""
+Point = tuple[int, int, int]
+
+# the fixed points i of S and e^(i pi/3) of U
+I_POINT: Point = (1, 0, 1)
+RHO_POINT: Point = (2, 1, 2)
+
+
+def lift(x: Fraction, y2: Fraction) -> Point:
+    """Primitive integer triple (n, m, k), k > 0, proportional to
+    (x^2+y^2, x, 1) for the point x + iy given as (x, y^2)."""
     s = x * x + y2
     k = lcm(s.denominator, x.denominator)
     return s.numerator * (k // s.denominator), x.numerator * (k // x.denominator), k
+
+
+def act(g: Psl2Elt, point: Point) -> Point:
+    """Moebius action on a point triple: the symmetric square of g, an
+    integer matrix of determinant 1, so a primitive triple stays primitive.
+    It is the contragredient of Geodesic.transform: a point's dot product
+    with a geodesic is unchanged, up to the sign transform normalises."""
+    a, b, c, d = g.tuple()
+    n, m, k = point
+    return (a * a * n + 2 * a * b * m + b * b * k,
+            a * c * n + (a * d + b * c) * m + b * d * k,
+            c * c * n + 2 * c * d * m + d * d * k)
 
 
 def _cross(u, v) -> tuple[int, int, int]:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def meet(g1: Geodesic, g2: Geodesic) -> tuple[int, int, int] | None:
-    """Point triple where two geodesics cross in the upper half-plane, or
-    None: k = 0 for the same geodesic, two vertical lines or concentric
-    circles, and nk - m^2 = k^2 y^2 <= 0 when they do not cross above the
-    real axis."""
+def meet(g1: Geodesic, g2: Geodesic) -> Point | None:
+    """Point triple, not necessarily primitive, where two geodesics cross in
+    the upper half-plane, or None: k = 0 for the same geodesic, two vertical
+    lines or concentric circles, and nk - m^2 = k^2 y^2 <= 0 when they do
+    not cross above the real axis."""
     n, m, k = _cross(g1, g2)
     if k < 0:
         n, m, k = -n, -m, -k
@@ -125,74 +149,18 @@ def act_point(g: Psl2Elt, z: ExactPoint) -> ExactPoint:
     return ExactPoint(x, z.y / den)
 
 
-def act_quad(g: Psl2Elt, x: Fraction, y2: Fraction) -> tuple[Fraction, Fraction]:
-    """Action on a point stored as (x, y^2); closed for rational x, y^2."""
-    den = (g.c * x + g.d) ** 2 + g.c**2 * y2
-    x2 = ((g.a * x + g.b) * (g.c * x + g.d) + g.a * g.c * y2) / den
-    return x2, y2 / den**2
+def geodesic_param(geod: Geodesic, point: Point) -> tuple[int, int]:
+    """Position (num, den), den > 0, of a point triple along a geodesic,
+    increasing in the direction of its tangent: x on circles, x^2+y^2 on
+    vertical lines."""
+    n, m, k = point
+    return (m if geod.a else n), k
 
 
-def elliptic2_point(g: Psl2Elt) -> tuple[Fraction, Fraction]:
-    """(x, y^2) of the image of i; both coordinates are rational."""
-    a, b, c, d = g.tuple()
-    k = c * c + d * d
-    return Fraction(a * c + b * d, k), Fraction(1, k * k)
-
-
-def elliptic3_point(g: Psl2Elt) -> tuple[Fraction, Fraction]:
-    """(x, y^2) of the image of the order-3 fixed point e^(i pi/3)."""
-    a, b, c, d = g.tuple()
-    k = c * c + c * d + d * d
-    return Fraction(2 * (a * c + b * d) + a * d + b * c, 2 * k), Fraction(3, 4 * k * k)
-
-
-def rational_sqrt(f: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    if f < 0:
-        return None
-    n, d = f.numerator, f.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# exact arithmetic in Q + Q*sqrt(3), used for tangent directions at order-3
-# vertices; pairs (a, b) stand for a + b*sqrt(3)
-
-Q3 = tuple[Fraction, Fraction]
-
-
-def q3_mul(u: Q3, v: Q3) -> Q3:
-    return (u[0] * v[0] + 3 * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-
-
-def q3_add(u: Q3, v: Q3) -> Q3:
-    return (u[0] + v[0], u[1] + v[1])
-
-
-def q3_sub(u: Q3, v: Q3) -> Q3:
-    return (u[0] - v[0], u[1] - v[1])
-
-
-def q3_sign(u: Q3) -> int:
-    a, b = u
-    if a == 0 and b == 0:
-        return 0
-    if a >= 0 and b >= 0:
-        return 1
-    if a <= 0 and b <= 0:
-        return -1
-    # mixed signs: compare a^2 with 3 b^2
-    lead = 1 if a > 0 else -1
-    return lead if a * a > 3 * b * b else -lead
-
-
-def _q3_cross(ux: Q3, uy: Q3, vx: Q3, vy: Q3) -> int:
-    prod1 = q3_mul(ux, vy)
-    prod2 = q3_mul(uy, vx)
-    return q3_sign((prod1[0] - prod2[0], prod1[1] - prod2[1]))
+def det2(u: tuple[int, int], v: tuple[int, int]) -> int:
+    """u[0] v[1] - u[1] v[0].  For two positions (num, den), den > 0, its sign
+    is that of u - v; for two directions, that of their cross product."""
+    return u[0] * v[1] - u[1] * v[0]
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +247,10 @@ def _not_member(system, g: Psl2Elt, label: int) -> MembershipError:
 # ---------------------------------------------------------------------------
 # geodesic tracing (the geometric reduction procedure)
 
-# base points, all interior to the root triangle
-BASE_POINTS = [
-    ExactPoint(Fraction(1, 4), Fraction(1)),
-    ExactPoint(Fraction(1, 3), Fraction(1)),
-    ExactPoint(Fraction(2, 7), Fraction(1)),
-    ExactPoint(Fraction(3, 11), Fraction(1)),
-    ExactPoint(Fraction(1, 5), Fraction(1)),
-    ExactPoint(Fraction(2, 9), Fraction(1)),
-    ExactPoint(Fraction(3, 13), Fraction(1)),
-    ExactPoint(Fraction(5, 17), Fraction(1)),
-]
+# base points x + i, all interior to the root triangle, as the triples
+# (p^2+q^2, pq, q^2) for x = p/q
+BASE_POINTS: list[Point] = [(p * p + q * q, p * q, q * q) for p, q in
+                            ((1, 4), (1, 3), (2, 7), (3, 11), (1, 5), (2, 9), (3, 13), (5, 17))]
 
 _MAX_TRACE_STEPS = 100000
 
@@ -297,17 +258,31 @@ _MAX_TRACE_STEPS = 100000
 def locate_point(poly, z: ExactPoint) -> tuple[ExactPoint, GenWord]:
     """Find w in the fundamental polygon and a word evaluating to g with
     g * w = z, by tracing the geodesic from an interior base point to z."""
-    if poly.contains(z.x, z.y**2):
+    target = lift(z.x, z.y**2)
+    if poly._contains(target):
         return z, []
     last = None
-    for z0 in BASE_POINTS:
-        if not poly.contains(z0.x, z0.y**2, strict=True):
+    for source in BASE_POINTS:
+        if not poly._contains(source, strict=True):
             continue
         try:
-            return _trace(poly, z0, z)
+            w, word = _trace(poly, source, target)
         except TraceDegenerateError as err:
             last = err
+            continue
+        return _exact_point(w), word
     raise RuntimeError(f"geodesic trace failed from every base point: {last}")
+
+
+def _exact_point(point: Point) -> ExactPoint:
+    """The rational point of a primitive triple, whose nk - m^2 = (ky)^2
+    must be a perfect square."""
+    n, m, k = point
+    ky2 = n * k - m * m
+    ky = isqrt(ky2)
+    if ky * ky != ky2:
+        raise ValueError("internal error: located point has an irrational height")
+    return ExactPoint(Fraction(m, k), Fraction(ky, k))
 
 
 def express(poly, g: Psl2Elt, use_trace: bool = False) -> GenWord:
@@ -325,59 +300,56 @@ def express(poly, g: Psl2Elt, use_trace: bool = False) -> GenWord:
     return word
 
 
-def geodesic_param(geod: Geodesic, point: tuple[int, int, int]) -> Fraction:
-    """Coordinate of a point triple along a geodesic, increasing in the
-    direction of its tangent: x on circles, x^2+y^2 on vertical lines."""
-    n, m, k = point
-    return Fraction(m if geod.a else n, k)
-
-
-def _trace(poly, z0: ExactPoint, z: ExactPoint,
-           record: list | None = None) -> tuple[ExactPoint, GenWord]:
+def _trace(poly, source: Point, target: Point,
+           record: list | None = None) -> tuple[Point, GenWord]:
+    """Follow the geodesic from the interior point source to target across
+    the polygon's sides, pulling target back by each side's generator;
+    returns the pulled-back target, which lies in the polygon, and the word
+    of the element that moves it onto target."""
     sides = poly.sides
     gens = poly.generators
     word: GenWord = []
-    t = z
-    geod = geodesic_through(z0, z)
-    source = lift(z0.x, z0.y**2)
+    t = target
+    geod = _geodesic(*_cross(source, target))
 
     for _ in range(_MAX_TRACE_STEPS):
         if record is not None:
             record.append((geod, t))
-        tx, ty2 = t.x, t.y**2
-        if poly.contains(tx, ty2):
+        if poly._contains(t):
             word = reduce_word(word, gens)
-            if act_point(evaluate_word(gens, word), t) != z:
+            if act(evaluate_word(gens, word), t) != target:
                 raise ValueError("internal error: trace postcondition failed")
             return t, word
 
         pa = geodesic_param(geod, source)
-        pt = geodesic_param(geod, lift(tx, ty2))
-        if pa == pt:
+        pt = geodesic_param(geod, t)
+        ahead = det2(pt, pa)
+        if ahead == 0:
             raise TraceDegenerateError("target and source share the geodesic parameter")
-        dsign = 1 if pt > pa else -1
+        dsign = 1 if ahead > 0 else -1
 
         best = None
         for side in sides:
             hit = _side_crossing(geod, side, pa, pt, dsign)
             if hit is None:
                 continue
-            if best is None or (hit[0] - best[0]) * dsign < 0:
+            if best is None:
                 best = hit
-            elif hit[0] == best[0] and hit[1] == "vertex" and best[1] == "side":
+                continue
+            nearer = det2(hit[0], best[0]) * dsign
+            if nearer < 0 or (nearer == 0 and hit[1] == "vertex" and best[1] == "side"):
                 best = hit
         if best is None:
             raise TraceDegenerateError("no boundary crossing found on an exiting segment")
 
-        _, kind, side, (n, m, k) = best
-        px, py2 = Fraction(m, k), Fraction(n * k - m * m, k * k)
+        _, kind, side, point = best
         gi, ge = side.gen, side.gen_exp
         if kind == "vertex":
-            ge = 1 if side.ell_order == 2 else _pick_rotation(poly, geod, dsign, side, px, py2)
+            ge = 1 if side.ell_order == 2 else _pick_rotation(poly, geod, dsign, side)
         r = gens[gi][0] ** ge
         word.append((gi, -ge))
-        t = act_point(r, t)
-        source = lift(*act_quad(r, px, py2))
+        t = act(r, t)
+        source = act(r, point)
         geod = geod.transform(r)
     raise TraceDegenerateError("step budget exhausted")
 
@@ -385,7 +357,7 @@ def _trace(poly, z0: ExactPoint, z: ExactPoint,
 def _side_crossing(geod: Geodesic, side, pa, pt, dsign):
     """Intersection of the travel segment with one polygon side.
 
-    Returns (param, "side" | "vertex", side, point triple) or None.
+    Returns (position, "side" | "vertex", side, point triple) or None.
     Crossings are strict between the segment ends; hitting an end of the
     side's range is reported as a vertex hit, since a cusp end lies on the
     real axis and only an elliptic end can be met in H.
@@ -396,67 +368,68 @@ def _side_crossing(geod: Geodesic, side, pa, pt, dsign):
 
     # within the travel segment, strictly
     p = geodesic_param(geod, point)
-    if not ((p - pa) * dsign > 0 and (pt - p) * dsign > 0):
+    if not (det2(p, pa) * dsign > 0 and det2(pt, p) * dsign > 0):
         return None
 
     # within the side segment
     sp = geodesic_param(side.geodesic, point)
-    if sp < side.lo or (side.hi is not None and sp > side.hi):
+    above_lo = det2(sp, side.lo)
+    below_hi = 1 if side.hi is None else det2(side.hi, sp)
+    if above_lo < 0 or below_hi < 0:
         return None
-    return (p, "vertex" if sp == side.lo or sp == side.hi else "side", side, point)
+    return (p, "vertex" if above_lo == 0 or below_hi == 0 else "side", side, point)
 
 
-def _pick_rotation(poly, geod: Geodesic, dsign: int, side, vx: Fraction, vy2: Fraction) -> int:
+def _pick_rotation(poly, geod: Geodesic, dsign: int, side) -> int:
     """Choose the exponent e in {1, -1} so that rotating the continuation by
-    generators[side.gen]^e points back into the polygon wedge at the order-3
-    vertex (vx, vy2).  Exact tangent algebra over Q + Q*sqrt(3)."""
-    root = rational_sqrt(vy2 / 3)
-    if root is None:
-        raise TraceDegenerateError("order-3 vertex height is not of the expected form")
+    generators[side.gen]^e points back into the polygon wedge at the side's
+    order-3 vertex.
+
+    Every tangent at that vertex (m + i*sqrt(3))/k, scaled by k, is
+    (beta*sqrt(3), gamma) for integers beta and gamma, and a rotation's
+    differential keeps that shape, so a direction is the pair (beta, gamma)
+    and two directions turn by the sign of beta_u*gamma_v - gamma_u*beta_v.
+    """
+    vertex = side.start[2] if side.start[0] == "ell" else side.end[2]
     # travel direction at the vertex
-    d_out = _tangent(geod, vx, root, dsign)
-    partner = poly.sides[side.pair]
-    u1 = _side_direction(side, vx, root)
-    u2 = _side_direction(partner, vx, root)
-    if _q3_cross(u1[0], u1[1], u2[0], u2[1]) < 0:
+    d_out = _tangent(geod, vertex, dsign)
+    u1 = _side_direction(side, vertex)
+    u2 = _side_direction(poly.sides[side.pair], vertex)
+    if det2(u1, u2) < 0:
         u1, u2 = u2, u1
     gen = poly.generators[side.gen][0]
     for exp in (1, -1):
-        r = gen**exp
-        w = _apply_differential(r, vx, root, d_out)
-        if (_q3_cross(u1[0], u1[1], w[0], w[1]) >= 0
-                and _q3_cross(w[0], w[1], u2[0], u2[1]) >= 0):
+        w = _apply_differential(gen**exp, vertex, d_out)
+        if det2(u1, w) >= 0 and det2(w, u2) >= 0:
             return exp
     raise TraceDegenerateError("no rotation re-enters the polygon wedge")
 
 
-def _tangent(geod: Geodesic, x: Fraction, yroot3: Fraction, dsign: int):
-    """Tangent (2ay, -(2ax+b)) at x + iy with y = yroot3 * sqrt(3), as a pair
-    of Q3 numbers, along increasing parameter times dsign."""
-    return ((0, dsign * 2 * geod.a * yroot3), (-dsign * (2 * geod.a * x + geod.b), 0))
+def _tangent(geod: Geodesic, vertex: Point, dsign: int) -> tuple[int, int]:
+    """Tangent (2ay, -(2ax+b)) at an order-3 vertex (n, m, k), where
+    nk - m^2 = 3, so x = m/k and y = sqrt(3)/k; scaled by k > 0 it is
+    (2a*sqrt(3), -(2am+bk)).  Along increasing position times dsign."""
+    _, m, k = vertex
+    a, b, _ = geod
+    return dsign * 2 * a, -dsign * (2 * a * m + b * k)
 
 
-def _side_direction(side, vx: Fraction, yroot3: Fraction):
+def _side_direction(side, vertex: Point) -> tuple[int, int]:
     """Direction from the elliptic vertex along the side toward its cusp end."""
-    return _tangent(side.geodesic, vx, yroot3, 1 if side.lo_ell else -1)
+    return _tangent(side.geodesic, vertex, 1 if side.lo_ell else -1)
 
 
-def _apply_differential(r: Psl2Elt, vx: Fraction, yroot3: Fraction, direction):
-    """Multiply a tangent direction by dr/dz = 1/(cz+d)^2 at z = vx + i*y,
-    where y = yroot3 * sqrt(3).
+def _apply_differential(r: Psl2Elt, vertex: Point, direction) -> tuple[int, int]:
+    """Multiply a direction by conj(k(cz+d))^2, a positive multiple of
+    dr/dz = 1/(cz+d)^2, at the order-3 vertex z = (m + i*sqrt(3))/k.
 
-    With alpha = c*vx + d rational and the imaginary part of cz + d equal to
-    c*yroot3*sqrt(3), the square (cz+d)^2 has rational real part and a pure
-    sqrt(3) imaginary part, so its inverse stays in the same shape.
+    With A = cm + dk, k(cz+d) = A + i*c*sqrt(3), so the factor is
+    P + i*Q*sqrt(3) with P = A^2 - 3c^2 and Q = -2Ac, and
+    (beta*sqrt(3) + i*gamma)(P + i*Q*sqrt(3))
+    = (beta*P - gamma*Q)*sqrt(3) + i*(3*beta*Q + gamma*P).
     """
-    alpha = Fraction(r.c) * vx + r.d
-    beta = Fraction(r.c) * yroot3
-    re = alpha * alpha - 3 * beta * beta
-    im = 2 * alpha * beta  # coefficient of sqrt(3)
-    norm = re * re + 3 * im * im
-    p: Q3 = (re / norm, Fraction(0))
-    q: Q3 = (Fraction(0), -im / norm)
-    dx, dy = direction
-    wx = q3_sub(q3_mul(dx, p), q3_mul(dy, q))
-    wy = q3_add(q3_mul(dx, q), q3_mul(dy, p))
-    return (wx, wy)
+    _, m, k = vertex
+    alpha = r.c * m + r.d * k
+    p, q = alpha * alpha - 3 * r.c * r.c, -2 * alpha * r.c
+    beta, gamma = direction
+    return beta * p - gamma * q, 3 * beta * q + gamma * p

@@ -293,7 +293,8 @@ def reference_endpoint_data(endpoint):
     if endpoint[0] == "cusp":
         c = endpoint[1]
         return {"cusp": "oo" if c.q == 0 else f"{c.p}/{c.q}"}
-    _, order, x, y2 = endpoint
+    _, order, (n, m, k) = endpoint
+    x, y2 = Fraction(m, k), Fraction(n * k - m * m, k * k)
     return {"elliptic": {"order": order, "x": _frac_text(x), "y2": _frac_text(y2)}}
 
 

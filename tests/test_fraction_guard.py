@@ -1,0 +1,62 @@
+"""Points move as integer triples: assembling a polygon and stepping the
+geodesic tracer construct no Fraction, and locate_point constructs the same
+number of them (lifting its input, returning its result) however many steps
+its trace takes.  Constructions are counted as calls of Fraction.__new__
+seen by a profile hook."""
+
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+from modpoly.polygon import assemble
+from modpoly.reduce import BASE_POINTS, ExactPoint, _trace, lift, locate_point
+
+from oracles import built_polygon, built_tree_dev
+
+
+def fraction_constructions(fn, *args, **kwargs):
+    """(number of Fraction.__new__ calls made by fn(*args, **kwargs), its result)."""
+    code = Fraction.__new__.__code__
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is code:
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return count, result
+
+
+# gamma0(1) and gamma0(13) have elliptic points of both orders
+@pytest.mark.parametrize("family, level", [("gamma0", 1), ("gamma0", 13), ("gamma", 5),
+                                           ("gamma1", 7), ("gamma0", 1009)])
+def test_assemble_constructs_no_fraction(family, level):
+    tree, dev = built_tree_dev(family, level)
+    count, _ = fraction_constructions(assemble, tree, dev)
+    assert count == 0
+
+
+def test_trace_and_locate_fraction_count_is_fixed():
+    poly = built_polygon("gamma0", 13)
+    rng = random.Random(31)
+    counts_by_steps: dict[int, set[int]] = {}
+    for _ in range(60):
+        z = ExactPoint(Fraction(rng.randint(-90, 90), rng.randint(1, 12)),
+                       Fraction(rng.randint(1, 12), rng.randint(1, 30)))
+        target = lift(z.x, z.y**2)
+        if poly.contains(z.x, z.y**2):
+            continue
+        steps = []
+        count, _ = fraction_constructions(_trace, poly, BASE_POINTS[0], target, record=steps)
+        assert count == 0
+        count, _ = fraction_constructions(locate_point, poly, z)
+        counts_by_steps.setdefault(len(steps), set()).add(count)
+    assert len(counts_by_steps) >= 3
+    assert len(set().union(*counts_by_steps.values())) == 1, counts_by_steps

@@ -1,17 +1,24 @@
 """Property tests of the integer geodesic geometry: over random rational
 points, cusps and S/U words, transforming a geodesic agrees exactly with
 joining the transformed points, the meet of two crossing geodesics lies on
-both, and polygon membership agrees with a Fraction evaluation of every
-constraint."""
+both, polygon membership agrees with a Fraction evaluation of every
+constraint, and the integer action on point triples agrees with the Moebius
+action on Fractions, keeps triples primitive, preserves dot products with
+transformed geodesics up to their sign, and sends i and e^(i pi/3) to
+triples with nk - m^2 = 1 and 3."""
 
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 from hypothesis import assume, given, settings, strategies as st
 
 from modpoly.psl2 import IDENTITY, S, U, Cusp, act_cusp
 from modpoly.reduce import (
+    I_POINT,
+    RHO_POINT,
     ExactPoint,
+    act,
     act_point,
     geodesic_between_cusps,
     geodesic_through,
@@ -76,3 +83,45 @@ def test_contains_matches_fraction_evaluation(group, z):
     values = [a * (x * x + y2) + b * x + c for a, b, c in poly.constraints]
     assert poly.contains(x, y2) == all(v >= 0 for v in values)
     assert poly.contains(x, y2, strict=True) == all(v > 0 for v in values)
+
+
+def dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+@BOUNDED
+@given(points, elements)
+def test_act_on_lifted_point_is_lift_of_image(z, g):
+    w = act_point(g, z)
+    assert act(g, lift(z.x, z.y**2)) == lift(w.x, w.y**2)
+
+
+@BOUNDED
+@given(points, elements)
+def test_act_keeps_triples_primitive(z, g):
+    point = lift(z.x, z.y**2)
+    assert gcd(*point) == 1
+    n, m, k = act(g, point)
+    assert gcd(n, m, k) == 1 and k > 0
+
+
+@BOUNDED
+@given(points, points, points, points, elements)
+def test_act_preserves_dot_with_transformed_geodesic(p, q, z, w, g):
+    # transform normalises the sign of its result, so the dot products agree
+    # up to one sign for all points
+    assume(p != q)
+    geod = geodesic_through(p, q)
+    image = geod.transform(g)
+    before = [dot(geod, lift(v.x, v.y**2)) for v in (z, w)]
+    after = [dot(image, act(g, lift(v.x, v.y**2))) for v in (z, w)]
+    assert after in (before, [-d for d in before])
+
+
+@BOUNDED
+@given(elements)
+def test_elliptic_images_have_the_fixed_heights(g):
+    for point, height in ((I_POINT, 1), (RHO_POINT, 3)):
+        n, m, k = act(g, point)
+        assert gcd(n, m, k) == 1 and k > 0
+        assert n * k - m * m == height

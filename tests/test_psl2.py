@@ -12,9 +12,9 @@ from modpoly.psl2 import (
     Cusp,
     Psl2Elt,
     act_cusp,
-    decompose_su,
     parse_matrix,
     su_reduce,
+    su_word,
     t_runs,
 )
 
@@ -99,20 +99,20 @@ def test_act_cusp_is_action():
         assert act_cusp(g, act_cusp(h, x)) == act_cusp(g * h, x)
 
 
-def test_decompose_su_examples():
-    assert decompose_su(IDENTITY) == []
-    assert decompose_su(S) == [("S", 1)]
-    assert decompose_su(T) == [("U", 2), ("S", 1)]
+def test_su_word_examples():
+    assert su_word(t_runs(IDENTITY)) == []
+    assert su_word(t_runs(S)) == [("S", 1)]
+    assert su_word(t_runs(T)) == [("U", 2), ("S", 1)]
     assert su_evaluate([("U", 2), ("S", 1)]) == T
 
 
-def test_decompose_su_round_trip():
+def test_su_word_round_trip():
     rng = random.Random(8)
     for _ in range(1000):
         word = [("S", 1) if rng.random() < 0.4 else ("U", rng.randint(1, 2))
                 for _ in range(rng.randint(0, 40))]
         g = su_evaluate(word)
-        back = decompose_su(g)
+        back = su_word(t_runs(g))
         assert su_evaluate(back) == g
         # reduced: letters alternate between the two factors
         for first, second in zip(back, back[1:]):

@@ -10,12 +10,13 @@ from modpoly.psl2 import IDENTITY, S, T, U, Psl2Elt
 from modpoly.reduce import (
     ExactPoint,
     Geodesic,
+    act,
     act_point,
-    act_quad,
     evaluate_word,
     express,
     express_schreier,
     geodesic_through,
+    lift,
     locate_point,
     reduce_word,
 )
@@ -76,7 +77,7 @@ def test_geodesic_transform():
         assert geodesic_eval_at(image, gq.x, gq.y**2) == 0
 
 
-def test_act_point_matches_act_quad():
+def test_act_point_matches_act():
     rng = random.Random(21)
     for _ in range(100):
         z = ExactPoint(F(rng.randint(-9, 9), rng.randint(1, 9)),
@@ -85,8 +86,7 @@ def test_act_point_matches_act_quad():
         for _ in range(rng.randint(0, 8)):
             g = g * (S if rng.random() < 0.5 else U)
         w = act_point(g, z)
-        x2, y22 = act_quad(g, z.x, z.y**2)
-        assert (w.x, w.y**2) == (x2, y22)
+        assert act(g, lift(z.x, z.y**2)) == lift(w.x, w.y**2)
 
 
 def test_exact_point_validation():
@@ -235,11 +235,13 @@ def test_trace_intermediate_states_stay_on_geodesic():
         if poly.contains(z.x, z.y**2):
             continue
         steps = []
-        w, out = _trace(poly, poly.base_point, z, record=steps)
+        target = lift(z.x, z.y**2)
+        w, out = _trace(poly, lift(poly.base_point.x, poly.base_point.y**2), target,
+                        record=steps)
         assert steps
-        for geod, t in steps:
-            assert geodesic_eval_at(geod, t.x, t.y**2) == 0
-        assert act_point(evaluate_word(gens, out), w) == z
+        for geod, (n, m, k) in steps:
+            assert geodesic_eval_at(geod, F(m, k), F(n * k - m * m, k * k)) == 0
+        assert act(evaluate_word(gens, out), w) == target
 
 
 def test_trace_hits_order2_vertices_exactly():
@@ -261,7 +263,11 @@ def test_trace_hits_order2_vertices_exactly():
 
 def test_trace_hits_order3_vertices_exactly():
     # rational target strictly beyond an order-3 vertex on the geodesic
-    # through the base point and that vertex; the segment exits exactly there
+    # through the base point and that vertex; the segment exits exactly there.
+    # The trace runs from the base point alone, since locate_point would hide
+    # a wrong rotation at the vertex by restarting from another base point
+    from modpoly.reduce import _trace
+
     def second_intersection(z0, center, t):
         x0, y0 = z0.x, z0.y
         a2 = 1 + t * t
@@ -277,7 +283,8 @@ def test_trace_hits_order3_vertices_exactly():
         for side in poly.sides:
             if side.kind != "e3_arc":
                 continue
-            _, _, x3, y23 = side.end
+            _, _, (n, m, k) = side.end
+            x3, y23 = F(m, k), F(n * k - m * m, k * k)
             if x3 == z0.x:
                 continue
             center = (x3 * x3 + y23 - z0.x**2 - z0.y**2) / (2 * (x3 - z0.x))
@@ -294,8 +301,9 @@ def test_trace_hits_order3_vertices_exactly():
                     break
             if target is None:
                 continue
-            w, word = locate_point(poly, target)
-            assert act_point(evaluate_word(gens, word), w) == target
+            lifted = lift(target.x, target.y**2)
+            w, word = _trace(poly, lift(z0.x, z0.y**2), lifted)
+            assert act(evaluate_word(gens, word), w) == lifted
             checked += 1
         assert checked > 0
 
