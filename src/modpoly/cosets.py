@@ -25,6 +25,8 @@ index, computed from the factorisation of N, exceeds its max_index:
 * Gamma(N) cosets are stored as triples of points of X = (Z/N)^2 / +-1: the
   two matrix columns plus the class of their sum, which pins down the pair of
   column signs so that both generator actions become local triple rewrites.
+  The triples are enumerated by breadth-first search from the identity's
+  triple under those two rewrites, then sorted.
 """
 
 from __future__ import annotations
@@ -32,13 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from math import gcd
 
-from .modint import (
-    Factorization,
-    ResidueRow,
-    complete_row_to_sl2,
-    factorize,
-    inverse_mod,
-)
+from .modint import Factorization, factorize
 from .psl2 import IDENTITY, S, U, Psl2Elt, t_runs
 
 
@@ -202,26 +198,6 @@ def _idempotents(N: int, factors: Factorization) -> list[int]:
     return out
 
 
-def p1_normalize(N: int, a: int, b: int) -> tuple[tuple[int, int], int]:
-    """Canonical representative of (a : b) in P^1(Z/N) plus the unit u with
-    u * rep == (a, b) mod N."""
-    if N == 1:
-        return (0, 0), 0
-    a %= N
-    b %= N
-    if gcd(gcd(a, b), N) != 1:
-        raise ValueError(f"({a}, {b}) is not coprime mod {N}")
-    factors = factorize(N)
-    ra = rb = unit = 0
-    for (p, m), e in zip(factors, _idempotents(N, factors)):
-        q = p**m
-        (x, y), u = _normalize_pp(p, q, lambda c: pow(c, -1, q), a % q, b % q)
-        ra += x * e
-        rb += y * e
-        unit += u * e
-    return (ra % N, rb % N), unit % N
-
-
 def _row_act(row: tuple[int, int], mat: Psl2Elt, N: int) -> tuple[int, int]:
     # (a' : b') . [a b; c d] = (a'a + b'c : a'b + b'd)
     x, y = row
@@ -275,26 +251,6 @@ def _p1_line(N: int, letters=(), unit_exponent: int = 0):
 def p1_list(N: int) -> list[tuple[int, int]]:
     """All canonical representatives of P^1(Z/N), sorted."""
     return _p1_line(N)[0]
-
-
-# ---------------------------------------------------------------------------
-# matrices mod N
-
-def _matrix_bottom(row: tuple[int, int], N: int) -> tuple[int, int, int, int]:
-    """Determinant-1 matrix mod N with prescribed bottom row."""
-    (x, y), (a, b) = complete_row_to_sl2(ResidueRow(N, row[0], row[1]))
-    return (x, y, a, b)
-
-
-def _diag(u: int, N: int) -> tuple[int, int, int, int]:
-    return (u % N, 0, 0, inverse_mod(u, N))
-
-
-def _mat_mul_mod(m1, m2, N):
-    a, b, c, d = m1
-    e, f, g, h = m2
-    return ((a * e + b * g) % N, (a * f + b * h) % N,
-            (c * e + d * g) % N, (c * f + d * h) % N)
 
 
 def unit_classes(N: int) -> list[int]:
@@ -440,7 +396,8 @@ def build_gamma_upper1(N: int) -> CosetSystem:
 
 
 def build_gamma(N: int) -> CosetSystem:
-    """Coset system of Gamma(N) with triple labels, N >= 3.
+    """Coset system of Gamma(N) with sorted triple labels, N >= 3, found by
+    BFS over the triples from the identity's.
 
     For N <= 2 the triple encoding cannot separate signs, so those levels are
     enumerated by the oracle BFS on the congruence condition (b = c = 0 mod N
@@ -452,23 +409,21 @@ def build_gamma(N: int) -> CosetSystem:
         n, sigma_s, sigma_u = _oracle_bfs(lambda g: g.b % N == 0 and g.c % N == 0,
                                           max_index=10)
         return CosetSystem("gamma", N, list(range(n)), sigma_s, sigma_u, 0)
-    mats = []
-    points = p1_list(N)
-    units = unit_classes(N)
-    for pt in points:
-        A = _matrix_bottom(pt, N)
-        for u in units:
-            DA = _mat_mul_mod(_diag(u, N), A, N)
-            for t in range(N):
-                mats.append(_mat_mul_mod((1, t, 0, 1), DA, N))
-    labels = sorted(gamma_triple(m, N) for m in mats)
+    start = gamma_triple((1, 0, 0, 1), N)
+    seen = {start}
+    queue = [start]
+    for lab in queue:
+        for image in (_triple_s(lab, N), _triple_u(lab)):
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    if len(queue) != coset_index("gamma", N):
+        raise ValueError("internal error: the triple orbit is not the coset space")
+    labels = sorted(queue)
     index = {lab: i for i, lab in enumerate(labels)}
-    if len(index) != len(labels):
-        raise ValueError("triple encoding collided; not a bijection")
     sigma_s = [index[_triple_s(lab, N)] for lab in labels]
     sigma_u = [index[_triple_u(lab)] for lab in labels]
-    return CosetSystem("gamma", N, labels, sigma_s, sigma_u,
-                       index[gamma_triple((1, 0, 0, 1), N)])
+    return CosetSystem("gamma", N, labels, sigma_s, sigma_u, index[start])
 
 
 def coset_index(family: str, N: int) -> int:

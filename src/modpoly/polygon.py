@@ -18,9 +18,9 @@ angle 2 pi/3 for an order-3 elliptic vertex.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .cosets import CosetSystem
 from .cuboid import CuboidGraph, build_graph, graph_invariants
@@ -60,8 +60,9 @@ BASE_POINT = ExactPoint(Fraction(1, 4), Fraction(1))
 _BASE = lift(BASE_POINT.x, BASE_POINT.y**2)
 
 
-@dataclass
-class Side:
+class Side(NamedTuple):
+    """A boundary side, complete and immutable when it is made."""
+
     kind: str
     edge: int
     carrier: Psl2Elt
@@ -76,20 +77,22 @@ class Side:
     hi: tuple[int, int] | None
     lo_ell: bool
     ell_order: int | None
-    pair: int = -1
-    gen: int = -1
-    gen_exp: int = 0
+    # index of the paired side, and the generator power that maps this side
+    # onto it
+    pair: int
+    gen: int
+    gen_exp: int
 
 
 def _side(kind: str, edge: int, carrier: Psl2Elt, start: Endpoint, end: Endpoint,
-          geodesic: Geodesic) -> Side:
-    """A side with its position range, complete when it is made."""
+          geodesic: Geodesic, pair: int, gen: tuple[int, int]) -> Side:
+    """A side with its position range and its pairing."""
     ends = [_end_param(geodesic, start), _end_param(geodesic, end)]
     if ends[0][0] is None or (ends[1][0] is not None and det2(ends[1][0], ends[0][0]) < 0):
         ends.reverse()
     (lo, lo_ell), (hi, _) = ends
     ell_order = next((p[1] for p in (start, end) if p[0] == "ell"), None)
-    return Side(kind, edge, carrier, start, end, geodesic, lo, hi, lo_ell, ell_order)
+    return Side(kind, edge, carrier, start, end, geodesic, lo, hi, lo_ell, ell_order, pair, *gen)
 
 
 def _end_param(geod: Geodesic, endpoint: Endpoint) -> tuple[tuple[int, int] | None, bool]:
@@ -188,63 +191,64 @@ def develop(tree: CutTree) -> list[Psl2Elt]:
     return dev
 
 
-def generator_features(sigma_s, sigma_u, edge_v0, cuts):
-    """Canonical list of generator-producing features, sorted by the smallest
-    participating edge: cut vertices, order-2 fixed edges, order-3 fixed
-    edges.  The rewriting path reads them from the polygon."""
-    n = len(sigma_s)
-    feats = []
-    done_cuts = set()
-    for e in range(n):
-        if sigma_s[e] == e:
-            feats.append((e, 1, "e2", e))
-        elif edge_v0[e] in cuts and edge_v0[e] not in done_cuts:
-            done_cuts.add(edge_v0[e])
-            feats.append((min(e, sigma_s[e]), 0, "cut", edge_v0[e]))
-        if sigma_u[e] == e:
-            feats.append((e, 2, "e3", e))
-    feats.sort()
-    return feats
+def _generator_table(graph: CuboidGraph, cuts: frozenset[int], dev: list[Psl2Elt]):
+    """The independent generators and the syllable each label emits, in one
+    pass over the labels.
 
+    Every cut bivalent vertex and every fixed edge gives one generator,
+    numbered by its smallest edge, a cut or order-2 generator before the
+    order-3 one of the same edge.  A cut between edges e < f gives
+    dev[f] * S * dev[e]^-1, which maps the side of e onto the side of f; a
+    fixed edge conjugates S or U^2 by its developing matrix.  s_gen[e] is
+    the syllable Schreier rewriting emits when S crosses from e: (i, 1) for
+    an S-fixed e, (i, -1) / (i, +1) at the smaller / larger edge of a cut,
+    None along the tree.  u_gen[e] is (i, -1) for a U-fixed e, else None.
+    """
+    system: CosetSystem = graph.system
+    ss, su, edge_v0 = graph.sigma_s, graph.sigma_u, graph.edge_v0
+    s_gen: list[tuple[int, int] | None] = [None] * graph.n
+    u_gen: list[tuple[int, int] | None] = [None] * graph.n
+    generators: list[tuple[Psl2Elt, int]] = []
 
-def materialize_generators(feats, dev, sigma_s):
-    """Generator matrix and torsion order for each feature.  A cut between
-    edges e < f yields dev[f] * S * dev[e]^-1 (mapping the side of e onto the
-    side of f); fixed edges conjugate S or U^2 by their developing matrix."""
-    gens = []
-    for key_edge, _, kind, data in feats:
-        if kind == "cut":
-            gen = dev[sigma_s[key_edge]] * S * dev[key_edge].inv()
-        elif kind == "e2":
-            gen = dev[data] * S * dev[data].inv()
-        else:
-            gen = dev[data] * U2 * dev[data].inv()
-        gens.append((gen, gen.torsion_order()))
-    return gens
+    def add(gen: Psl2Elt, order: int) -> int:
+        i = len(generators)
+        if gen.torsion_order() != order:
+            raise ValueError(f"internal error: generator {i} has order "
+                             f"{gen.torsion_order()}, not {order}")
+        if not system.member(gen):
+            raise ValueError("internal error: emitted generator fails membership")
+        generators.append((gen, order))
+        return i
+
+    for e, g in enumerate(dev):
+        f = ss[e]
+        if f == e:
+            s_gen[e] = (add(g * S * g.inv(), 2), 1)
+        elif e < f and edge_v0[e] in cuts:
+            i = add(dev[f] * S * g.inv(), 0)
+            s_gen[e], s_gen[f] = (i, -1), (i, 1)
+        if su[e] == e:
+            u_gen[e] = (add(g * U2 * g.inv(), 3), -1)
+    return generators, s_gen, u_gen
 
 
 class SpecialPolygon:
-    """Fundamental polygon as triangles, boundary sides, side pairing and an
-    independent generator per pairing orbit."""
+    """Fundamental polygon: one triangle dev[e] * (0, e^(i pi/3), infinity)
+    per edge, the boundary sides with their pairing, and an independent
+    generator per pairing orbit.  s_gen and u_gen give, per label, the
+    generator syllable an S or U step emits (see _generator_table)."""
 
-    def __init__(self, system, graph, tree, dev, triangles, sides, pairing,
-                 generators, features, feature_index, base_point, constraints):
+    def __init__(self, system, graph, dev, sides, generators, s_gen, u_gen,
+                 base_point, constraints):
         self.system = system
         self.graph = graph
-        self.tree = tree
         self.dev = dev
-        self.triangles = triangles
         self.sides = sides
-        self.pairing = pairing
         self.generators = generators
-        self.features = features
-        self.feature_index = feature_index
+        self.s_gen = s_gen
+        self.u_gen = u_gen
         self.base_point = base_point
         self.constraints = constraints
-
-    @property
-    def cut_vertices(self):
-        return self.tree.cuts
 
     def contains(self, x: Fraction, y2: Fraction, strict: bool = False) -> bool:
         """Exact membership of a point given as (x, y^2)."""
@@ -261,7 +265,7 @@ class SpecialPolygon:
         return True
 
     def __repr__(self):
-        return (f"SpecialPolygon(n={len(self.triangles)}, sides={len(self.sides)}, "
+        return (f"SpecialPolygon(n={len(self.dev)}, sides={len(self.sides)}, "
                 f"generators={len(self.generators)})")
 
 
@@ -322,96 +326,65 @@ def _walk_boundary(graph, cuts):
 
 def assemble(tree: CutTree, dev: list[Psl2Elt]) -> SpecialPolygon:
     """Build the polygon: one triangle per edge, boundary sides with exact
-    endpoints, the pairing involution and one generator per pair."""
-    graph = tree.graph
-    system: CosetSystem = graph.system
-    ss, su = graph.sigma_s, graph.sigma_u
-    cuts = tree.cuts
-    n = graph.n
+    endpoints, each paired with its partner by one generator.
 
-    feats = generator_features(ss, su, graph.edge_v0, cuts)
-    generators = materialize_generators(feats, dev, ss)
-    feature_index: dict[tuple, int] = {}
-    expected_order = {"cut": 0, "e2": 2, "e3": 3}
-    for i, (_, _, kind, data) in enumerate(feats):
-        gen, order = generators[i]
-        if order != expected_order[kind]:
-            raise ValueError(f"internal error: generator for {kind} has order {order}")
-        if not system.member(gen):
-            raise ValueError("internal error: emitted generator fails membership")
-        feature_index[(kind, data)] = i
+    The generator of a side comes from the label table: an even side of e
+    gets (i, -x) for s_gen[e] = (i, x), both halves of an axis at an
+    order-2 vertex get (i, +1), and the arc and vertical sides at an order-3
+    vertex get (i, +1) and (i, -1).  Elliptic partners are adjacent on the
+    boundary, the odd_inf and e3_arc side first; an even side of e pairs
+    with the even side of sigma_s(e)."""
+    graph = tree.graph
+    ss = graph.sigma_s
+    generators, s_gen, u_gen = _generator_table(graph, tree.cuts, dev)
+
+    slots = _walk_boundary(graph, tree.cuts)
+    # where each axis slot's first side will sit, so an even side can name
+    # its partner when it is made
+    axis_side: dict[int, int] = {}
+    m = 0
+    for e, k in slots:
+        if k == 2:
+            axis_side[e] = m
+        m += 2 if k == 2 and ss[e] == e else 1
+    if m != 2 * len(generators):
+        raise ValueError("internal error: unpaired boundary side")
 
     sides: list[Side] = []
-    slot_sides: dict[tuple, list[int]] = {}
-    for e, k in _walk_boundary(graph, cuts):
+    for e, k in slots:
         g = dev[e]
-        created = []
+        i = len(sides)
         # each cusp image is made once and gives both an endpoint and the
         # side geodesic
         if k == 0:
             zero = act_cusp(g, CUSP_ZERO)
             sides.append(_side("e3_arc", e, g, ("cusp", zero), ("ell", 3, act(g, RHO_POINT)),
-                               geodesic_between_cusps(zero, act_cusp(g, CUSP_TWO))))
-            created.append(len(sides) - 1)
+                               geodesic_between_cusps(zero, act_cusp(g, CUSP_TWO)),
+                               (i + 1) % m, (u_gen[e][0], 1)))
         elif k == 1:
             inf = act_cusp(g, CUSP_INF)
             sides.append(_side("e3_line", e, g, ("ell", 3, act(g, RHO_POINT)), ("cusp", inf),
-                               geodesic_between_cusps(act_cusp(g, CUSP_HALF), inf)))
-            created.append(len(sides) - 1)
+                               geodesic_between_cusps(act_cusp(g, CUSP_HALF), inf),
+                               (i - 1) % m, u_gen[e]))
         else:
             inf, zero = act_cusp(g, CUSP_INF), act_cusp(g, CUSP_ZERO)
             axis = geodesic_between_cusps(inf, zero)
+            gi, x = s_gen[e]
             if ss[e] == e:
                 vertex = ("ell", 2, act(g, I_POINT))
-                sides.append(_side("odd_inf", e, g, ("cusp", inf), vertex, axis))
-                sides.append(_side("odd_zero", e, g, vertex, ("cusp", zero), axis))
-                created.extend([len(sides) - 2, len(sides) - 1])
+                sides.append(_side("odd_inf", e, g, ("cusp", inf), vertex, axis, i + 1, (gi, 1)))
+                sides.append(_side("odd_zero", e, g, vertex, ("cusp", zero), axis, i, (gi, 1)))
             else:
-                sides.append(_side("even", e, g, ("cusp", inf), ("cusp", zero), axis))
-                created.append(len(sides) - 1)
-        slot_sides[(e, k)] = created
-
-    pairing = [-1] * len(sides)
-    for (e, k), idxs in slot_sides.items():
-        if k == 0:
-            i = idxs[0]
-            j = slot_sides[(e, 1)][0]
-            gi = feature_index[("e3", e)]
-            _pair(sides, pairing, i, j, gi, +1)
-        elif k == 2 and ss[e] == e:
-            i, j = idxs
-            gi = feature_index[("e2", e)]
-            _pair(sides, pairing, i, j, gi, +1, exp_back=+1)
-        elif k == 2 and ss[e] != e:
-            f = ss[e]
-            if (f, 2) in slot_sides and e < f:
-                i = idxs[0]
-                j = slot_sides[(f, 2)][0]
-                gi = feature_index[("cut", graph.edge_v0[e])]
-                _pair(sides, pairing, i, j, gi, +1)
-    if any(p < 0 for p in pairing):
-        raise ValueError("internal error: unpaired boundary side")
+                sides.append(_side("even", e, g, ("cusp", inf), ("cusp", zero), axis,
+                                   axis_side[ss[e]], (gi, -x)))
 
     constraints = _constraints_from_sides(sides, _BASE)
 
-    poly = SpecialPolygon(system, graph, tree, dev,
-                          [(e, dev[e]) for e in range(n)],
-                          sides, pairing, generators, feats, feature_index,
+    poly = SpecialPolygon(graph.system, graph, dev, sides, generators, s_gen, u_gen,
                           BASE_POINT, constraints)
     if not poly._contains(_BASE, strict=True):
         raise ValueError("internal error: base point is not interior")
     return poly
-
-
-def _pair(sides, pairing, i, j, gen_idx, exp_forward, exp_back=None):
-    pairing[i] = j
-    pairing[j] = i
-    sides[i].pair = j
-    sides[j].pair = i
-    sides[i].gen = gen_idx
-    sides[j].gen = gen_idx
-    sides[i].gen_exp = exp_forward
-    sides[j].gen_exp = -exp_forward if exp_back is None else exp_back
 
 
 def _constraints_from_sides(sides, base: Point):
@@ -447,15 +420,14 @@ def validate_special(poly: SpecialPolygon) -> list[str]:
     m = len(sides)
     n = poly.graph.n
 
-    if len(poly.triangles) != n:
-        out.append(f"triangle count {len(poly.triangles)} != index {n}")
+    if len(poly.dev) != n:
+        out.append(f"triangle count {len(poly.dev)} != index {n}")
     if m != 2 * len(poly.generators):
         out.append(f"side count {m} != 2 * {len(poly.generators)} generators")
 
-    pairing = poly.pairing
-    for i in range(m):
-        j = pairing[i]
-        if not 0 <= j < m or pairing[j] != i:
+    for i, side in enumerate(sides):
+        j = side.pair
+        if not 0 <= j < m or sides[j].pair != i:
             out.append(f"pairing is not an involution at side {i}")
             continue
         if j == i:
@@ -476,7 +448,7 @@ def validate_special(poly: SpecialPolygon) -> list[str]:
         if side.kind not in expected_partner:
             out.append(f"side {i} has unknown kind {side.kind}")
             continue
-        j = pairing[i]
+        j = side.pair
         if 0 <= j < m and sides[j].kind != expected_partner[side.kind]:
             out.append(f"side {i} ({side.kind}) paired with {sides[j].kind}")
         start_model, end_model = model_ends[side.kind]
@@ -493,8 +465,8 @@ def validate_special(poly: SpecialPolygon) -> list[str]:
 
     # each pairing generator maps its side onto the partner, reversing ends
     for i, side in enumerate(sides):
-        j = pairing[i]
-        if not 0 <= j < m or side.gen < 0:
+        j = side.pair
+        if not 0 <= j < m:
             continue
         gen = poly.generators[side.gen][0] ** side.gen_exp
         if _map_endpoint(gen, side.start) != sides[j].end or \
@@ -504,7 +476,7 @@ def validate_special(poly: SpecialPolygon) -> list[str]:
     # adjacency of elliptic pairs: partners meet at the elliptic vertex
     for i, side in enumerate(sides):
         if side.kind in ("odd_inf", "e3_arc"):
-            j = pairing[i]
+            j = side.pair
             if j != (i + 1) % m:
                 out.append(f"elliptic pair ({i}, {j}) is not adjacent on the boundary")
 
@@ -572,7 +544,7 @@ def to_json(poly: SpecialPolygon) -> str:
     extend_array(parts, map(_side_text, poly.sides), "  ")
     parts.append(',\n  "triangles": ')
     extend_array(parts, (f"[\n      {g.a},\n      {g.b},\n      {g.c},\n      {g.d}\n    ]"
-                         for _, g in poly.triangles), "  ")
+                         for g in poly.dev), "  ")
     parts.append("\n}\n")
     return "".join(parts)
 

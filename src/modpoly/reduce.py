@@ -201,10 +201,11 @@ def express_schreier(poly, g: Psl2Elt) -> GenWord:
     label.
 
     Letters that move along the developed spanning structure contribute
-    nothing; crossing a cut vertex or sitting at a fixed label emits the
-    corresponding side-pairing generator.  Membership is decided first, by
-    walking g's runs of T through the T-cycle table (one jump per run), so a
-    non-member is refused before any letter is expanded.
+    nothing; an S step across a cut vertex or from an S-fixed label, and a U
+    step from a U-fixed label, emit the syllable the polygon's s_gen / u_gen
+    table holds for that label.  Membership is decided first, by walking g's
+    runs of T through the T-cycle table (one jump per run), so a non-member
+    is refused before any letter is expanded.
     """
     system = poly.system
     runs = t_runs(g)
@@ -212,27 +213,19 @@ def express_schreier(poly, g: Psl2Elt) -> GenWord:
     if label != system.distinguished:
         raise _not_member(system, g, label)
     ss, su = system.sigma_s, system.sigma_u
-    edge_v0 = poly.graph.edge_v0
-    cuts = poly.cut_vertices
-    feat_pos = poly.feature_index
+    s_gen, u_gen = poly.s_gen, poly.u_gen
 
     word: GenWord = []
     for gen, e in su_word(runs):
         if gen == "S":
-            nxt = ss[label]
-            if nxt == label:
-                word.append((feat_pos[("e2", label)], 1))
-            elif edge_v0[label] in cuts:
-                orbit_min = min(label, nxt)
-                exp = -1 if label == orbit_min else 1
-                word.append((feat_pos[("cut", edge_v0[label])], exp))
-            label = nxt
+            if s_gen[label] is not None:
+                word.append(s_gen[label])
+            label = ss[label]
         else:
             for _ in range(e):
-                nxt = su[label]
-                if nxt == label:
-                    word.append((feat_pos[("e3", label)], -1))
-                label = nxt
+                if u_gen[label] is not None:
+                    word.append(u_gen[label])
+                label = su[label]
     word = reduce_word(word, poly.generators)
     if evaluate_word(poly.generators, word) != g:
         raise ValueError("internal error: rewritten word does not evaluate back")

@@ -7,6 +7,7 @@ completely separate computation.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
 from modpoly.cosets import build_system
@@ -201,6 +202,8 @@ def reference_p1_normalize(N, a, b):
     prime power q || N and lifted by CRT."""
     if N == 1:
         return (0, 0), 0
+    if gcd(a, b, N) != 1:
+        raise ValueError(f"({a}, {b}) is not coprime mod {N}")
     reps, units, moduli = [], [], []
     for p, q in prime_powers(N):
         x, y = a % q, b % q
@@ -280,6 +283,34 @@ def reference_system(family, N):
     return labels, sigmas[0], sigmas[1], index[base]
 
 
+def reference_gamma_system(N):
+    """(labels, sigma_s, sigma_u, distinguished) of Gamma(N), N >= 3, from
+    every matrix of SL2(Z/N): each is encoded by its two columns and their
+    sum, each taken up to sign, and the sorted distinct triples are the
+    labels; a letter acts by multiplying a representative matrix mod N."""
+    def xp(u, v):
+        return min((u % N, v % N), (-u % N, -v % N))
+
+    def triple(a, b, c, d):
+        return xp(a, c), xp(b, d), xp(a + b, c + d)
+
+    reps = {}
+    for a, b, c, d in product(range(N), repeat=4):
+        if (a * d - b * c) % N == 1:
+            reps.setdefault(triple(a, b, c, d), (a, b, c, d))
+    labels = sorted(reps)
+    index = {lab: i for i, lab in enumerate(labels)}
+    sigmas = []
+    for m in (S, U):
+        p, q, r, s = m.tuple()
+        sigma = []
+        for lab in labels:
+            a, b, c, d = reps[lab]
+            sigma.append(index[triple(a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)])
+        sigmas.append(sigma)
+    return labels, sigmas[0], sigmas[1], index[triple(1, 0, 0, 1)]
+
+
 # ---------------------------------------------------------------------------
 # reference JSON data: the dicts the writers serialised through json.dumps
 # before they became templates; the writer tests compare against
@@ -300,7 +331,7 @@ def reference_endpoint_data(endpoint):
 
 def reference_polygon_data(poly):
     return {
-        "triangles": [list(g.tuple()) for _, g in poly.triangles],
+        "triangles": [list(g.tuple()) for g in poly.dev],
         "sides": [
             {
                 "kind": s.kind,

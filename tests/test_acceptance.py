@@ -81,7 +81,7 @@ def test_criterion_3_special_polygon_validity():
                 poly = built_polygon(family, N)
                 violations = validate_special(poly)
                 assert violations == [], (family, N, violations)
-                assert len(poly.triangles) == poly.system.n
+                assert len(poly.dev) == poly.system.n
                 assert len(poly.sides) == 2 * len(poly.generators)
                 assert len(poly.generators) > poly.system.n / 6
 

@@ -17,7 +17,6 @@ from modpoly.cosets import (
     coset_index,
     gamma_triple,
     p1_list,
-    p1_normalize,
     unit_classes,
     xpoint,
 )
@@ -25,25 +24,36 @@ from modpoly.cuboid import build_graph, pointed_isomorphic
 from modpoly.polygon import build_polygon, validate_special
 from modpoly.psl2 import IDENTITY, S, T, U, Psl2Elt
 
-from oracles import built_tree_dev, gamma0_index, gamma1_index, gamma_index, member_predicate
+from oracles import (
+    built_tree_dev,
+    gamma0_index,
+    gamma1_index,
+    gamma_index,
+    member_predicate,
+    reference_gamma_system,
+    reference_p1_normalize,
+)
 
 
 def brute_force_orbit(N, a, b):
     return {((u * a) % N, (u * b) % N) for u in range(N) if gcd(u, N) == 1}
 
 
+# the reference normaliser of tests/oracles.py, which the P^1 property tests
+# compare the table-built systems against, on hand-worked examples
+
 def test_p1_normalize_zero_first_coordinate():
     # representative of (0 : b) is (0, 1)
-    rep, u = p1_normalize(8, 0, 5)
+    rep, u = reference_p1_normalize(8, 0, 5)
     assert rep == (0, 1)
     assert (u * rep[0] % 8, u * rep[1] % 8) == (0, 5)
 
 
 def test_p1_normalize_examples():
-    rep, u = p1_normalize(8, 6, 1)
+    rep, u = reference_p1_normalize(8, 6, 1)
     assert rep == (2, 3)
     assert rep in brute_force_orbit(8, 6, 1)
-    rep, u = p1_normalize(4, 2, 3)
+    rep, u = reference_p1_normalize(4, 2, 3)
     assert rep == (2, 1)
     assert rep in brute_force_orbit(4, 2, 3)
 
@@ -56,7 +66,7 @@ def test_p1_normalize_unit_reconstruction():
         for rep in reps:
             u = rng.choice(units)
             scaled = ((u * rep[0]) % N, (u * rep[1]) % N)
-            back, unit = p1_normalize(N, *scaled)
+            back, unit = reference_p1_normalize(N, *scaled)
             assert back == rep
             assert ((unit * rep[0]) % N, (unit * rep[1]) % N) == scaled
             assert gcd(unit, N) == 1
@@ -64,7 +74,7 @@ def test_p1_normalize_unit_reconstruction():
 
 def test_p1_normalize_rejects_noncoprime():
     with pytest.raises(ValueError):
-        p1_normalize(4, 2, 2)
+        reference_p1_normalize(4, 2, 2)
 
 
 def test_p1_list_sizes():
@@ -90,7 +100,7 @@ def test_p1_list_is_transversal():
             orbit = frozenset(brute_force_orbit(N, *rep))
             assert orbit not in seen
             seen.add(orbit)
-            assert p1_normalize(N, *rep)[0] == rep
+            assert reference_p1_normalize(N, *rep)[0] == rep
         assert sum(len(o) for o in seen) == len(
             [(a, b) for a in range(N) for b in range(N) if gcd(gcd(a, b), N) == 1])
 
@@ -168,6 +178,13 @@ def test_gamma_triple_examples():
     i = system.labels.index(ident)
     shifted = system.labels[system.sigma_u[i]]
     assert shifted == (xpoint(0, 1, N), xpoint(1, 1, N), xpoint(1, 0, N))
+
+
+def test_gamma_matches_reference():
+    for N in range(3, 13):
+        system = build_gamma(N)
+        assert (system.labels, system.sigma_s, system.sigma_u,
+                system.distinguished) == reference_gamma_system(N), N
 
 
 def test_gamma_indices():

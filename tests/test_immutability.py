@@ -1,11 +1,13 @@
-"""The polygon is immutable after construction: concurrent locate and
-express --trace queries give the sequential answers and leave every side
-exactly as it was built."""
+"""The polygon is immutable after construction: its sides refuse
+assignment, and concurrent locate and express --trace queries give the
+sequential answers and leave every side exactly as it was built."""
 
 import copy
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+
+import pytest
 
 from modpoly.cosets import build_system
 from modpoly.polygon import build_polygon
@@ -16,7 +18,7 @@ F = Fraction
 
 def test_threaded_queries_leave_the_polygon_unchanged():
     poly = build_polygon(build_system("gamma0", 13))
-    snapshot = copy.deepcopy([vars(side) for side in poly.sides])
+    snapshot = copy.deepcopy(poly.sides)
     attributes = set(vars(poly))
     gens = poly.generators
     points = [ExactPoint(F(x, 7), F(1, y)) for x in range(-20, 21, 3) for y in (2, 5, 11)]
@@ -36,5 +38,12 @@ def test_threaded_queries_leave_the_polygon_unchanged():
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected] * 4
-    assert [vars(side) for side in poly.sides] == snapshot
+    assert poly.sides == snapshot
     assert set(vars(poly)) == attributes
+
+
+def test_sides_refuse_assignment():
+    side = build_polygon(build_system("gamma0", 11)).sides[0]
+    for field, value in (("pair", 0), ("gen", 0), ("gen_exp", 1), ("lo", (0, 1))):
+        with pytest.raises(AttributeError):
+            setattr(side, field, value)

@@ -45,6 +45,6 @@ def test_array_layout_matches_json_dumps(rows):
 @pytest.mark.parametrize("kind", ["bogus", 'even"', ""])
 def test_unknown_side_kind_is_refused(kind):
     poly = polygon.build_polygon(build_system("gamma0", 11))
-    poly.sides[3].kind = kind
+    poly.sides[3] = poly.sides[3]._replace(kind=kind)
     with pytest.raises(ValueError, match="internal error"):
         polygon.to_json(poly)

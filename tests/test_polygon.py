@@ -65,7 +65,7 @@ def test_develop_is_schreier_transversal():
 
 def test_whole_group_polygon():
     poly = built_polygon("gamma0", 1)
-    assert len(poly.triangles) == 1
+    assert len(poly.dev) == 1
     assert [s.kind for s in poly.sides] == ["e3_arc", "e3_line", "odd_inf", "odd_zero"]
     gens = poly.generators
     assert len(gens) == 2
@@ -99,7 +99,7 @@ def test_validate_all_families_to_30():
         poly = built_polygon(family, N)
         assert validate_special(poly) == []
         inv = graph_invariants(poly.graph)
-        assert len(poly.triangles) == inv.n
+        assert len(poly.dev) == inv.n
         assert len(poly.sides) == 2 * len(poly.generators)
         assert len(poly.generators) == inv.n_generators
 
@@ -107,9 +107,9 @@ def test_validate_all_families_to_30():
 def test_validate_detects_corruption():
     poly = copy.deepcopy(built_polygon("gamma0", 11))
     i = next(i for i, s in enumerate(poly.sides) if s.kind == "even")
-    j = poly.pairing[i]
+    j = poly.sides[i].pair
     k = next(k for k in range(len(poly.sides)) if k not in (i, j))
-    poly.pairing[i] = k
+    poly.sides[i] = poly.sides[i]._replace(pair=k)
     violations = validate_special(poly)
     assert violations
 
@@ -217,8 +217,8 @@ def test_polygon_svg():
 def test_triangle_matrices_are_unique():
     for family, N in [("gamma0", 13), ("gamma", 5)]:
         poly = built_polygon(family, N)
-        mats = {g.tuple() for _, g in poly.triangles}
-        assert len(mats) == len(poly.triangles)
+        mats = {g.tuple() for g in poly.dev}
+        assert len(mats) == len(poly.dev)
 
 
 def test_pipeline_on_oracle_presented_subgroup():
