@@ -11,7 +11,6 @@ from .cosets import (
     build_gamma_upper0,
     build_gamma_upper1,
     build_system,
-    p1_list,
 )
 from .cuboid import CuboidGraph, SurfaceInvariants, build_graph, graph_invariants, is_normal, pointed_isomorphic
 from .polygon import SpecialPolygon, assemble, build_polygon, cut_to_tree, develop, validate_special

@@ -79,6 +79,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--trace", action="store_true",
                    help="use the geodesic tracer instead of coset rewriting")
     p.add_argument("--output", default=None)
+    _add_stats(p)
 
     p = subs.add_parser("locate", help="reduce a point into the fundamental polygon")
     _add_group_args(p)
@@ -86,6 +87,7 @@ def _build_parser() -> _Parser:
                    help="rational x, e.g. 3/7 (write --x=-3/7 for negatives)")
     p.add_argument("--y", required=True, help="rational y > 0, e.g. 5/2")
     p.add_argument("--output", default=None)
+    _add_stats(p)
 
     p = subs.add_parser("bench", help="build-time scaling rows (level, index, seconds)")
     p.add_argument("--group", required=True, choices=FAMILIES)
@@ -174,32 +176,36 @@ def _dispatch(args) -> int:
     _check_level(args.level)
     if cmd in ("graph", "polygon", "generators", "invariants"):
         return _cmd_build(args)
-    system = _build_system(args.group, args.level, args.max_index)
+    return _cmd_query(args)
 
-    if cmd == "express":
+
+def _cmd_query(args) -> int:
+    """express and locate: build the polygon layer by layer, then answer
+    the one query, each step timed for --stats."""
+    seconds: dict[str, float] = {}
+    system = _timed(seconds, "system", _build_system, args.group, args.level, args.max_index)
+    if args.command == "express":
         try:
             g = parse_matrix(args.matrix)
         except ValueError as err:
             raise UsageError(str(err)) from None
-        poly = polygon.build_polygon(system)
-        word = express(poly, g, use_trace=args.trace)
+    else:
+        x, y = _frac(args.x), _frac(args.y)
+        if y <= 0:
+            raise UsageError("--y must be positive (point must lie in the upper half-plane)")
+        z = ExactPoint(x, y)
+    poly = _build_polygon(system, seconds)
+
+    if args.command == "express":
+        word = _timed(seconds, "query", express, poly, g, args.trace)
         check = evaluate_word(poly.generators, word)
         if check != g:
             raise RuntimeError("internal error: word does not evaluate back")
         data = {"word": [[i, e] for i, e in word],
                 "matrix": list(g.tuple()),
                 "evaluates_to": list(check.tuple())}
-        _emit(_dumps(data), args.output)
-        return 0
-
-    if cmd == "locate":
-        x = _frac(args.x)
-        y = _frac(args.y)
-        if y <= 0:
-            raise UsageError("--y must be positive (point must lie in the upper half-plane)")
-        poly = polygon.build_polygon(system)
-        z = ExactPoint(x, y)
-        w, word = locate_point(poly, z)
+    else:
+        w, word = _timed(seconds, "query", locate_point, poly, z)
         g = evaluate_word(poly.generators, word)
         if act_point(g, w) != z:
             raise RuntimeError("internal error: locate postcondition failed")
@@ -209,10 +215,12 @@ def _dispatch(args) -> int:
             "word": [[i, e] for i, e in word],
             "element": list(g.tuple()),
         }
-        _emit(_dumps(data), args.output)
-        return 0
-
-    raise UsageError(f"unknown command {cmd!r}")
+    _emit(_dumps(data), args.output)
+    if args.stats:
+        _write_stats(args, seconds, {"index": system.n, "sides": len(poly.sides),
+                                     "generators": len(poly.generators),
+                                     "syllables": len(word)})
+    return 0
 
 
 def _cmd_build(args) -> int:

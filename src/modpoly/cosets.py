@@ -248,11 +248,6 @@ def _p1_line(N: int, letters=(), unit_exponent: int = 0):
     return labels, actions
 
 
-def p1_list(N: int) -> list[tuple[int, int]]:
-    """All canonical representatives of P^1(Z/N), sorted."""
-    return _p1_line(N)[0]
-
-
 def unit_classes(N: int) -> list[int]:
     """Canonical unit representatives mod +-1: min(u, N - u)."""
     if N == 1:

@@ -144,6 +144,12 @@ def pointed_isomorphic(g1: CuboidGraph, g2: CuboidGraph) -> bool:
                       g2.sigma_s, g2.sigma_u, g2.distinguished, g1.n) is not None
 
 
+# a vertex orbit as the JSON array that opens at indent 4, one template per
+# orbit length: an S-orbit has one or two edges, a U-orbit one or three
+_ORBIT = (None, "[\n      %d\n    ]", "[\n      %d,\n      %d\n    ]",
+          "[\n      %d,\n      %d,\n      %d\n    ]")
+
+
 def to_json(graph: CuboidGraph) -> str:
     """The graph's permutations, distinguished edge and vertex orbits, laid
     out by the template writer of ``jsonout``: byte for byte the text of
@@ -151,9 +157,9 @@ def to_json(graph: CuboidGraph) -> str:
     parts = [f'{{\n  "distinguished": {graph.distinguished},\n  "n": {graph.n},\n  "sigma_S": ',
              int_array(graph.sigma_s, "  "), ',\n  "sigma_U": ', int_array(graph.sigma_u, "  "),
              ',\n  "v0": ']
-    extend_array(parts, (int_array(orbit, "    ") for orbit in graph.v0), "  ")
+    extend_array(parts, (_ORBIT[len(orbit)] % tuple(orbit) for orbit in graph.v0), "  ")
     parts.append(',\n  "v1": ')
-    extend_array(parts, (int_array(orbit, "    ") for orbit in graph.v1), "  ")
+    extend_array(parts, (_ORBIT[len(orbit)] % tuple(orbit) for orbit in graph.v1), "  ")
     parts.append("\n}\n")
     return "".join(parts)
 

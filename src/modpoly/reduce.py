@@ -238,6 +238,52 @@ def _not_member(system, g: Psl2Elt, label: int) -> MembershipError:
 
 
 # ---------------------------------------------------------------------------
+# locating a point: one reduction into the base triangle, one coset lookup
+
+def locate_point(poly, z: ExactPoint) -> tuple[ExactPoint, GenWord]:
+    """Find w in the fundamental polygon and a word evaluating to g with
+    g * w = z, by one reduction into the base triangle and one coset lookup.
+
+    z's triple is reduced into Delta = (0, e^(i pi/3), infinity) by integer
+    translations and inversions, keeping h with z = h * w0.  The coset e of
+    h gives w = dev[e] * w0, a point of the polygon's triangle
+    dev[e] * Delta, and gamma = h * dev[e]^-1, a member of the subgroup
+    with gamma * w = z, which Schreier rewriting writes as a word.  The work
+    grows with the bit length of z and of gamma, not with the index.
+    """
+    w0, h = _reduce_to_base_triangle(lift(z.x, z.y**2))
+    g = poly.dev[poly.system.coset(h)]
+    return _exact_point(act(g, w0)), express_schreier(poly, h * g.inv())
+
+
+def _reduce_to_base_triangle(point: Point) -> tuple[Point, Psl2Elt]:
+    """(w0, h) with point = h * w0 and w0 in Delta = (0, e^(i pi/3), infinity).
+
+    The loop reaches the standard domain |x| <= 1/2, |z| >= 1: translate by
+    T^-j for j the nearest integer to x, and invert by S while |z| < 1.  A
+    final S folds its left half x < 0 onto the triangle (0, i, e^(i pi/3))
+    of Delta.  The inversions follow the nearest-integer continued fraction
+    of z, so their number is linear in the bit length of the triple."""
+    n, m, k = point
+    a, b, c, d = 1, 0, 0, 1     # h = [[a, b], [c, d]]
+    while True:
+        j = (2 * m + k) // (2 * k)
+        if j:
+            # (n, m, k) -> T^-j (n, m, k), h -> h * T^j
+            n, m = n - 2 * j * m + j * j * k, m - j * k
+            b, d = b + j * a, d + j * c
+        if n >= k:
+            break
+        # (n, m, k) -> S (n, m, k), h -> h * S
+        n, m, k = k, -m, n
+        a, b, c, d = b, -a, d, -c
+    if m < 0:
+        n, m, k = k, -m, n
+        a, b, c, d = b, -a, d, -c
+    return (n, m, k), Psl2Elt._make(a, b, c, d)
+
+
+# ---------------------------------------------------------------------------
 # geodesic tracing (the geometric reduction procedure)
 
 # base points x + i, all interior to the root triangle, as the triples
@@ -248,9 +294,10 @@ BASE_POINTS: list[Point] = [(p * p + q * q, p * q, q * q) for p, q in
 _MAX_TRACE_STEPS = 100000
 
 
-def locate_point(poly, z: ExactPoint) -> tuple[ExactPoint, GenWord]:
-    """Find w in the fundamental polygon and a word evaluating to g with
-    g * w = z, by tracing the geodesic from an interior base point to z."""
+def _locate_by_trace(poly, z: ExactPoint) -> tuple[ExactPoint, GenWord]:
+    """locate_point by the geometric reduction procedure: trace the geodesic
+    from an interior base point to z, pulling z back across each side it
+    crosses.  express(use_trace=True) runs this independent route."""
     target = lift(z.x, z.y**2)
     if poly._contains(target):
         return z, []
@@ -287,7 +334,7 @@ def express(poly, g: Psl2Elt, use_trace: bool = False) -> GenWord:
     if label != poly.system.distinguished:
         raise _not_member(poly.system, g, label)
     z = act_point(g, poly.base_point)
-    w, word = locate_point(poly, z)
+    w, word = _locate_by_trace(poly, z)
     if w != poly.base_point or evaluate_word(poly.generators, word) != g:
         raise ValueError("internal error: trace did not reproduce the element")
     return word

@@ -200,6 +200,11 @@ def test_max_index_option(capsys):
     assert code == 0 and json.loads(out)["index"] == 12
 
 
+QUERY_LAYERS = ["assemble", "develop", "graph", "query", "system", "tree"]
+QUERY_COUNTS = ["generators", "index", "sides", "syllables"]
+QUERY_INPUTS = {"express": ["--matrix", "1,1,0,1"], "locate": ["--x", "5/2", "--y", "1/7"]}
+
+
 @pytest.mark.parametrize("command, layers, counts", [
     ("graph", ["graph", "system", "write"], ["index"]),
     ("polygon", ["assemble", "develop", "graph", "system", "tree", "write"],
@@ -207,9 +212,13 @@ def test_max_index_option(capsys):
     ("generators", ["assemble", "develop", "graph", "system", "tree", "write"],
      ["generators", "index", "sides"]),
     ("invariants", ["graph", "invariants", "system", "write"], ["generators", "index"]),
+    ("express", QUERY_LAYERS, QUERY_COUNTS),
+    ("express --trace", QUERY_LAYERS, QUERY_COUNTS),
+    ("locate", QUERY_LAYERS, QUERY_COUNTS),
 ])
 def test_stats_leave_stdout_unchanged(capsys, command, layers, counts):
-    argv = [command, "--group", "gamma0", "--level", "11"]
+    command, *flags = command.split()
+    argv = [command, "--group", "gamma0", "--level", "11", *QUERY_INPUTS.get(command, []), *flags]
     code, plain, plain_err = run(capsys, *argv)
     assert (code, plain_err) == (0, "")
     code, out, err = run(capsys, *argv, "--stats")
@@ -222,5 +231,7 @@ def test_stats_leave_stdout_unchanged(capsys, command, layers, counts):
     assert sorted(set(stats) - {"command", "group", "level", "seconds", "peak_rss_mb"}) == counts
     assert (stats["command"], stats["group"], stats["level"]) == (command, "gamma0", 11)
     assert stats["peak_rss_mb"] > 0
-    if command == "polygon":
+    if command not in ("graph", "invariants"):
         assert (stats["sides"], stats["generators"]) == (6, 3)
+    if command in ("express", "locate"):
+        assert stats["syllables"] == len(json.loads(out)["word"])

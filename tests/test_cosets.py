@@ -7,6 +7,7 @@ import modpoly.cosets as cosets
 from modpoly.cosets import (
     FAMILIES,
     MembershipError,
+    _p1_line,
     build_from_oracle,
     build_gamma,
     build_gamma0,
@@ -16,7 +17,6 @@ from modpoly.cosets import (
     build_system,
     coset_index,
     gamma_triple,
-    p1_list,
     unit_classes,
     xpoint,
 )
@@ -61,7 +61,7 @@ def test_p1_normalize_examples():
 def test_p1_normalize_unit_reconstruction():
     rng = random.Random(11)
     for N in range(2, 101):
-        reps = p1_list(N)
+        reps = _p1_line(N)[0]
         units = [u for u in range(1, N) if gcd(u, N) == 1]
         for rep in reps:
             u = rng.choice(units)
@@ -78,14 +78,14 @@ def test_p1_normalize_rejects_noncoprime():
 
 
 def test_p1_list_sizes():
-    assert len(p1_list(4)) == 6
-    assert p1_list(1) == [(0, 0)]
-    assert len(p1_list(12)) == 24
+    assert len(_p1_line(4)[0]) == 6
+    assert _p1_line(1)[0] == [(0, 0)]
+    assert len(_p1_line(12)[0]) == 24
 
 
 def test_p1_list_is_transversal():
     for N in range(1, 40):
-        reps = p1_list(N)
+        reps = _p1_line(N)[0]
         # size formula N * prod(1 + 1/p)
         from modpoly.modint import factorize
         expected = N

@@ -1,8 +1,9 @@
 """Points move as integer triples: assembling a polygon and stepping the
-geodesic tracer construct no Fraction, and locate_point constructs the same
-number of them (lifting its input, returning its result) however many steps
-its trace takes.  Constructions are counted as calls of Fraction.__new__
-seen by a profile hook."""
+geodesic tracer construct no Fraction, and each locate route constructs a
+fixed number of them (lifting its input, returning its result): the tracer
+however many steps it takes, and locate_point whatever the point.
+Constructions are counted as calls of Fraction.__new__ seen by a profile
+hook."""
 
 import random
 import sys
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from modpoly.polygon import assemble
-from modpoly.reduce import BASE_POINTS, ExactPoint, _trace, lift, locate_point
+from modpoly.reduce import BASE_POINTS, ExactPoint, _locate_by_trace, _trace, lift, locate_point
 
 from oracles import built_polygon, built_tree_dev
 
@@ -46,7 +47,8 @@ def test_assemble_constructs_no_fraction(family, level):
 def test_trace_and_locate_fraction_count_is_fixed():
     poly = built_polygon("gamma0", 13)
     rng = random.Random(31)
-    counts_by_steps: dict[int, set[int]] = {}
+    traced_by_steps: dict[int, set[int]] = {}
+    located: set[int] = set()
     for _ in range(60):
         z = ExactPoint(Fraction(rng.randint(-90, 90), rng.randint(1, 12)),
                        Fraction(rng.randint(1, 12), rng.randint(1, 30)))
@@ -56,7 +58,10 @@ def test_trace_and_locate_fraction_count_is_fixed():
         steps = []
         count, _ = fraction_constructions(_trace, poly, BASE_POINTS[0], target, record=steps)
         assert count == 0
+        count, _ = fraction_constructions(_locate_by_trace, poly, z)
+        traced_by_steps.setdefault(len(steps), set()).add(count)
         count, _ = fraction_constructions(locate_point, poly, z)
-        counts_by_steps.setdefault(len(steps), set()).add(count)
-    assert len(counts_by_steps) >= 3
-    assert len(set().union(*counts_by_steps.values())) == 1, counts_by_steps
+        located.add(count)
+    assert len(traced_by_steps) >= 3
+    assert len(set().union(*traced_by_steps.values())) == 1, traced_by_steps
+    assert len(located) == 1, located

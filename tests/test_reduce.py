@@ -10,6 +10,7 @@ from modpoly.psl2 import IDENTITY, S, T, U, Psl2Elt
 from modpoly.reduce import (
     ExactPoint,
     Geodesic,
+    _locate_by_trace,
     act,
     act_point,
     evaluate_word,
@@ -134,10 +135,11 @@ def test_locate_point_through_order3_vertex():
     # the geodesic from (1/4, 1) through the corner at x = 1/2 hits (7/8, 3/8)
     poly = built_polygon("gamma0", 1)
     z = ExactPoint(F(7, 8), F(3, 8))
-    w, word = locate_point(poly, z)
-    g = evaluate_word(poly.generators, word)
-    assert act_point(g, w) == z
-    assert poly.contains(w.x, w.y**2)
+    for locate in (locate_point, _locate_by_trace):
+        w, word = locate(poly, z)
+        g = evaluate_word(poly.generators, word)
+        assert act_point(g, w) == z
+        assert poly.contains(w.x, w.y**2)
 
 
 def test_locate_point_random_targets():
@@ -256,7 +258,7 @@ def test_trace_hits_order2_vertices_exactly():
             if order != 2:
                 continue
             z = act_point(g, z0)
-            w, word = locate_point(poly, z)
+            w, word = _locate_by_trace(poly, z)
             assert act_point(evaluate_word(gens, word), w) == z
             assert poly.contains(w.x, w.y**2)
 

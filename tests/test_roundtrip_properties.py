@@ -1,21 +1,30 @@
 """Round-trip properties of the two query paths over random families,
-levels and rational points: locate_point returns a point w of the polygon
-and a word whose value gamma is in the subgroup with gamma * w = z, and for
-random members the traced word of express equals the Schreier word (both
-are the unique normal form in the independent generators).  The tracer,
-run from the first strictly interior base point, reaches random points and
-points just beyond every elliptic vertex with no restart: locate_point's
-retry from the next base point would otherwise hide a wrong crossing."""
+levels and rational points: locate_point, which reduces a point into the
+base triangle and looks up one coset, returns a point w of the polygon and
+a word in normal form whose value gamma is in the subgroup with
+gamma * w = z, also at boundary points, at and next to elliptic vertices
+and near cusps; wherever the tracer's answer is strictly interior, the two
+routes return the same pair (an interior point has one representative and
+one gamma); and for random members the traced word of express equals the
+Schreier word (both are the unique normal form in the independent
+generators).  The tracer, run from the first strictly interior base point,
+reaches random points, points just beyond every elliptic vertex and the
+boundary, vertex and near-cusp points with no restart: _locate_by_trace's
+retry from the next base point would otherwise hide a wrong crossing.
+locate_point rests on coset(dev[e]) == e and never tests a polygon side."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from hypothesis import example, given, settings, strategies as st
 
 from modpoly.cosets import FAMILIES
+from modpoly.polygon import SpecialPolygon
+from modpoly.psl2 import IDENTITY, S, U
 from modpoly.reduce import (
     BASE_POINTS,
     ExactPoint,
+    _locate_by_trace,
     _trace,
     act,
     act_point,
@@ -38,16 +47,33 @@ points = st.builds(ExactPoint,
 BOUNDED = settings(max_examples=150, deadline=None)
 
 
-@BOUNDED
-@given(groups, points)
-@example(("gamma0", 1), ExactPoint(Fraction(7, 8), Fraction(3, 8)))
-def test_locate_returns_a_polygon_point_and_a_member(group, z):
-    poly = built_polygon(*group)
-    w, word = locate_point(poly, z)
-    gamma = evaluate_word(poly.generators, word)
+def assert_located(poly, z, w, word):
+    gens = poly.generators
+    gamma = evaluate_word(gens, word)
     assert poly.contains(w.x, w.y**2)
     assert act_point(gamma, w) == z
     assert poly.system.member(gamma)
+    assert reduce_word(word, gens) == word
+
+
+@BOUNDED
+@given(groups, points)
+@example(("gamma0", 1), ExactPoint(Fraction(7, 8), Fraction(3, 8)))
+@example(("gamma0", 1009), ExactPoint(Fraction(0), Fraction(1, 2)))
+@example(("gamma0", 1009), ExactPoint(Fraction(-1), Fraction(1, 5)))
+def test_locate_returns_a_polygon_point_and_a_member(group, z):
+    poly = built_polygon(*group)
+    assert_located(poly, z, *locate_point(poly, z))
+
+
+@BOUNDED
+@given(groups, points)
+def test_locate_agrees_with_the_tracer_at_interior_points(group, z):
+    poly = built_polygon(*group)
+    w, word = locate_point(poly, z)
+    traced_w, traced_word = _locate_by_trace(poly, z)
+    if poly._contains(lift(traced_w.x, traced_w.y**2), strict=True):
+        assert (w, word) == (traced_w, traced_word)
 
 
 @BOUNDED
@@ -82,14 +108,17 @@ def _half_turn(vertex, point):
     return tuple(x // g for x in out)
 
 
-@BOUNDED
-@given(groups, points)
-def test_trace_reaches_random_points_without_restart(group, z):
-    poly = built_polygon(*group)
+def assert_traced_without_restart(poly, z):
     target = lift(z.x, z.y**2)
     w, word = _trace(poly, _first_base_point(poly), target)
     assert poly._contains(w)
     assert act(evaluate_word(poly.generators, word), w) == target
+
+
+@BOUNDED
+@given(groups, points)
+def test_trace_reaches_random_points_without_restart(group, z):
+    assert_traced_without_restart(built_polygon(*group), z)
 
 
 @BOUNDED
@@ -106,3 +135,105 @@ def test_trace_passes_elliptic_vertices_without_restart(group):
         w, word = _trace(poly, source, target)
         assert poly._contains(w)
         assert act(evaluate_word(poly.generators, word), w) == target
+
+
+def _random_member(poly, data):
+    gens = poly.generators
+    syllables = st.tuples(st.integers(0, len(gens) - 1), st.sampled_from([-2, -1, 1, 2]))
+    return evaluate_word(gens, data.draw(st.lists(syllables, max_size=4)))
+
+
+def _model_point(kind, t):
+    """A point on the side of Delta that a side of this kind copies: the
+    axis (0, infinity), split at i, or the vertical side x = 1/2 above
+    e^(i pi/3), which U maps onto the arc from e^(i pi/3) to 0."""
+    if kind == "even":
+        return ExactPoint(0, t)
+    if kind == "odd_inf":
+        return ExactPoint(0, 1 + t)
+    if kind == "odd_zero":
+        return ExactPoint(0, 1 / (1 + t))
+    line = ExactPoint(Fraction(1, 2), Fraction(7, 8) + t)
+    return line if kind == "e3_line" else act_point(U, line)
+
+
+@BOUNDED
+@given(groups, st.data(), st.fractions(min_value=Fraction(1, 40), max_value=50,
+                                       max_denominator=40))
+def test_locate_boundary_points(group, data, t):
+    poly = built_polygon(*group)
+    side = poly.sides[data.draw(st.integers(0, len(poly.sides) - 1))]
+    z = act_point(side.carrier, _model_point(side.kind, t))
+    assert poly.contains(z.x, z.y**2)
+    z = act_point(_random_member(poly, data), z)
+    assert_located(poly, z, *locate_point(poly, z))
+    assert_traced_without_restart(poly, z)
+
+
+def _near_rho(digits):
+    """Rational points just below and just above e^(i pi/3) on x = 1/2,
+    which is irrational and so not an ExactPoint."""
+    q = 10**digits
+    y = Fraction(isqrt(3 * q * q), 2 * q)
+    return ExactPoint(Fraction(1, 2), y), ExactPoint(Fraction(1, 2), y + Fraction(1, q))
+
+
+@BOUNDED
+@given(groups, st.data(), st.integers(1, 12))
+def test_locate_at_and_next_to_elliptic_vertices(group, data, digits):
+    poly = built_polygon(*group)
+    gamma = _random_member(poly, data)
+    for side in poly.sides:
+        if side.ell_order == 2:
+            model = [ExactPoint(0, 1)]
+        elif side.ell_order == 3:
+            model = _near_rho(digits)
+        else:
+            continue
+        for p in model:
+            z = act_point(gamma * side.carrier, p)
+            assert_located(poly, z, *locate_point(poly, z))
+            assert_traced_without_restart(poly, z)
+
+
+@BOUNDED
+@given(groups, st.data(),
+       st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=30),
+       st.integers(3, 40))
+def test_locate_near_cusps(group, data, x, height_bits):
+    # a point high above Delta, or its image under S next to 0, moved by a
+    # triangle's developing matrix next to that triangle's cusp
+    poly = built_polygon(*group)
+    e = data.draw(st.integers(0, len(poly.dev) - 1))
+    g = poly.dev[e] * data.draw(st.sampled_from([IDENTITY, S]))
+    z = act_point(_random_member(poly, data) * g, ExactPoint(x, 2**height_bits))
+    assert_located(poly, z, *locate_point(poly, z))
+    assert_traced_without_restart(poly, z)
+
+
+def test_coset_of_each_developing_matrix_is_its_label():
+    for family in FAMILIES:
+        for level in range(1, 9 if family == "gamma" else 14):
+            poly = built_polygon(family, level)
+            assert [poly.system.coset(g) for g in poly.dev] == list(range(len(poly.dev)))
+
+
+def test_locate_never_tests_a_side(monkeypatch):
+    calls = 0
+    contains = SpecialPolygon._contains
+
+    def counting(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return contains(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpecialPolygon, "_contains", counting)
+    poly = built_polygon("gamma0", 13)
+    zs = [poly.base_point, ExactPoint(Fraction(7, 8), Fraction(3, 8)),
+          ExactPoint(Fraction(-41, 3), Fraction(1, 97))]
+    for z in zs:
+        locate_point(poly, z)
+    assert calls == 0
+    for z in zs:
+        _locate_by_trace(poly, z)
+    assert calls > 0
