@@ -196,8 +196,11 @@ def _cmd_query(args) -> int:
         z = ExactPoint(x, y)
     poly = _build_polygon(system, seconds)
 
+    counts = {"index": system.n, "sides": len(poly.sides), "generators": len(poly.generators)}
     if args.command == "express":
-        word = _timed(seconds, "query", express, poly, g, args.trace)
+        trace = {"trace_steps": 0, "trace_restarts": 0} if args.trace else None
+        word = _timed(seconds, "query", express, poly, g, args.trace, trace)
+        counts.update(trace or {})
         check = evaluate_word(poly.generators, word)
         if check != g:
             raise RuntimeError("internal error: word does not evaluate back")
@@ -217,9 +220,7 @@ def _cmd_query(args) -> int:
         }
     _emit(_dumps(data), args.output)
     if args.stats:
-        _write_stats(args, seconds, {"index": system.n, "sides": len(poly.sides),
-                                     "generators": len(poly.generators),
-                                     "syllables": len(word)})
+        _write_stats(args, seconds, {**counts, "syllables": len(word)})
     return 0
 
 

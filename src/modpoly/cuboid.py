@@ -132,8 +132,13 @@ def distinguished_edge_orbit(graph: CuboidGraph) -> list[int]:
 
 def is_normal(graph: CuboidGraph) -> bool:
     """The subgroup is normal iff the automorphism group moves the
-    distinguished edge onto every edge."""
-    return len(distinguished_edge_orbit(graph)) == graph.n
+    distinguished edge r onto every edge.  Automorphisms commute with
+    sigma_s and sigma_u, which act transitively, so that holds as soon as
+    automorphisms send r to sigma_s(r) and to sigma_u(r): two propagations,
+    linear in the index."""
+    ss, su = graph.sigma_s, graph.sigma_u
+    r = graph.distinguished
+    return all(_propagate(ss, su, r, ss, su, e, graph.n) is not None for e in (ss[r], su[r]))
 
 
 def pointed_isomorphic(g1: CuboidGraph, g2: CuboidGraph) -> bool:

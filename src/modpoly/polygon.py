@@ -236,10 +236,20 @@ class SpecialPolygon:
     """Fundamental polygon: one triangle dev[e] * (0, e^(i pi/3), infinity)
     per edge, the boundary sides with their pairing, and an independent
     generator per pairing orbit.  s_gen and u_gen give, per label, the
-    generator syllable an S or U step emits (see _generator_table)."""
+    generator syllable an S or U step emits (see _generator_table).
+
+    The polygon is convex and has infinity as a vertex, so its boundary
+    runs from infinity down the left wall (the side numbered left_wall),
+    along the real axis in increasing x and up the right wall (the side
+    before it).  Vertex j, the end of side (left_wall + j) mod M for
+    j < M - 1, is finite, and its x never decreases in j; it stays put only
+    along a vertical half of a wall split at an order-2 vertex.  Over the x
+    range of each side between the walls the polygon is the part of the
+    plane above that side's semicircle, so membership is a bisection on x
+    and one or two dot products."""
 
     def __init__(self, system, graph, dev, sides, generators, s_gen, u_gen,
-                 base_point, constraints):
+                 base_point, left_wall):
         self.system = system
         self.graph = graph
         self.dev = dev
@@ -248,21 +258,63 @@ class SpecialPolygon:
         self.s_gen = s_gen
         self.u_gen = u_gen
         self.base_point = base_point
-        self.constraints = constraints
+        self.left_wall = left_wall
 
     def contains(self, x: Fraction, y2: Fraction, strict: bool = False) -> bool:
         """Exact membership of a point given as (x, y^2)."""
         return self._contains(lift(x, y2), strict)
 
     def _contains(self, point: Point, strict: bool = False) -> bool:
-        """Exact membership of a point triple: a nonnegative (with strict, a
-        positive) dot product with every constraint."""
+        """Exact membership of a point triple (with strict, in the interior)."""
+        return self._excluding_side(point, strict) is None
+
+    def _excluding_side(self, point: Point, strict: bool = False) -> Side | None:
+        """A boundary side that the point triple (n, m, k) lies beyond (with
+        strict, beyond or on), or None when the point is in the polygon.
+
+        A bisection on x = m/k finds the first vertex j with x_j >= x; the
+        point is then above the polygon's boundary exactly when it is
+        outside or on the circle of side j, whose triple (a > 0) is its own
+        constraint.  At x = x_j the next side, which meets side j there, is
+        tested too: a wall's vertical line, where the dot product is 0,
+        stays out of the interior.  Left of the first vertex the left wall
+        excludes the point, right of the last the right wall does."""
         n, m, k = point
-        for a, b, c in self.constraints:
+        sides, left = self.sides, self.left_wall
+        count = len(sides)
+        # d has the sign of x_hi - x (cross-multiplied); it stays -1 while
+        # hi is past the last finite vertex
+        lo, hi, d = 0, count - 1, -1
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            end = sides[(left + mid) % count].end
+            if end[0] == "cusp":
+                c = end[1]
+                dm = c.p * k - m * c.q
+            else:
+                _, p, q = end[2]
+                dm = p * k - m * q
+            if dm < 0:
+                lo = mid + 1
+            else:
+                hi, d = mid, dm
+        if d < 0:
+            return sides[left - 1]
+        i = (left + hi) % count
+        side = sides[i]
+        if hi == 0 and d > 0:
+            return side
+        a, b, c = side.geodesic
+        v = a * n + b * m + c * k
+        if v < 0 or (strict and v == 0):
+            return side
+        if d == 0:
+            side = sides[(i + 1) % count]
+            a, b, c = side.geodesic
             v = a * n + b * m + c * k
             if v < 0 or (strict and v == 0):
-                return False
-        return True
+                return side
+        return None
 
     def __repr__(self):
         return (f"SpecialPolygon(n={len(self.dev)}, sides={len(self.sides)}, "
@@ -351,6 +403,9 @@ def assemble(tree: CutTree, dev: list[Psl2Elt]) -> SpecialPolygon:
         raise ValueError("internal error: unpaired boundary side")
 
     sides: list[Side] = []
+    # the side that leaves infinity, an e3_arc or an axis side: the boundary
+    # in x order starts there
+    left_wall = None
     for e, k in slots:
         g = dev[e]
         i = len(sides)
@@ -358,6 +413,8 @@ def assemble(tree: CutTree, dev: list[Psl2Elt]) -> SpecialPolygon:
         # side geodesic
         if k == 0:
             zero = act_cusp(g, CUSP_ZERO)
+            if zero.q == 0:
+                left_wall = i
             sides.append(_side("e3_arc", e, g, ("cusp", zero), ("ell", 3, act(g, RHO_POINT)),
                                geodesic_between_cusps(zero, act_cusp(g, CUSP_TWO)),
                                (i + 1) % m, (u_gen[e][0], 1)))
@@ -369,6 +426,8 @@ def assemble(tree: CutTree, dev: list[Psl2Elt]) -> SpecialPolygon:
         else:
             inf, zero = act_cusp(g, CUSP_INF), act_cusp(g, CUSP_ZERO)
             axis = geodesic_between_cusps(inf, zero)
+            if inf.q == 0:
+                left_wall = i
             gi, x = s_gen[e]
             if ss[e] == e:
                 vertex = ("ell", 2, act(g, I_POINT))
@@ -378,27 +437,13 @@ def assemble(tree: CutTree, dev: list[Psl2Elt]) -> SpecialPolygon:
                 sides.append(_side("even", e, g, ("cusp", inf), ("cusp", zero), axis,
                                    axis_side[ss[e]], (gi, -x)))
 
-    constraints = _constraints_from_sides(sides, _BASE)
-
+    if left_wall is None:
+        raise ValueError("internal error: no side leaves infinity")
     poly = SpecialPolygon(graph.system, graph, dev, sides, generators, s_gen, u_gen,
-                          BASE_POINT, constraints)
+                          BASE_POINT, left_wall)
     if not poly._contains(_BASE, strict=True):
         raise ValueError("internal error: base point is not interior")
     return poly
-
-
-def _constraints_from_sides(sides, base: Point):
-    """One integer triple per distinct side geodesic, signed so that its dot
-    product with the base point triple is positive."""
-    n, m, k = base
-    out = []
-    for geod in dict.fromkeys(side.geodesic for side in sides):
-        a, b, c = geod
-        v = a * n + b * m + c * k
-        if v == 0:
-            raise ValueError("internal error: base point lies on a side geodesic")
-        out.append(geod if v > 0 else (-a, -b, -c))
-    return out
 
 
 def build_polygon(system: CosetSystem) -> SpecialPolygon:
@@ -463,6 +508,25 @@ def validate_special(poly: SpecialPolygon) -> list[str]:
         if side.end != nxt.start:
             out.append(f"boundary gap between side {i} and side {(i + 1) % m}")
 
+    # from the side that leaves infinity, finite vertex x increases along
+    # every semicircle side and stays put only along the vertical half of a
+    # wall split at an order-2 vertex, the second or the second to last side
+    left = poly.left_wall
+    if not 0 <= left < m or sides[left].start != ("cusp", CUSP_INF):
+        out.append(f"left wall {left} does not leave infinity")
+    else:
+        prev = None
+        for j in range(m - 1):
+            side = sides[(left + j) % m]
+            x = _vertex_x(side.end)
+            if x is None:
+                out.append(f"finite vertex {j} from the left wall is infinity")
+                break
+            if j and (det2(x, prev) <= 0 if side.geodesic.a else
+                      det2(x, prev) != 0 or j not in (1, m - 2)):
+                out.append(f"vertex x does not increase along side {(left + j) % m}")
+            prev = x
+
     # each pairing generator maps its side onto the partner, reversing ends
     for i, side in enumerate(sides):
         j = side.pair
@@ -487,6 +551,14 @@ def validate_special(poly: SpecialPolygon) -> list[str]:
             out.append(f"generator {k} fails the membership check")
 
     return out
+
+
+def _vertex_x(endpoint: Endpoint) -> tuple[int, int] | None:
+    """x of a vertex as (num, den), den > 0; None for the cusp at infinity."""
+    if endpoint[0] == "ell":
+        return endpoint[2][1:]
+    c = endpoint[1]
+    return (c.p, c.q) if c.q else None
 
 
 def _map_endpoint(g: Psl2Elt, endpoint: Endpoint) -> Endpoint:

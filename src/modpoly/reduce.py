@@ -135,13 +135,6 @@ def geodesic_between_cusps(c1: Cusp, c2: Cusp) -> Geodesic:
     return Geodesic(c1.q * c2.q, -(c1.p * c2.q + c2.p * c1.q), c1.p * c2.p)
 
 
-def geodesic_through(p: ExactPoint, q: ExactPoint) -> Geodesic:
-    """The geodesic through two distinct rational points."""
-    if p == q:
-        raise ValueError("need two distinct points")
-    return _geodesic(*_cross(lift(p.x, p.y**2), lift(q.x, q.y**2)))
-
-
 def act_point(g: Psl2Elt, z: ExactPoint) -> ExactPoint:
     """Moebius action on a rational point of the upper half-plane."""
     den = (g.c * z.x + g.d) ** 2 + g.c**2 * z.y**2
@@ -294,23 +287,26 @@ BASE_POINTS: list[Point] = [(p * p + q * q, p * q, q * q) for p, q in
 _MAX_TRACE_STEPS = 100000
 
 
-def _locate_by_trace(poly, z: ExactPoint) -> tuple[ExactPoint, GenWord]:
-    """locate_point by the geometric reduction procedure: trace the geodesic
-    from an interior base point to z, pulling z back across each side it
-    crosses.  express(use_trace=True) runs this independent route."""
-    target = lift(z.x, z.y**2)
+def _locate_by_trace(poly, target: Point, stats: dict | None = None) -> tuple[Point, GenWord]:
+    """The point triple w of the polygon and the word of the element that
+    moves it onto target, by the geometric reduction procedure: trace the
+    geodesic from an interior base point to target, pulling target back
+    across each side it crosses.  express(use_trace=True) runs this
+    independent route.  With stats, adds the sides crossed to
+    stats["trace_steps"] and the traces abandoned for the next base point
+    to stats["trace_restarts"]."""
     if poly._contains(target):
-        return z, []
+        return target, []
     last = None
     for source in BASE_POINTS:
         if not poly._contains(source, strict=True):
             continue
         try:
-            w, word = _trace(poly, source, target)
+            return _trace(poly, source, target, stats=stats)
         except TraceDegenerateError as err:
             last = err
-            continue
-        return _exact_point(w), word
+            if stats is not None:
+                stats["trace_restarts"] += 1
     raise RuntimeError(f"geodesic trace failed from every base point: {last}")
 
 
@@ -325,27 +321,37 @@ def _exact_point(point: Point) -> ExactPoint:
     return ExactPoint(Fraction(m, k), Fraction(ky, k))
 
 
-def express(poly, g: Psl2Elt, use_trace: bool = False) -> GenWord:
+def express(poly, g: Psl2Elt, use_trace: bool = False, stats: dict | None = None) -> GenWord:
     """Word in the polygon's independent generators evaluating exactly to g;
-    raises MembershipError when g is not in the subgroup."""
+    raises MembershipError when g is not in the subgroup.  With use_trace,
+    stats (a dict with the keys trace_steps and trace_restarts) counts the
+    tracer's work, see _locate_by_trace."""
     if not use_trace:
         return express_schreier(poly, g)
     label = poly.system.coset(g)
     if label != poly.system.distinguished:
         raise _not_member(poly.system, g, label)
-    z = act_point(g, poly.base_point)
-    w, word = _locate_by_trace(poly, z)
-    if w != poly.base_point or evaluate_word(poly.generators, word) != g:
+    base = lift(poly.base_point.x, poly.base_point.y**2)
+    w, word = _locate_by_trace(poly, act(g, base), stats)
+    if w != base or evaluate_word(poly.generators, word) != g:
         raise ValueError("internal error: trace did not reproduce the element")
     return word
 
 
-def _trace(poly, source: Point, target: Point,
-           record: list | None = None) -> tuple[Point, GenWord]:
+def _trace(poly, source: Point, target: Point, record: list | None = None,
+           stats: dict | None = None) -> tuple[Point, GenWord]:
     """Follow the geodesic from the interior point source to target across
     the polygon's sides, pulling target back by each side's generator;
     returns the pulled-back target, which lies in the polygon, and the word
-    of the element that moves it onto target."""
+    of the element that moves it onto target.
+
+    The polygon is convex, so the travel segment leaves it once, and the
+    vertical ray over each cusp vertex lies in it, so the segment passes
+    over no cusp vertex after it leaves: it exits in the stretch between
+    two consecutive cusps (or infinity) over which t lies.  That stretch is
+    one even side or an elliptic pair of adjacent partners, and it holds the
+    side that _excluding_side finds for t, so a step tests at most two
+    sides, however many the polygon has."""
     sides = poly.sides
     gens = poly.generators
     word: GenWord = []
@@ -355,7 +361,8 @@ def _trace(poly, source: Point, target: Point,
     for _ in range(_MAX_TRACE_STEPS):
         if record is not None:
             record.append((geod, t))
-        if poly._contains(t):
+        below = poly._excluding_side(t)
+        if below is None:
             word = reduce_word(word, gens)
             if act(evaluate_word(gens, word), t) != target:
                 raise ValueError("internal error: trace postcondition failed")
@@ -369,7 +376,7 @@ def _trace(poly, source: Point, target: Point,
         dsign = 1 if ahead > 0 else -1
 
         best = None
-        for side in sides:
+        for side in (below, sides[below.pair]) if below.ell_order else (below,):
             hit = _side_crossing(geod, side, pa, pt, dsign)
             if hit is None:
                 continue
@@ -388,6 +395,8 @@ def _trace(poly, source: Point, target: Point,
             ge = 1 if side.ell_order == 2 else _pick_rotation(poly, geod, dsign, side)
         r = gens[gi][0] ** ge
         word.append((gi, -ge))
+        if stats is not None:
+            stats["trace_steps"] += 1
         t = act(r, t)
         source = act(r, point)
         geod = geod.transform(r)

@@ -14,6 +14,7 @@ from modpoly.cosets import build_system
 from modpoly.cuboid import build_graph
 from modpoly.polygon import build_polygon, cut_to_tree, develop
 from modpoly.psl2 import IDENTITY, S, U
+from modpoly.reduce import Geodesic, lift
 
 
 def prime_factors(n):
@@ -368,6 +369,42 @@ def geodesic_eval_at(geod, x, y2):
     (x, y^2); zero exactly on the geodesic."""
     a, b, c = geod
     return a * (x * x + y2) + b * x + c
+
+
+def geodesic_through(p, q):
+    """The geodesic through two distinct rational points: the primitive
+    triple orthogonal to both lifted points, normalised like
+    modpoly.reduce.Geodesic (a > 0, or a = 0 and b < 0)."""
+    if p == q:
+        raise ValueError("need two distinct points")
+    u, v = lift(p.x, p.y**2), lift(q.x, q.y**2)
+    a, b, c = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+               u[0] * v[1] - u[1] * v[0])
+    g = gcd(a, b, c)
+    if a < 0 or (a == 0 and b > 0):
+        g = -g
+    return Geodesic(a // g, b // g, c // g)
+
+
+def reference_halfplanes(poly):
+    """One integer triple per distinct side geodesic, signed so that its dot
+    product with the base point's triple is positive: the polygon, convex,
+    is the intersection of these half-planes."""
+    n, m, k = lift(poly.base_point.x, poly.base_point.y**2)
+    out = []
+    for geod in dict.fromkeys(side.geodesic for side in poly.sides):
+        a, b, c = geod
+        v = a * n + b * m + c * k
+        assert v != 0, "the base point lies on a side geodesic"
+        out.append(geod if v > 0 else (-a, -b, -c))
+    return out
+
+
+def reference_contains(halfplanes, point, strict=False):
+    """Membership of a point triple by a scan of every half-plane."""
+    n, m, k = point
+    values = [a * n + b * m + c * k for a, b, c in halfplanes]
+    return all(v > 0 for v in values) if strict else all(v >= 0 for v in values)
 
 
 # stock test groups used across the suite

@@ -213,7 +213,7 @@ QUERY_INPUTS = {"express": ["--matrix", "1,1,0,1"], "locate": ["--x", "5/2", "--
      ["generators", "index", "sides"]),
     ("invariants", ["graph", "invariants", "system", "write"], ["generators", "index"]),
     ("express", QUERY_LAYERS, QUERY_COUNTS),
-    ("express --trace", QUERY_LAYERS, QUERY_COUNTS),
+    ("express --trace", QUERY_LAYERS, QUERY_COUNTS + ["trace_restarts", "trace_steps"]),
     ("locate", QUERY_LAYERS, QUERY_COUNTS),
 ])
 def test_stats_leave_stdout_unchanged(capsys, command, layers, counts):
@@ -235,3 +235,6 @@ def test_stats_leave_stdout_unchanged(capsys, command, layers, counts):
         assert (stats["sides"], stats["generators"]) == (6, 3)
     if command in ("express", "locate"):
         assert stats["syllables"] == len(json.loads(out)["word"])
+    if flags == ["--trace"]:
+        # T leaves the polygon through one side
+        assert (stats["trace_steps"], stats["trace_restarts"]) == (1, 0)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from modpoly.cosets import CosetSystem, build_from_oracle, build_system
+from modpoly.cosets import FAMILIES, CosetSystem, build_from_oracle, build_system
 from modpoly.cuboid import (
     build_graph,
     distinguished_edge_orbit,
@@ -124,6 +124,24 @@ def test_is_normal():
     assert is_normal(built_graph("gamma0", 1))
     assert is_normal(built_graph("gamma", 5))
     assert not is_normal(built_graph("gamma0", 11))
+    # index 14 880: one propagation per edge took minutes
+    assert is_normal(built_graph("gamma", 31))
+
+
+def test_is_normal_agrees_with_the_edge_orbit():
+    # the two propagations from the distinguished edge against one per edge;
+    # Gamma0(5) meet Gamma^0(5) is normalised by S but not by U, and the
+    # index-4 subgroup that contains U is not normalised by S, so neither
+    # propagation alone decides
+    graphs = [built_graph(family, N) for family in FAMILIES
+              for N in range(1, 10 if family == "gamma" else 31)]
+    graphs.append(build_graph(build_from_oracle(lambda g: g.b % 5 == 0 and g.c % 5 == 0,
+                                                max_index=100)))
+    graphs.append(build_graph(CosetSystem("oracle", None, list(range(4)),
+                                          [2, 3, 0, 1], [0, 2, 3, 1], 0)))
+    for g in graphs:
+        assert is_normal(g) == (len(distinguished_edge_orbit(g)) == g.n), g
+    assert not is_normal(graphs[-2]) and not is_normal(graphs[-1])
 
 
 def test_distinguished_edge_orbit_divides():

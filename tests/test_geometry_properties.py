@@ -2,10 +2,10 @@
 points, cusps and S/U words, transforming a geodesic agrees exactly with
 joining the transformed points, the meet of two crossing geodesics lies on
 both, polygon membership agrees with a Fraction evaluation of every
-constraint, and the integer action on point triples agrees with the Moebius
-action on Fractions, keeps triples primitive, preserves dot products with
-transformed geodesics up to their sign, and sends i and e^(i pi/3) to
-triples with nk - m^2 = 1 and 3."""
+side's half-plane, and the integer action on point triples agrees with the
+Moebius action on Fractions, keeps triples primitive, preserves dot
+products with transformed geodesics up to their sign, and sends i and
+e^(i pi/3) to triples with nk - m^2 = 1 and 3."""
 
 from fractions import Fraction
 from functools import reduce
@@ -21,12 +21,11 @@ from modpoly.reduce import (
     act,
     act_point,
     geodesic_between_cusps,
-    geodesic_through,
     lift,
     meet,
 )
 
-from oracles import built_polygon, geodesic_eval_at
+from oracles import built_polygon, geodesic_eval_at, geodesic_through, reference_halfplanes
 
 coords = st.fractions(min_value=-20, max_value=20, max_denominator=60)
 heights = st.fractions(min_value=Fraction(1, 60), max_value=20, max_denominator=60)
@@ -80,7 +79,7 @@ def test_meet_of_crossing_geodesics_lies_on_both(z, p, q):
 def test_contains_matches_fraction_evaluation(group, z):
     poly = built_polygon(*group)
     x, y2 = z.x, z.y**2
-    values = [a * (x * x + y2) + b * x + c for a, b, c in poly.constraints]
+    values = [a * (x * x + y2) + b * x + c for a, b, c in reference_halfplanes(poly)]
     assert poly.contains(x, y2) == all(v >= 0 for v in values)
     assert poly.contains(x, y2, strict=True) == all(v > 0 for v in values)
 

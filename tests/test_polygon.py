@@ -14,7 +14,7 @@ from modpoly.polygon import (
     to_svg,
     validate_special,
 )
-from modpoly.psl2 import IDENTITY, S, U, Psl2Elt
+from modpoly.psl2 import IDENTITY, S, U, Cusp, Psl2Elt
 from modpoly.reduce import evaluate_word
 
 from oracles import TEST_GROUPS, built_graph, built_polygon, built_system, built_tree_dev, member_predicate
@@ -112,6 +112,21 @@ def test_validate_detects_corruption():
     poly.sides[i] = poly.sides[i]._replace(pair=k)
     violations = validate_special(poly)
     assert violations
+
+
+def test_validate_checks_the_x_order_from_the_left_wall():
+    poly = copy.deepcopy(built_polygon("gamma0", 11))
+    sides, left = poly.sides, poly.left_wall
+    m = len(sides)
+    assert sides[left].start == ("cusp", Cusp(1, 0))
+    # move the vertex between the second and third sides past the right wall
+    i, j = (left + 1) % m, (left + 2) % m
+    far = ("cusp", Cusp(10**6, 1))
+    sides[i], sides[j] = sides[i]._replace(end=far), sides[j]._replace(start=far)
+    assert f"vertex x does not increase along side {j}" in validate_special(poly)
+    poly = copy.deepcopy(built_polygon("gamma0", 11))
+    poly.left_wall = (left + 1) % m
+    assert f"left wall {(left + 1) % m} does not leave infinity" in validate_special(poly)
 
 
 def test_generators_membership_and_orders():

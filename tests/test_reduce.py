@@ -16,13 +16,12 @@ from modpoly.reduce import (
     evaluate_word,
     express,
     express_schreier,
-    geodesic_through,
     lift,
     locate_point,
     reduce_word,
 )
 
-from oracles import TEST_GROUPS, built_polygon, geodesic_eval_at
+from oracles import TEST_GROUPS, built_polygon, geodesic_eval_at, geodesic_through
 
 
 F = Fraction
@@ -135,11 +134,13 @@ def test_locate_point_through_order3_vertex():
     # the geodesic from (1/4, 1) through the corner at x = 1/2 hits (7/8, 3/8)
     poly = built_polygon("gamma0", 1)
     z = ExactPoint(F(7, 8), F(3, 8))
-    for locate in (locate_point, _locate_by_trace):
-        w, word = locate(poly, z)
-        g = evaluate_word(poly.generators, word)
-        assert act_point(g, w) == z
-        assert poly.contains(w.x, w.y**2)
+    w, word = locate_point(poly, z)
+    assert act_point(evaluate_word(poly.generators, word), w) == z
+    assert poly.contains(w.x, w.y**2)
+    target = lift(z.x, z.y**2)
+    w, word = _locate_by_trace(poly, target)
+    assert act(evaluate_word(poly.generators, word), w) == target
+    assert poly._contains(w)
 
 
 def test_locate_point_random_targets():
@@ -258,9 +259,10 @@ def test_trace_hits_order2_vertices_exactly():
             if order != 2:
                 continue
             z = act_point(g, z0)
-            w, word = _locate_by_trace(poly, z)
-            assert act_point(evaluate_word(gens, word), w) == z
-            assert poly.contains(w.x, w.y**2)
+            target = lift(z.x, z.y**2)
+            w, word = _locate_by_trace(poly, target)
+            assert act(evaluate_word(gens, word), w) == target
+            assert poly._contains(w)
 
 
 def test_trace_hits_order3_vertices_exactly():

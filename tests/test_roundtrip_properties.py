@@ -11,13 +11,20 @@ generators).  The tracer, run from the first strictly interior base point,
 reaches random points, points just beyond every elliptic vertex and the
 boundary, vertex and near-cusp points with no restart: _locate_by_trace's
 retry from the next base point would otherwise hide a wrong crossing.
-locate_point rests on coset(dev[e]) == e and never tests a polygon side."""
+locate_point rests on coset(dev[e]) == e and never tests a polygon side.
+A trace step tests at most two sides for a crossing, the same number at
+index 1010 and 10008, and express --trace restarts from no other base point
+on any generator of gamma0(1009)."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from modpoly import reduce
 from modpoly.cosets import FAMILIES
 from modpoly.polygon import SpecialPolygon
 from modpoly.psl2 import IDENTITY, S, U
@@ -71,9 +78,9 @@ def test_locate_returns_a_polygon_point_and_a_member(group, z):
 def test_locate_agrees_with_the_tracer_at_interior_points(group, z):
     poly = built_polygon(*group)
     w, word = locate_point(poly, z)
-    traced_w, traced_word = _locate_by_trace(poly, z)
-    if poly._contains(lift(traced_w.x, traced_w.y**2), strict=True):
-        assert (w, word) == (traced_w, traced_word)
+    traced_w, traced_word = _locate_by_trace(poly, lift(z.x, z.y**2))
+    if poly._contains(traced_w, strict=True):
+        assert (lift(w.x, w.y**2), word) == (traced_w, traced_word)
 
 
 @BOUNDED
@@ -235,5 +242,64 @@ def test_locate_never_tests_a_side(monkeypatch):
         locate_point(poly, z)
     assert calls == 0
     for z in zs:
-        _locate_by_trace(poly, z)
+        _locate_by_trace(poly, lift(z.x, z.y**2))
     assert calls > 0
+
+
+@pytest.mark.parametrize("level", [1009, 10007])
+def test_trace_step_tests_at_most_four_sides(monkeypatch, level):
+    # the segment leaves the polygon in the stretch between two cusps where
+    # the pulled-back target lies: one even side or an elliptic pair
+    steps: list = []
+    per_step: Counter = Counter()
+    crossing = reduce._side_crossing
+
+    def counting(*args):
+        per_step[len(steps)] += 1
+        return crossing(*args)
+
+    monkeypatch.setattr(reduce, "_side_crossing", counting)
+    poly = built_polygon("gamma0", level)
+    gens = poly.generators
+    source = _first_base_point(poly)
+    rng = random.Random(level)
+    crossings = 0
+    for _ in range(20):
+        word = [(rng.randrange(len(gens)), rng.choice([-1, 1])) for _ in range(rng.randint(1, 3))]
+        steps.clear()
+        per_step.clear()
+        w, traced = _trace(poly, source, act(evaluate_word(gens, word), source), record=steps)
+        assert (w, traced) == (source, reduce_word(word, gens))
+        assert max(per_step.values(), default=0) <= 4
+        crossings += len(steps) - 1
+    assert crossings >= 20
+
+
+def test_traced_generators_of_gamma0_1009_need_no_restart():
+    poly = built_polygon("gamma0", 1009)
+    stats = {"trace_steps": 0, "trace_restarts": 0}
+    gens = poly.generators
+    for i, (g, _) in enumerate(gens):
+        assert express(poly, g, use_trace=True, stats=stats) == [(i, 1)]
+        assert express(poly, g.inv(), use_trace=True, stats=stats) == reduce_word([(i, -1)], gens)
+    assert stats["trace_restarts"] == 0
+    assert stats["trace_steps"] >= 2 * len(gens)
+
+
+def test_a_restart_is_counted(monkeypatch):
+    # the first trace is abandoned, the one from the next base point counts
+    trace = reduce._trace
+    calls = []
+
+    def failing_once(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 1:
+            raise reduce.TraceDegenerateError("forced")
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(reduce, "_trace", failing_once)
+    poly = built_polygon("gamma0", 11)
+    stats = {"trace_steps": 0, "trace_restarts": 0}
+    assert express(poly, poly.generators[0][0], use_trace=True, stats=stats) == [(0, 1)]
+    assert len(calls) == 2 and calls[0] != calls[1]
+    assert stats["trace_restarts"] == 1 and stats["trace_steps"] >= 1
