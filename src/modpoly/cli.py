@@ -8,6 +8,7 @@ the subgroup membership test).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import resource
 import sys
@@ -43,8 +44,8 @@ def _add_group_args(sub):
 
 def _add_stats(sub):
     sub.add_argument("--stats", action="store_true",
-                     help="write the seconds per layer, the sizes and the peak memory "
-                          "as one JSON object to stderr")
+                     help="write the seconds per layer, the sizes, the garbage "
+                          "collections and the peak memory as one JSON object to stderr")
 
 
 def _build_parser() -> _Parser:
@@ -138,12 +139,27 @@ def _build_polygon(system, seconds: dict):
     return _timed(seconds, "assemble", polygon.assemble, tree, dev)
 
 
-def _write_stats(args, seconds: dict, counts: dict):
+def _gc_collections() -> int:
+    """Garbage collections run so far in this process, over all generations."""
+    return sum(gen["collections"] for gen in gc.get_stats())
+
+
+def _polygon_counts(poly) -> dict:
+    """Sizes of a built polygon, with the largest bit length of a generator
+    entry."""
+    return {"sides": len(poly.sides), "generators": len(poly.generators),
+            "entry_bits": max((abs(x).bit_length() for g, _ in poly.generators
+                               for x in (g.a, g.b, g.c, g.d)), default=0)}
+
+
+def _write_stats(args, seconds: dict, counts: dict, collections: int):
     """One JSON object on stderr: seconds per layer, the sizes the command
-    computed and the process's peak resident memory (ru_maxrss, KiB on
-    Linux)."""
+    computed, the garbage collections run since the command started (the
+    count `collections` was taken then) and the process's peak resident
+    memory (ru_maxrss, KiB on Linux)."""
     stats = {"command": args.command, "group": args.group, "level": args.level,
              "seconds": {layer: round(s, 6) for layer, s in seconds.items()},
+             "gc_collections": _gc_collections() - collections,
              "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
              **counts}
     sys.stderr.write(json.dumps(stats, sort_keys=True) + "\n")
@@ -182,6 +198,7 @@ def _dispatch(args) -> int:
 def _cmd_query(args) -> int:
     """express and locate: build the polygon layer by layer, then answer
     the one query, each step timed for --stats."""
+    collections = _gc_collections()
     seconds: dict[str, float] = {}
     system = _timed(seconds, "system", _build_system, args.group, args.level, args.max_index)
     if args.command == "express":
@@ -196,7 +213,7 @@ def _cmd_query(args) -> int:
         z = ExactPoint(x, y)
     poly = _build_polygon(system, seconds)
 
-    counts = {"index": system.n, "sides": len(poly.sides), "generators": len(poly.generators)}
+    counts = {"index": system.n, **_polygon_counts(poly)}
     if args.command == "express":
         trace = {"trace_steps": 0, "trace_restarts": 0} if args.trace else None
         word = _timed(seconds, "query", express, poly, g, args.trace, trace)
@@ -220,13 +237,14 @@ def _cmd_query(args) -> int:
         }
     _emit(_dumps(data), args.output)
     if args.stats:
-        _write_stats(args, seconds, {**counts, "syllables": len(word)})
+        _write_stats(args, seconds, {**counts, "syllables": len(word)}, collections)
     return 0
 
 
 def _cmd_build(args) -> int:
     """graph, polygon, generators and invariants, with each layer timed for
     --stats."""
+    collections = _gc_collections()
     cmd = args.command
     seconds: dict[str, float] = {}
     system = _timed(seconds, "system", _build_system, args.group, args.level, args.max_index)
@@ -250,7 +268,7 @@ def _cmd_build(args) -> int:
         })
     else:
         poly = _build_polygon(system, seconds)
-        counts.update(sides=len(poly.sides), generators=len(poly.generators))
+        counts.update(_polygon_counts(poly))
         if cmd == "polygon":
             render = partial(polygon.to_json if args.format == "json" else polygon.to_svg, poly)
         else:
@@ -258,7 +276,7 @@ def _cmd_build(args) -> int:
                                       for g, order in poly.generators])
     _timed(seconds, "write", lambda: _emit(render(), args.output))
     if args.stats:
-        _write_stats(args, seconds, counts)
+        _write_stats(args, seconds, counts, collections)
     return 0
 
 

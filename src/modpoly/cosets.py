@@ -65,27 +65,30 @@ class CosetSystem:
         self.sigma_u = sigma_u
         self.distinguished = distinguished
         self.validate()
-        self.t_cycle: list[list[int]] = [None] * self.n
-        self.t_pos = [0] * self.n
+        t_cycle: list[list[int]] = [None] * self.n
+        t_pos = [0] * self.n
         for start in range(self.n):
-            if self.t_cycle[start] is not None:
+            if t_cycle[start] is not None:
                 continue
             cycle = []
             x = start
-            while self.t_cycle[x] is None:
-                self.t_cycle[x] = cycle
-                self.t_pos[x] = len(cycle)
+            while t_cycle[x] is None:
+                t_cycle[x] = cycle
+                t_pos[x] = len(cycle)
                 cycle.append(x)
                 x = sigma_s[sigma_u[sigma_u[x]]]  # right action of T = U^2 * S
+        self.t_cycle = t_cycle
+        self.t_pos = t_pos
 
     def validate(self):
         n = self.n
         ss, su = self.sigma_s, self.sigma_u
         if sorted(ss) != list(range(n)) or sorted(su) != list(range(n)):
             raise ValueError("sigma_s / sigma_u are not permutations")
-        if any(ss[ss[i]] != i for i in range(n)):
+        # the compositions, i -> ss[ss[i]] and i -> su[su[su[i]]], as maps
+        if list(map(ss.__getitem__, ss)) != list(range(n)):
             raise ValueError("sigma_s is not an involution")
-        if any(su[su[su[i]]] != i for i in range(n)):
+        if list(map(su.__getitem__, map(su.__getitem__, su))) != list(range(n)):
             raise ValueError("sigma_u does not have order dividing 3")
         if not 0 <= self.distinguished < n:
             raise ValueError("distinguished label out of range")
@@ -153,19 +156,6 @@ def _unit_inverses(p: int, m: int) -> list[int]:
     return inv
 
 
-def _normalize_pp(p: int, q: int, inverse, x: int, y: int) -> tuple[tuple[int, int], int]:
-    """Canonical label of (x : y) in P^1(Z/q), q = p^m, and the unit u with
-    u * label == (x, y) mod q.  x and y are residues mod q, not both
-    divisible by p; inverse(c) is the inverse of the unit c mod q."""
-    if x == 0:
-        return (0, 1), y
-    if x % p:
-        return (1, y * inverse(x) % q), x
-    g = gcd(x, q)
-    b = y * inverse(x // g) % (q // g)
-    return (g, b), y * inverse(b) % q
-
-
 def _p1_list_pp(p: int, m: int) -> list[tuple[int, int]]:
     """Canonical labels of P^1(Z/p^m), sorted: (0, 1), every (1, b), and
     (p^i, b) for 0 < i < m and units b < p^(m-i)."""
@@ -178,16 +168,6 @@ def _p1_list_pp(p: int, m: int) -> list[tuple[int, int]]:
     return out
 
 
-def _pp_index(p: int, q: int, label: tuple[int, int]) -> int:
-    """Position of a canonical label in `_p1_list_pp`."""
-    g, b = label
-    if g == 0:
-        return 0
-    if g == 1:
-        return 1 + b
-    return 1 + q + q // p - q // g + (b - 1) - (b - 1) // p
-
-
 def _idempotents(N: int, factors: Factorization) -> list[int]:
     """CRT idempotents of the prime powers of N: a residue r_i mod each q_i
     lifts to sum(r_i * e_i) mod N."""
@@ -196,12 +176,6 @@ def _idempotents(N: int, factors: Factorization) -> list[int]:
         r = N // p**m
         out.append(r * pow(r, -1, p**m) % N)
     return out
-
-
-def _row_act(row: tuple[int, int], mat: Psl2Elt, N: int) -> tuple[int, int]:
-    # (a' : b') . [a b; c d] = (a'a + b'c : a'b + b'd)
-    x, y = row
-    return ((x * mat.a + y * mat.c) % N, (x * mat.b + y * mat.d) % N)
 
 
 def _p1_line(N: int, letters=(), unit_exponent: int = 0):
@@ -213,6 +187,14 @@ def _p1_line(N: int, letters=(), unit_exponent: int = 0):
     lifts to one global pair, and its image under a letter is the
     combination of the local images.  Sorting the lifted pairs once maps
     combinations to label positions.
+
+    The local image of (x : y) under [[a, b], [c, d]] is the row
+    (x' : y') = (xa + yc : xb + yd) mod q = p^m.  Its canonical label and
+    the unit u with u * label = (x', y') are (0, 1) and y' for x' = 0,
+    (1, y'/x') and x' for a unit x', and otherwise (g, y'/(x'/g) mod q/g)
+    and y'/b for g = gcd(x', q) and b that second entry.  The label's
+    position in `_p1_list_pp` follows from g and b, so one loop body per
+    label and letter gives the image position and the unit.
     """
     factors = factorize(N)
     lift_a, lift_b = [0], [0]
@@ -224,14 +206,27 @@ def _p1_line(N: int, letters=(), unit_exponent: int = 0):
         n = len(local)
         lift_a = [A + x * e for A in lift_a for x, _ in local]
         lift_b = [B + y * e for B in lift_b for _, y in local]
-        inverse = _unit_inverses(p, m).__getitem__
+        inv = _unit_inverses(p, m)
+        # position of (g, b), 1 < g < q, is base - q // g + (b - 1) - (b - 1) // p
+        base = 1 + q + q // p
         for k, letter in enumerate(letters):
+            la, lb, lc, ld = letter.a, letter.b, letter.c, letter.d
             image, scale = [], []
-            for label in local:
-                rep, u = _normalize_pp(p, q, inverse, *_row_act(label, letter, q))
-                image.append(_pp_index(p, q, rep))
+            for x, y in local:
+                x, y = (x * la + y * lc) % q, (x * lb + y * ld) % q
+                if x == 0:
+                    image.append(0)
+                    u = y
+                elif x % p:
+                    image.append(1 + y * inv[x] % q)
+                    u = x
+                else:
+                    g = gcd(x, q)
+                    b = y * inv[x // g] % (q // g)
+                    image.append(base - q // g + (b - 1) - (b - 1) // p)
+                    u = y * inv[b] % q
                 if unit_exponent:
-                    scale.append((u if unit_exponent > 0 else inverse(u)) * e)
+                    scale.append((u if unit_exponent > 0 else inv[u]) * e)
             images[k] = [c * n + i for c in images[k] for i in image]
             if unit_exponent:
                 units[k] = [U + v for U in units[k] for v in scale]

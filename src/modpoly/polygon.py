@@ -17,7 +17,6 @@ angle 2 pi/3 for an order-3 elliptic vertex.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -25,7 +24,7 @@ from typing import NamedTuple
 from .cosets import CosetSystem
 from .cuboid import CuboidGraph, build_graph, graph_invariants
 from .jsonout import extend_array
-from .psl2 import CUSP_INF, CUSP_ZERO, IDENTITY, S, U, Cusp, Psl2Elt, act_cusp
+from .psl2 import CUSP_INF, CUSP_ZERO, IDENTITY, Cusp, Psl2Elt, act_cusp
 from .reduce import (
     I_POINT,
     RHO_POINT,
@@ -38,11 +37,6 @@ from .reduce import (
     geodesic_param,
     lift,
 )
-
-U2 = U * U
-_MOVES = {"S": S, "U": U, "U2": U2}
-# far ends of the model arc (0, 2) and vertical line (1/2, infinity)
-CUSP_TWO, CUSP_HALF = Cusp(2, 1), Cusp(1, 2)
 
 # side kinds: copies of the model geodesic segments
 #   even      (0, inf)            full copy, paired across a cut
@@ -87,11 +81,11 @@ class Side(NamedTuple):
 def _side(kind: str, edge: int, carrier: Psl2Elt, start: Endpoint, end: Endpoint,
           geodesic: Geodesic, pair: int, gen: tuple[int, int]) -> Side:
     """A side with its position range and its pairing."""
-    ends = [_end_param(geodesic, start), _end_param(geodesic, end)]
-    if ends[0][0] is None or (ends[1][0] is not None and det2(ends[1][0], ends[0][0]) < 0):
-        ends.reverse()
-    (lo, lo_ell), (hi, _) = ends
-    ell_order = next((p[1] for p in (start, end) if p[0] == "ell"), None)
+    lo, lo_ell = _end_param(geodesic, start)
+    hi, hi_ell = _end_param(geodesic, end)
+    if lo is None or (hi is not None and det2(hi, lo) < 0):
+        lo, lo_ell, hi = hi, hi_ell, lo
+    ell_order = start[1] if start[0] == "ell" else end[1] if end[0] == "ell" else None
     return Side(kind, edge, carrier, start, end, geodesic, lo, hi, lo_ell, ell_order, pair, *gen)
 
 
@@ -122,59 +116,54 @@ class CutTree:
 def cut_to_tree(graph: CuboidGraph) -> CutTree:
     """Pick the cut set by BFS on the contracted graph whose vertices are the
     type-(1) vertices and whose edges are the bivalent type-(0) vertices;
-    everything off the BFS forest gets cut.  Deterministic in the label order."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in graph.v1]
-    bivalent = []
-    for v0i, orbit in enumerate(graph.v0):
-        if len(orbit) != 2:
-            continue
-        bivalent.append(v0i)
-        e, f = orbit
-        adj[graph.edge_v1[e]].append((v0i, graph.edge_v1[f]))
-        adj[graph.edge_v1[f]].append((v0i, graph.edge_v1[e]))
-    for lst in adj:
-        lst.sort()
-
-    root_y = graph.edge_v1[graph.distinguished]
-    seen = [False] * len(graph.v1)
+    everything off the BFS forest gets cut.  Deterministic in the label order:
+    a vertex y tries its bivalent vertices in increasing order, each one
+    edge_v0[x] for an edge x of y that sigma_s moves, leading to the vertex
+    of sigma_s(x)."""
+    ss, edge_v0, edge_v1, v1 = graph.sigma_s, graph.edge_v0, graph.edge_v1, graph.v1
+    root_y = edge_v1[graph.distinguished]
+    seen = [False] * len(v1)
     seen[root_y] = True
     tree_v0: set[int] = set()
-    queue = deque([root_y])
-    while queue:
-        y = queue.popleft()
-        for v0i, z in adj[y]:
+    queue = [root_y]
+    for y in queue:
+        for v0i, z in sorted((edge_v0[x], edge_v1[ss[x]]) for x in v1[y] if ss[x] != x):
             if not seen[z]:
                 seen[z] = True
                 tree_v0.add(v0i)
                 queue.append(z)
-    cuts = frozenset(set(bivalent) - tree_v0)
+    cuts = frozenset(v0i for v0i, orbit in enumerate(graph.v0)
+                     if len(orbit) == 2 and v0i not in tree_v0)
 
     inv = graph_invariants(graph)
     if len(cuts) != inv.betti:
         raise ValueError("internal error: cut count differs from the Betti number")
 
-    # rooted traversal of the edges, never crossing a cut
+    # rooted breadth-first traversal of the edges, never crossing a cut:
+    # order is also the queue, and each edge tries its U, U^2 and S moves
     n = graph.n
-    ss, su = graph.sigma_s, graph.sigma_u
+    su = graph.sigma_u
     order = [graph.distinguished]
     parent: list[tuple[int, str] | None] = [None] * n
     visited = [False] * n
     visited[graph.distinguished] = True
-    queue = deque([graph.distinguished])
-    while queue:
-        e = queue.popleft()
-        steps = []
-        if su[e] != e:
-            steps.append((su[e], "U"))
-            steps.append((su[su[e]], "U2"))
-        if ss[e] != e and graph.edge_v0[e] not in cuts:
-            steps.append((ss[e], "S"))
-        for f, letter in steps:
+    for e in order:
+        f = su[e]
+        if f != e:
             if not visited[f]:
                 visited[f] = True
-                parent[f] = (e, letter)
+                parent[f] = (e, "U")
                 order.append(f)
-                queue.append(f)
+            f = su[f]
+            if not visited[f]:
+                visited[f] = True
+                parent[f] = (e, "U2")
+                order.append(f)
+        f = ss[e]
+        if f != e and not visited[f] and edge_v0[e] not in cuts:
+            visited[f] = True
+            parent[f] = (e, "S")
+            order.append(f)
     if len(order) != n:
         raise ValueError("internal error: cut graph is not connected")
     return CutTree(graph, cuts, order, parent)
@@ -182,12 +171,23 @@ def cut_to_tree(graph: CuboidGraph) -> CutTree:
 
 def develop(tree: CutTree) -> list[Psl2Elt]:
     """Assign the developing matrix to every edge: the root gets the
-    identity, children multiply their parent's matrix by the move letter."""
+    identity, children multiply their parent's matrix g = [[a, b], [c, d]]
+    by the move letter.  The moves are sums on g's entries, one matrix made
+    per edge: g*S = (b, -a, d, -c), g*U = (-b, a+b, -d, c+d) and
+    g*U^2 = (-a-b, a, -c-d, c)."""
     dev: list[Psl2Elt | None] = [None] * tree.graph.n
     dev[tree.root] = IDENTITY
+    parent, make = tree.parent, Psl2Elt._make
     for e in tree.order[1:]:
-        p, letter = tree.parent[e]
-        dev[e] = dev[p] * _MOVES[letter]
+        p, letter = parent[e]
+        g = dev[p]
+        a, b, c, d = g.a, g.b, g.c, g.d
+        if letter == "S":
+            dev[e] = make(b, -a, d, -c)
+        elif letter == "U":
+            dev[e] = make(-b, a + b, -d, c + d)
+        else:
+            dev[e] = make(-a - b, a, -c - d, c)
     return dev
 
 
@@ -199,8 +199,11 @@ def _generator_table(graph: CuboidGraph, cuts: frozenset[int], dev: list[Psl2Elt
     numbered by its smallest edge, a cut or order-2 generator before the
     order-3 one of the same edge.  A cut between edges e < f gives
     dev[f] * S * dev[e]^-1, which maps the side of e onto the side of f; a
-    fixed edge conjugates S or U^2 by its developing matrix.  s_gen[e] is
-    the syllable Schreier rewriting emits when S crosses from e: (i, 1) for
+    fixed edge conjugates S or U^2 by its developing matrix.  Each
+    generator is one matrix made from the entries of the developing
+    matrices, and each has its order and its membership checked.
+
+    s_gen[e] is the syllable Schreier rewriting emits when S crosses from e: (i, 1) for
     an S-fixed e, (i, -1) / (i, +1) at the smaller / larger edge of a cut,
     None along the tree.  u_gen[e] is (i, -1) for a U-fixed e, else None.
     """
@@ -220,15 +223,26 @@ def _generator_table(graph: CuboidGraph, cuts: frozenset[int], dev: list[Psl2Elt
         generators.append((gen, order))
         return i
 
+    make = Psl2Elt._make
     for e, g in enumerate(dev):
         f = ss[e]
         if f == e:
-            s_gen[e] = (add(g * S * g.inv(), 2), 1)
+            a, b, c, d = g.a, g.b, g.c, g.d
+            # g * S * g^-1
+            s_gen[e] = (add(make(a * c + b * d, -a * a - b * b, c * c + d * d, -a * c - b * d),
+                             2), 1)
         elif e < f and edge_v0[e] in cuts:
-            i = add(dev[f] * S * g.inv(), 0)
+            a, b, c, d = g.a, g.b, g.c, g.d
+            h = dev[f]
+            # dev[f] * S * g^-1
+            i = add(make(h.a * c + h.b * d, -h.a * a - h.b * b, h.c * c + h.d * d,
+                         -h.c * a - h.d * b), 0)
             s_gen[e], s_gen[f] = (i, -1), (i, 1)
         if su[e] == e:
-            u_gen[e] = (add(g * U2 * g.inv(), 3), -1)
+            a, b, c, d = g.a, g.b, g.c, g.d
+            # g * U^2 * g^-1
+            u_gen[e] = (add(make(-a * c - a * d - b * d, a * a + a * b + b * b,
+                                 -c * c - c * d - d * d, a * c + b * c + b * d), 3), -1)
     return generators, s_gen, u_gen
 
 
@@ -321,56 +335,42 @@ class SpecialPolygon:
                 f"generators={len(self.generators)})")
 
 
-def _boundary_slots(graph, cuts):
-    """Which of the three triangle sides (0 = arc, 1 = vertical at the
-    order-3 corner, 2 = axis) lie on the polygon boundary for each edge."""
-    ss, su = graph.sigma_s, graph.sigma_u
-
-    def boundary(e, k):
-        if k < 2:
-            return su[e] == e
-        return ss[e] == e or graph.edge_v0[e] in cuts
-
-    def cross(e, k):
-        if k == 0:
-            return su[e], 1
-        if k == 1:
-            return su[su[e]], 0
-        return ss[e], 2
-
-    return boundary, cross
-
-
 def _walk_boundary(graph, cuts):
-    """Boundary slots in counterclockwise order: advance to the next slot of
-    the same triangle and pivot through glued sides until a boundary slot."""
-    boundary, cross = _boundary_slots(graph, cuts)
-    start = None
+    """Boundary slots in counterclockwise order.  Slot k of edge e is a side
+    of its triangle: 0 the arc and 1 the vertical at the order-3 corner,
+    both on the boundary when e is U-fixed, and 2 the axis, on the boundary
+    when e is S-fixed or its bivalent vertex is cut.  The walk advances to
+    the next slot of the same triangle and pivots through glued sides (slot
+    0 of e is glued to slot 1 of sigma_u(e), slot 1 to slot 0 of
+    sigma_u^2(e), slot 2 to slot 2 of sigma_s(e)) until a boundary slot."""
+    ss, su, edge_v0 = graph.sigma_s, graph.sigma_u, graph.edge_v0
     for e in range(graph.n):
-        for k in range(3):
-            if boundary(e, k):
-                start = (e, k)
-                break
-        if start:
+        if su[e] == e:
+            k = 0
             break
-    if start is None:
+        if ss[e] == e or edge_v0[e] in cuts:
+            k = 2
+            break
+    else:
         raise ValueError("internal error: polygon has no boundary slots")
+    start = e, k
     seq = []
-    cur = start
     budget = 6 * graph.n + 12
     while True:
-        seq.append(cur)
-        e, k = cur
-        cand = (e, (k + 1) % 3)
-        while not boundary(*cand):
-            e2, k2 = cross(*cand)
-            cand = (e2, (k2 + 1) % 3)
+        seq.append((e, k))
+        k = (k + 1) % 3
+        while not (su[e] == e if k < 2 else ss[e] == e or edge_v0[e] in cuts):
+            if k == 0:
+                e, k = su[e], 2
+            elif k == 1:
+                e, k = su[su[e]], 1
+            else:
+                e, k = ss[e], 0
             budget -= 1
             if budget < 0:
                 raise ValueError("internal error: boundary walk does not close")
-        cur = cand
         budget -= 1
-        if cur == start:
+        if e == start[0] and k == start[1]:
             return seq
         if budget < 0:
             raise ValueError("internal error: boundary walk does not close")
@@ -408,23 +408,26 @@ def assemble(tree: CutTree, dev: list[Psl2Elt]) -> SpecialPolygon:
     left_wall = None
     for e, k in slots:
         g = dev[e]
+        a, b, c, d = g.a, g.b, g.c, g.d
         i = len(sides)
         # each cusp image is made once and gives both an endpoint and the
-        # side geodesic
+        # side geodesic; g is unimodular, so g * (p : q) is coprime for
+        # coprime p and q: g(0) = b/d, g(oo) = a/c, and the far ends g(2)
+        # and g(1/2) of the model arc (0, 2) and vertical line (1/2, oo)
         if k == 0:
-            zero = act_cusp(g, CUSP_ZERO)
+            zero = Cusp._coprime(b, d)
             if zero.q == 0:
                 left_wall = i
             sides.append(_side("e3_arc", e, g, ("cusp", zero), ("ell", 3, act(g, RHO_POINT)),
-                               geodesic_between_cusps(zero, act_cusp(g, CUSP_TWO)),
+                               geodesic_between_cusps(zero, Cusp._coprime(2 * a + b, 2 * c + d)),
                                (i + 1) % m, (u_gen[e][0], 1)))
         elif k == 1:
-            inf = act_cusp(g, CUSP_INF)
+            inf = Cusp._coprime(a, c)
             sides.append(_side("e3_line", e, g, ("ell", 3, act(g, RHO_POINT)), ("cusp", inf),
-                               geodesic_between_cusps(act_cusp(g, CUSP_HALF), inf),
+                               geodesic_between_cusps(Cusp._coprime(a + 2 * b, c + 2 * d), inf),
                                (i - 1) % m, u_gen[e]))
         else:
-            inf, zero = act_cusp(g, CUSP_INF), act_cusp(g, CUSP_ZERO)
+            inf, zero = Cusp._coprime(a, c), Cusp._coprime(b, d)
             axis = geodesic_between_cusps(inf, zero)
             if inf.q == 0:
                 left_wall = i

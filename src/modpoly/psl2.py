@@ -133,6 +133,19 @@ class Cusp:
         self.p = p
         self.q = q
 
+    @classmethod
+    def _coprime(cls, p: int, q: int) -> "Cusp":
+        """The cusp p/q for coprime p and q, such as the image of a reduced
+        cusp under a unimodular matrix: only the sign is normalised."""
+        self = object.__new__(cls)
+        if q < 0:
+            p, q = -p, -q
+        elif q == 0:
+            p = 1
+        self.p = p
+        self.q = q
+        return self
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Cusp) and self.p == other.p and self.q == other.q
 
@@ -172,16 +185,22 @@ def t_runs(g: Psl2Elt) -> list[int]:
     """Exponents [r0, r1, ..., rk] with g = T^r0 * S * T^r1 * S * ... * S * T^rk,
     found by Euclidean descent on the bottom row.  Each quotient is the
     nearest integer to d/c, so |c| at least halves per step and k is at most
-    the bit length of c."""
-    h = g
+    the bit length of c.  The descent runs on the four entries, with no
+    matrix object per step."""
+    a, b, c, d = g.a, g.b, g.c, g.d
     runs: list[int] = []
-    while h.c != 0:
-        q = (2 * h.d + h.c) // (2 * h.c)
-        # h * T^-q * S has bottom row +-(d - q*c, -c), and |d - q*c| <= c/2
-        h = Psl2Elt._make(h.b - q * h.a, -h.a, h.d - q * h.c, -h.c)
+    while c:
+        q = (2 * d + c) // (2 * c)
+        r = d - q * c
+        # [[a, b], [c, d]] * T^-q * S = [[b - q*a, -a], [r, -c]], |r| <= c/2,
+        # sign-normalised: c > 0 here, so r = 0 flips it as well as r < 0
+        if r > 0:
+            a, b, c, d = b - q * a, -a, r, -c
+        else:
+            a, b, c, d = q * a - b, a, -r, c
         runs.append(q)
-    # h is now sign-normalized with c = 0, so h = T^m exactly
-    runs.append(h.b)
+    # the matrix is now sign-normalized with c = 0, so it is T^b exactly
+    runs.append(b)
     runs.reverse()
     return runs
 

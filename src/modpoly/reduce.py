@@ -295,8 +295,6 @@ def _locate_by_trace(poly, target: Point, stats: dict | None = None) -> tuple[Po
     independent route.  With stats, adds the sides crossed to
     stats["trace_steps"] and the traces abandoned for the next base point
     to stats["trace_restarts"]."""
-    if poly._contains(target):
-        return target, []
     last = None
     for source in BASE_POINTS:
         if not poly._contains(source, strict=True):
@@ -351,17 +349,20 @@ def _trace(poly, source: Point, target: Point, record: list | None = None,
     two consecutive cusps (or infinity) over which t lies.  That stretch is
     one even side or an elliptic pair of adjacent partners, and it holds the
     side that _excluding_side finds for t, so a step tests at most two
-    sides, however many the polygon has."""
+    sides, however many the polygon has.  The target is tested before the
+    travel geodesic is formed: a trace from the source to itself has none."""
     sides = poly.sides
     gens = poly.generators
     word: GenWord = []
     t = target
+    below = poly._excluding_side(t)
+    if below is None and source == target:
+        return t, word
     geod = _geodesic(*_cross(source, target))
 
     for _ in range(_MAX_TRACE_STEPS):
         if record is not None:
             record.append((geod, t))
-        below = poly._excluding_side(t)
         if below is None:
             word = reduce_word(word, gens)
             if act(evaluate_word(gens, word), t) != target:
@@ -400,6 +401,7 @@ def _trace(poly, source: Point, target: Point, record: list | None = None,
         t = act(r, t)
         source = act(r, point)
         geod = geod.transform(r)
+        below = poly._excluding_side(t)
     raise TraceDegenerateError("step budget exhausted")
 
 

@@ -13,7 +13,7 @@ from math import gcd
 from modpoly.cosets import build_system
 from modpoly.cuboid import build_graph
 from modpoly.polygon import build_polygon, cut_to_tree, develop
-from modpoly.psl2 import IDENTITY, S, U
+from modpoly.psl2 import IDENTITY, S, U, Psl2Elt
 from modpoly.reduce import Geodesic, lift
 
 
@@ -153,6 +153,52 @@ def su_evaluate(word):
         else:
             result = result * U * U
     return result
+
+
+def reference_t_runs(g):
+    """The runs of T of g by the same Euclidean descent as psl2.t_runs, with
+    one sign-normalised matrix object per step."""
+    h = g
+    runs = []
+    while h.c != 0:
+        q = (2 * h.d + h.c) // (2 * h.c)
+        # h * T^-q * S has bottom row +-(d - q*c, -c), and |d - q*c| <= c/2
+        h = Psl2Elt._make(h.b - q * h.a, -h.a, h.d - q * h.c, -h.c)
+        runs.append(q)
+    runs.append(h.b)
+    runs.reverse()
+    return runs
+
+
+def reference_develop(tree):
+    """Developing matrices as products of the move letters: each child gets
+    its parent's matrix times S, U or U^2."""
+    moves = {"S": S, "U": U, "U2": U * U}
+    dev = [None] * tree.graph.n
+    dev[tree.root] = IDENTITY
+    for e in tree.order[1:]:
+        p, letter = tree.parent[e]
+        dev[e] = dev[p] * moves[letter]
+    return dev
+
+
+def random_unimodular(a, c, t):
+    """The element [[a, b], [c, d]] of PSL2(Z) with b, d from the extended
+    Euclidean algorithm on the coprime pair (a, c), shifted by t times the
+    first column; None when a and c are not coprime."""
+    if gcd(a, c) != 1:
+        return None
+    # x0 * a + y0 * c = old_r, kept through the descent
+    old_r, r, x0, x1, y0, y1 = a, c, 1, 0, 0, 1
+    while r:
+        k = old_r // r
+        old_r, r = r, old_r - k * r
+        x0, x1 = x1, x0 - k * x1
+        y0, y1 = y1, y0 - k * y1
+    if old_r < 0:
+        x0, y0 = -x0, -y0
+    # a * x0 + c * y0 = 1, so a * d - b * c = 1 for d = x0, b = -y0
+    return Psl2Elt(a, -y0 + t * a, c, x0 + t * c)
 
 
 def member_predicate(family, N):

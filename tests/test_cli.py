@@ -6,6 +6,8 @@ import pytest
 import modpoly.cosets as cosets
 from modpoly.cli import main
 
+from oracles import built_polygon
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -201,17 +203,18 @@ def test_max_index_option(capsys):
 
 
 QUERY_LAYERS = ["assemble", "develop", "graph", "query", "system", "tree"]
-QUERY_COUNTS = ["generators", "index", "sides", "syllables"]
+QUERY_COUNTS = ["entry_bits", "gc_collections", "generators", "index", "sides", "syllables"]
 QUERY_INPUTS = {"express": ["--matrix", "1,1,0,1"], "locate": ["--x", "5/2", "--y", "1/7"]}
 
 
 @pytest.mark.parametrize("command, layers, counts", [
-    ("graph", ["graph", "system", "write"], ["index"]),
+    ("graph", ["graph", "system", "write"], ["gc_collections", "index"]),
     ("polygon", ["assemble", "develop", "graph", "system", "tree", "write"],
-     ["generators", "index", "sides"]),
+     ["entry_bits", "gc_collections", "generators", "index", "sides"]),
     ("generators", ["assemble", "develop", "graph", "system", "tree", "write"],
-     ["generators", "index", "sides"]),
-    ("invariants", ["graph", "invariants", "system", "write"], ["generators", "index"]),
+     ["entry_bits", "gc_collections", "generators", "index", "sides"]),
+    ("invariants", ["graph", "invariants", "system", "write"],
+     ["gc_collections", "generators", "index"]),
     ("express", QUERY_LAYERS, QUERY_COUNTS),
     ("express --trace", QUERY_LAYERS, QUERY_COUNTS + ["trace_restarts", "trace_steps"]),
     ("locate", QUERY_LAYERS, QUERY_COUNTS),
@@ -231,8 +234,13 @@ def test_stats_leave_stdout_unchanged(capsys, command, layers, counts):
     assert sorted(set(stats) - {"command", "group", "level", "seconds", "peak_rss_mb"}) == counts
     assert (stats["command"], stats["group"], stats["level"]) == (command, "gamma0", 11)
     assert stats["peak_rss_mb"] > 0
+    assert stats["gc_collections"] >= 0
     if command not in ("graph", "invariants"):
         assert (stats["sides"], stats["generators"]) == (6, 3)
+        # the generators of gamma0(11) have entries up to 11 (4 bits)
+        gens = built_polygon("gamma0", 11).generators
+        assert stats["entry_bits"] == max(abs(x).bit_length() for g, _ in gens
+                                          for x in g.tuple()) == 4
     if command in ("express", "locate"):
         assert stats["syllables"] == len(json.loads(out)["word"])
     if flags == ["--trace"]:

@@ -264,10 +264,16 @@ def test_oracle_polygon_without_oracle_calls():
 
 def test_validate_rejects_bad_permutations():
     from modpoly.cosets import CosetSystem
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order dividing 3"):
         CosetSystem("gamma0", 2, [0, 1], [1, 0], [1, 0], 0)  # sigma_u has order 2
-    with pytest.raises(ValueError):
-        CosetSystem("gamma0", 2, [0, 1], [0, 1], [0, 1], 0)  # not transitive
+    with pytest.raises(ValueError, match="not transitive"):
+        CosetSystem("gamma0", 2, [0, 1], [0, 1], [0, 1], 0)
+    with pytest.raises(ValueError, match="not an involution"):
+        CosetSystem("gamma0", 3, [0, 1, 2], [1, 2, 0], [1, 2, 0], 0)
+    with pytest.raises(ValueError, match="not permutations"):
+        CosetSystem("gamma0", 3, [0, 1, 2], [1, 0, 2], [1, 1, 2], 0)
+    # a valid pair: S swaps 0 and 1, U is the 3-cycle
+    assert CosetSystem("gamma0", 3, [0, 1, 2], [1, 0, 2], [1, 2, 0], 0).n == 3
 
 
 def test_oracle_equivalence_small():

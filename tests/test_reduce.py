@@ -6,11 +6,14 @@ from fractions import Fraction
 import pytest
 
 from modpoly.cosets import MembershipError
+from modpoly.polygon import SpecialPolygon
 from modpoly.psl2 import IDENTITY, S, T, U, Psl2Elt
 from modpoly.reduce import (
+    BASE_POINTS,
     ExactPoint,
     Geodesic,
     _locate_by_trace,
+    _trace,
     act,
     act_point,
     evaluate_word,
@@ -165,6 +168,48 @@ def test_express_identity():
     poly = built_polygon("gamma0", 11)
     assert express(poly, IDENTITY) == []
     assert express(poly, IDENTITY, use_trace=True) == []
+
+
+@pytest.mark.parametrize("family, level", [("gamma0", 1), ("gamma0", 13), ("gamma", 5),
+                                           ("gamma1", 7)])
+def test_trace_from_a_point_to_itself(family, level):
+    # every base point is interior, and a trace to the source itself has no
+    # travel geodesic: it ends before forming one
+    poly = built_polygon(family, level)
+    for p in BASE_POINTS:
+        assert poly._contains(p, strict=True)
+        assert _trace(poly, p, p) == (p, [])
+
+
+def test_trace_tests_each_target_once(monkeypatch):
+    # _locate_by_trace tests the base point, and _trace tests the target
+    # once per step, step 0 included: s crossings cost s + 2 side searches
+    # (a separate test of the target before the trace made them s + 3)
+    calls = 0
+    excluding = SpecialPolygon._excluding_side
+
+    def counting(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return excluding(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpecialPolygon, "_excluding_side", counting)
+    poly = built_polygon("gamma0", 1009)
+    base = BASE_POINTS[0]
+    crossings = 0
+    for g, _ in poly.generators:
+        for target in (act(g, base), act(g.inv(), base)):
+            stats = {"trace_steps": 0, "trace_restarts": 0}
+            calls = 0
+            assert _locate_by_trace(poly, target, stats)[0] == base
+            assert stats["trace_restarts"] == 0
+            assert calls == stats["trace_steps"] + 2
+            crossings += stats["trace_steps"]
+    assert crossings >= 2 * len(poly.generators)
+    # a target in the polygon: the base-point test and step 0
+    calls = 0
+    assert _locate_by_trace(poly, base) == (base, [])
+    assert calls == 2
 
 
 def test_express_gamma2_translation_squared():
