@@ -79,6 +79,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--matrix", required=True, help='entries "a,b,c,d"')
     p.add_argument("--trace", action="store_true",
                    help="use the geodesic tracer instead of coset rewriting")
+    p.add_argument("--explain", action="store_true",
+                   help="with --trace, write one JSON object per side the trace "
+                        "crosses to stderr")
     p.add_argument("--output", default=None)
     _add_stats(p)
 
@@ -94,6 +97,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--group", required=True, choices=FAMILIES)
     p.add_argument("--levels", required=True, help="comma-separated levels")
     _add_max_index(p)
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="text: level, index and seconds, tab-separated; json: one "
+                        "row per level with the seconds per layer and the counts "
+                        "of --stats")
     p.add_argument("--output", default=None)
 
     return parser
@@ -152,17 +159,35 @@ def _polygon_counts(poly) -> dict:
                                for x in (g.a, g.b, g.c, g.d)), default=0)}
 
 
+def _stats(command: str, group: str, level: int, seconds: dict, counts: dict,
+           collections: int) -> dict:
+    """Seconds per layer, the sizes the command computed, the garbage
+    collections run since the count `collections` was taken and the
+    process's peak resident memory (ru_maxrss, KiB on Linux)."""
+    return {"command": command, "group": group, "level": level,
+            "seconds": {layer: round(s, 6) for layer, s in seconds.items()},
+            "gc_collections": _gc_collections() - collections,
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            **counts}
+
+
 def _write_stats(args, seconds: dict, counts: dict, collections: int):
-    """One JSON object on stderr: seconds per layer, the sizes the command
-    computed, the garbage collections run since the command started (the
-    count `collections` was taken then) and the process's peak resident
-    memory (ru_maxrss, KiB on Linux)."""
-    stats = {"command": args.command, "group": args.group, "level": args.level,
-             "seconds": {layer: round(s, 6) for layer, s in seconds.items()},
-             "gc_collections": _gc_collections() - collections,
-             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-             **counts}
+    """The command's _stats as one JSON object on stderr."""
+    stats = _stats(args.command, args.group, args.level, seconds, counts, collections)
     sys.stderr.write(json.dumps(stats, sort_keys=True) + "\n")
+
+
+def _write_explain(record: list):
+    """One JSON object per crossing of the traced express on stderr, in the
+    order crossed: its step number, the side crossed (its index in the
+    polygon's sides), the generator and exponent that pull the target back,
+    whether the segment met the side's elliptic vertex, and the travel
+    geodesic (a, b, c) and the target triple (n, m, k) before the crossing."""
+    for step, (geod, t, side, gen, exp, vertex) in enumerate(record):
+        sys.stderr.write(json.dumps({"step": step, "side": side, "generator": gen,
+                                     "exponent": exp, "vertex": vertex,
+                                     "geodesic": list(geod), "target": list(t)},
+                                    sort_keys=True) + "\n")
 
 
 def _frac(text: str) -> Fraction:
@@ -202,6 +227,8 @@ def _cmd_query(args) -> int:
     seconds: dict[str, float] = {}
     system = _timed(seconds, "system", _build_system, args.group, args.level, args.max_index)
     if args.command == "express":
+        if args.explain and not args.trace:
+            raise UsageError("--explain needs --trace")
         try:
             g = parse_matrix(args.matrix)
         except ValueError as err:
@@ -216,7 +243,8 @@ def _cmd_query(args) -> int:
     counts = {"index": system.n, **_polygon_counts(poly)}
     if args.command == "express":
         trace = {"trace_steps": 0, "trace_restarts": 0} if args.trace else None
-        word = _timed(seconds, "query", express, poly, g, args.trace, trace)
+        record = [] if args.explain else None
+        word = _timed(seconds, "query", express, poly, g, args.trace, trace, record)
         counts.update(trace or {})
         check = evaluate_word(poly.generators, word)
         if check != g:
@@ -236,6 +264,8 @@ def _cmd_query(args) -> int:
             "element": list(g.tuple()),
         }
     _emit(_dumps(data), args.output)
+    if args.command == "express" and args.explain:
+        _write_explain(record)
     if args.stats:
         _write_stats(args, seconds, {**counts, "syllables": len(word)}, collections)
     return 0
@@ -287,14 +317,20 @@ def _cmd_bench(args) -> int:
         raise UsageError(f"bad --levels value {args.levels!r}") from None
     if not levels or any(v < 1 for v in levels):
         raise UsageError("--levels needs positive integers")
-    lines = []
+    rows = []
     for level in levels:
-        start = time.perf_counter()
-        system = _build_system(args.group, level, args.max_index)
-        polygon.build_polygon(system)
-        elapsed = time.perf_counter() - start
-        lines.append(f"{level}\t{system.n}\t{elapsed:.3f}")
-    _emit("\n".join(lines) + "\n", args.output)
+        collections = _gc_collections()
+        seconds: dict[str, float] = {}
+        system = _timed(seconds, "system", _build_system, args.group, level, args.max_index)
+        poly = _build_polygon(system, seconds)
+        rows.append(_stats("bench", args.group, level, seconds,
+                           {"index": system.n, **_polygon_counts(poly)}, collections))
+    if args.format == "json":
+        text = _dumps(rows)
+    else:
+        text = "".join(f"{row['level']}\t{row['index']}\t{sum(row['seconds'].values()):.3f}\n"
+                       for row in rows)
+    _emit(text, args.output)
     return 0
 
 

@@ -26,22 +26,24 @@ class CuboidGraph:
         self.sigma_u = su
         self.distinguished = system.distinguished
 
-        self.v0: list[list[int]] = []
+        # vertex orbits are tuples: immutable, and not tracked by the
+        # garbage collector once they hold only ints
+        self.v0: list[tuple[int, ...]] = []
         self.edge_v0 = [-1] * n
         for e in range(n):
             if self.edge_v0[e] != -1:
                 continue
-            orbit = [e] if ss[e] == e else [e, ss[e]]
+            orbit = (e,) if ss[e] == e else (e, ss[e])
             for x in orbit:
                 self.edge_v0[x] = len(self.v0)
             self.v0.append(orbit)
 
-        self.v1: list[list[int]] = []
+        self.v1: list[tuple[int, ...]] = []
         self.edge_v1 = [-1] * n
         for e in range(n):
             if self.edge_v1[e] != -1:
                 continue
-            orbit = [e] if su[e] == e else [e, su[e], su[su[e]]]
+            orbit = (e,) if su[e] == e else (e, su[e], su[su[e]])
             for x in orbit:
                 self.edge_v1[x] = len(self.v1)
             self.v1.append(orbit)
@@ -162,9 +164,9 @@ def to_json(graph: CuboidGraph) -> str:
     parts = [f'{{\n  "distinguished": {graph.distinguished},\n  "n": {graph.n},\n  "sigma_S": ',
              int_array(graph.sigma_s, "  "), ',\n  "sigma_U": ', int_array(graph.sigma_u, "  "),
              ',\n  "v0": ']
-    extend_array(parts, (_ORBIT[len(orbit)] % tuple(orbit) for orbit in graph.v0), "  ")
+    extend_array(parts, (_ORBIT[len(orbit)] % orbit for orbit in graph.v0), "  ")
     parts.append(',\n  "v1": ')
-    extend_array(parts, (_ORBIT[len(orbit)] % tuple(orbit) for orbit in graph.v1), "  ")
+    extend_array(parts, (_ORBIT[len(orbit)] % orbit for orbit in graph.v1), "  ")
     parts.append("\n}\n")
     return "".join(parts)
 

@@ -26,6 +26,7 @@ from .cuboid import CuboidGraph, build_graph, graph_invariants
 from .jsonout import extend_array
 from .psl2 import CUSP_INF, CUSP_ZERO, IDENTITY, Cusp, Psl2Elt, act_cusp
 from .reduce import (
+    BASE_POINTS,
     I_POINT,
     RHO_POINT,
     ExactPoint,
@@ -49,9 +50,9 @@ SIDE_KINDS = ("even", "odd_inf", "odd_zero", "e3_arc", "e3_line")
 # endpoint tags: ("cusp", Cusp) or ("ell", order, point triple)
 Endpoint = tuple
 
-# the polygon's base point, interior to the root triangle
+# the polygon's base point, interior to the root triangle; its triple is
+# reduce.BASE_POINTS[0], the tracer's first source
 BASE_POINT = ExactPoint(Fraction(1, 4), Fraction(1))
-_BASE = lift(BASE_POINT.x, BASE_POINT.y**2)
 
 
 class Side(NamedTuple):
@@ -444,7 +445,7 @@ def assemble(tree: CutTree, dev: list[Psl2Elt]) -> SpecialPolygon:
         raise ValueError("internal error: no side leaves infinity")
     poly = SpecialPolygon(graph.system, graph, dev, sides, generators, s_gen, u_gen,
                           BASE_POINT, left_wall)
-    if not poly._contains(_BASE, strict=True):
+    if not poly._contains(BASE_POINTS[0], strict=True):
         raise ValueError("internal error: base point is not interior")
     return poly
 

@@ -50,16 +50,22 @@ class Psl2Elt:
         return Psl2Elt._make(self.d, -self.b, -self.c, self.a)
 
     def __pow__(self, n: int) -> "Psl2Elt":
-        if n < 0:
-            return self.inv() ** (-n)
-        result = IDENTITY
+        """Square and multiply from the low bit, with no squaring past the
+        top bit: g ** 1 is g, g ** -1 is one inv(), and |n| takes at most
+        2 * bit_length(|n|) - 1 products in all."""
         base = self
-        while n:
+        if n < 0:
+            base, n = self.inv(), -n
+        if not n:
+            return IDENTITY
+        result = None
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)

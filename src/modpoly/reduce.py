@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .cosets import MembershipError
-from .psl2 import Cusp, Psl2Elt, su_word, t_runs
+from .psl2 import IDENTITY, Cusp, Psl2Elt, su_word, t_runs
 
 # word in the independent generators: (generator index, exponent) pairs
 GenWord = list[tuple[int, int]]
@@ -91,10 +91,15 @@ RHO_POINT: Point = (2, 1, 2)
 
 def lift(x: Fraction, y2: Fraction) -> Point:
     """Primitive integer triple (n, m, k), k > 0, proportional to
-    (x^2+y^2, x, 1) for the point x + iy given as (x, y^2)."""
-    s = x * x + y2
-    k = lcm(s.denominator, x.denominator)
-    return s.numerator * (k // s.denominator), x.numerator * (k // x.denominator), k
+    (x^2+y^2, x, 1) for the point x + iy given as (x, y^2).  With x = p/q
+    and y^2 = r/s it is (p^2 s + r q^2, pqs, q^2 s) over its gcd, computed
+    on the numerators and denominators with no Fraction arithmetic."""
+    p, q = x.numerator, x.denominator
+    r, s = y2.numerator, y2.denominator
+    qs = q * s
+    n, m, k = p * p * s + r * q * q, p * qs, q * qs
+    g = gcd(n, m, k)
+    return n // g, m // g, k // g
 
 
 def act(g: Psl2Elt, point: Point) -> Point:
@@ -178,10 +183,12 @@ def reduce_word(word: GenWord, generators) -> GenWord:
 
 
 def evaluate_word(generators, word: GenWord) -> Psl2Elt:
-    """Left-to-right product of generator powers."""
-    result = Psl2Elt(1, 0, 0, 1)
+    """Left-to-right product of generator powers; the first power is taken
+    as it is, with no product by the identity."""
+    result = IDENTITY
     for idx, exp in word:
-        result = result * generators[idx][0] ** exp
+        power = generators[idx][0] ** exp
+        result = power if result is IDENTITY else result * power
     return result
 
 
@@ -280,27 +287,32 @@ def _reduce_to_base_triangle(point: Point) -> tuple[Point, Psl2Elt]:
 # geodesic tracing (the geometric reduction procedure)
 
 # base points x + i, all interior to the root triangle, as the triples
-# (p^2+q^2, pq, q^2) for x = p/q
+# (p^2+q^2, pq, q^2) for x = p/q.  The first, (17, 4, 16) for 1/4 + i, is the
+# polygon's base point: assemble refuses a polygon that does not hold it
+# strictly inside, so the tracer starts there untested
 BASE_POINTS: list[Point] = [(p * p + q * q, p * q, q * q) for p, q in
                             ((1, 4), (1, 3), (2, 7), (3, 11), (1, 5), (2, 9), (3, 13), (5, 17))]
 
 _MAX_TRACE_STEPS = 100000
 
 
-def _locate_by_trace(poly, target: Point, stats: dict | None = None) -> tuple[Point, GenWord]:
-    """The point triple w of the polygon and the word of the element that
-    moves it onto target, by the geometric reduction procedure: trace the
-    geodesic from an interior base point to target, pulling target back
+def _locate_by_trace(poly, target: Point, stats: dict | None = None,
+                     record: list | None = None) -> tuple[Point, GenWord, Psl2Elt]:
+    """The point triple w of the polygon, the word of the element h that
+    moves it onto target, and h, by the geometric reduction procedure: trace
+    the geodesic from an interior base point to target, pulling target back
     across each side it crosses.  express(use_trace=True) runs this
     independent route.  With stats, adds the sides crossed to
     stats["trace_steps"] and the traces abandoned for the next base point
-    to stats["trace_restarts"]."""
+    to stats["trace_restarts"]; record collects every crossing of every
+    trace, see _trace.  The first base point is interior by construction
+    (see BASE_POINTS); a restart tests the next one before it traces."""
     last = None
-    for source in BASE_POINTS:
-        if not poly._contains(source, strict=True):
+    for i, source in enumerate(BASE_POINTS):
+        if i and not poly._contains(source, strict=True):
             continue
         try:
-            return _trace(poly, source, target, stats=stats)
+            return _trace(poly, source, target, record, stats)
         except TraceDegenerateError as err:
             last = err
             if stats is not None:
@@ -319,29 +331,33 @@ def _exact_point(point: Point) -> ExactPoint:
     return ExactPoint(Fraction(m, k), Fraction(ky, k))
 
 
-def express(poly, g: Psl2Elt, use_trace: bool = False, stats: dict | None = None) -> GenWord:
+def express(poly, g: Psl2Elt, use_trace: bool = False, stats: dict | None = None,
+            record: list | None = None) -> GenWord:
     """Word in the polygon's independent generators evaluating exactly to g;
     raises MembershipError when g is not in the subgroup.  With use_trace,
     stats (a dict with the keys trace_steps and trace_restarts) counts the
-    tracer's work, see _locate_by_trace."""
+    tracer's work and record collects its crossings, see _locate_by_trace.
+    The traced word is evaluated once: the h that _trace checked against
+    its target is the element compared with g here."""
     if not use_trace:
         return express_schreier(poly, g)
     label = poly.system.coset(g)
     if label != poly.system.distinguished:
         raise _not_member(poly.system, g, label)
-    base = lift(poly.base_point.x, poly.base_point.y**2)
-    w, word = _locate_by_trace(poly, act(g, base), stats)
-    if w != base or evaluate_word(poly.generators, word) != g:
+    base = BASE_POINTS[0]
+    w, word, h = _locate_by_trace(poly, act(g, base), stats, record)
+    if w != base or h != g:
         raise ValueError("internal error: trace did not reproduce the element")
     return word
 
 
 def _trace(poly, source: Point, target: Point, record: list | None = None,
-           stats: dict | None = None) -> tuple[Point, GenWord]:
+           stats: dict | None = None) -> tuple[Point, GenWord, Psl2Elt]:
     """Follow the geodesic from the interior point source to target across
     the polygon's sides, pulling target back by each side's generator;
-    returns the pulled-back target, which lies in the polygon, and the word
-    of the element that moves it onto target.
+    returns the pulled-back target t, which lies in the polygon, the word of
+    the element h that moves it onto target, and h, evaluated once for the
+    check act(h, t) == target.
 
     The polygon is convex, so the travel segment leaves it once, and the
     vertical ray over each cusp vertex lies in it, so the segment passes
@@ -350,24 +366,29 @@ def _trace(poly, source: Point, target: Point, record: list | None = None,
     one even side or an elliptic pair of adjacent partners, and it holds the
     side that _excluding_side finds for t, so a step tests at most two
     sides, however many the polygon has.  The target is tested before the
-    travel geodesic is formed: a trace from the source to itself has none."""
+    travel geodesic is formed: a trace from the source to itself has none.
+
+    record, when given, gets one entry per crossing, (geod, t, side, gen,
+    exp, vertex): the travel geodesic and the target before the crossing,
+    the index in poly.sides of the side crossed, the pullback
+    generators[gen] ** exp (the word gains the syllable (gen, -exp)), and
+    whether the segment met the side's elliptic vertex."""
     sides = poly.sides
     gens = poly.generators
     word: GenWord = []
     t = target
     below = poly._excluding_side(t)
     if below is None and source == target:
-        return t, word
+        return t, word, IDENTITY
     geod = _geodesic(*_cross(source, target))
 
     for _ in range(_MAX_TRACE_STEPS):
-        if record is not None:
-            record.append((geod, t))
         if below is None:
             word = reduce_word(word, gens)
-            if act(evaluate_word(gens, word), t) != target:
+            h = evaluate_word(gens, word)
+            if act(h, t) != target:
                 raise ValueError("internal error: trace postcondition failed")
-            return t, word
+            return t, word, h
 
         pa = geodesic_param(geod, source)
         pt = geodesic_param(geod, t)
@@ -398,6 +419,8 @@ def _trace(poly, source: Point, target: Point, record: list | None = None,
         word.append((gi, -ge))
         if stats is not None:
             stats["trace_steps"] += 1
+        if record is not None:
+            record.append((geod, t, sides[side.pair].pair, gi, ge, kind == "vertex"))
         t = act(r, t)
         source = act(r, point)
         geod = geod.transform(r)

@@ -8,7 +8,7 @@ completely separate computation.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from modpoly.cosets import build_system
 from modpoly.cuboid import build_graph
@@ -168,6 +168,23 @@ def reference_t_runs(g):
     runs.append(h.b)
     runs.reverse()
     return runs
+
+
+def reference_lift(x, y2):
+    """The point triple of x + iy, given as (x, y^2), by Fraction
+    arithmetic: x^2 + y^2 and x brought to their common denominator k."""
+    s = x * x + y2
+    k = lcm(s.denominator, x.denominator)
+    return s.numerator * (k // s.denominator), x.numerator * (k // x.denominator), k
+
+
+def reference_power(g, n):
+    """g ** n as the plain product of |n| copies of g, or of g.inv() for
+    n < 0."""
+    result = IDENTITY
+    for _ in range(abs(n)):
+        result = result * (g if n > 0 else g.inv())
+    return result
 
 
 def reference_develop(tree):

@@ -2,8 +2,9 @@
 t_runs builds no matrix object however long the matrix, develop builds one
 matrix per edge besides the root's identity, and assemble builds one matrix
 per generator and at most four cusps per generator (two per side), a count
-pinned here at gamma0(1009) and gamma(7).  Constructions are counted as
-calls of Psl2Elt.__init__ / Psl2Elt._make and Cusp.__init__ /
+pinned here at gamma0(1009) and gamma(7).  A power g ** n makes at most
+2 * bit_length(|n|) matrices, and g ** 1 is g itself.  Constructions are
+counted as calls of Psl2Elt.__init__ / Psl2Elt._make and Cusp.__init__ /
 Cusp._coprime seen by a profile hook."""
 
 import random
@@ -13,7 +14,7 @@ from collections import Counter
 import pytest
 
 from modpoly.polygon import assemble, develop
-from modpoly.psl2 import Cusp, Psl2Elt, t_runs
+from modpoly.psl2 import T, Cusp, Psl2Elt, t_runs
 
 from oracles import built_system, built_tree_dev, random_unimodular, reference_t_runs
 
@@ -79,3 +80,17 @@ def test_assemble_builds_a_fixed_count_per_generator(family, level, matrices, cu
     gens = len(poly.generators)
     assert made == Counter({"Psl2Elt": matrices, "Cusp": cusps})
     assert matrices == gens and cusps <= 4 * gens
+
+
+def test_power_makes_at_most_two_matrices_per_bit():
+    # long exponents on T, whose powers (1, n; 0, 1) stay small
+    g = Psl2Elt(2, 1, 7, 4)
+    assert g ** 1 is g and T ** 1 is T
+    cases = [(g, n) for n in range(-70, 71)] + [(T, n) for n in (2**40 - 1, -(2**40 + 1), 12345)]
+    for h, n in cases:
+        made, power = constructions(pow, h, n)
+        assert made["Psl2Elt"] <= 2 * abs(n).bit_length(), n
+        assert set(made) <= {"Psl2Elt"}
+    assert power == Psl2Elt(1, 12345, 0, 1)
+    made, _ = constructions(pow, g, -1)
+    assert made == Counter({"Psl2Elt": 1})

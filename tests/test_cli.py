@@ -5,6 +5,7 @@ import pytest
 
 import modpoly.cosets as cosets
 from modpoly.cli import main
+from modpoly.reduce import evaluate_word, reduce_word
 
 from oracles import built_polygon
 
@@ -149,6 +150,23 @@ def test_bench(capsys):
     float(seconds)
 
 
+def test_bench_json(capsys):
+    code, out, _ = run(capsys, "bench", "--group", "gamma0", "--levels", "11,13",
+                       "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [(row["level"], row["index"]) for row in rows] == [(11, 12), (13, 14)]
+    for row in rows:
+        poly = built_polygon("gamma0", row["level"])
+        assert (row["command"], row["group"]) == ("bench", "gamma0")
+        assert sorted(row["seconds"]) == ["assemble", "develop", "graph", "system", "tree"]
+        assert all(s >= 0 for s in row["seconds"].values())
+        assert (row["sides"], row["generators"]) == (len(poly.sides), len(poly.generators))
+        assert sorted(set(row) - {"command", "group", "level", "seconds", "peak_rss_mb"}) == \
+            ["entry_bits", "gc_collections", "generators", "index", "sides"]
+        assert row["peak_rss_mb"] > 0
+
+
 def test_bench_bad_levels(capsys):
     code, _, _ = run(capsys, "bench", "--group", "gamma0", "--levels", "x")
     assert code == 1
@@ -246,3 +264,45 @@ def test_stats_leave_stdout_unchanged(capsys, command, layers, counts):
     if flags == ["--trace"]:
         # T leaves the polygon through one side
         assert (stats["trace_steps"], stats["trace_restarts"]) == (1, 0)
+
+
+# only an elliptic vertex can be met in the upper half-plane: gamma0(11)
+# has none, gamma0(13) has elliptic points of both orders
+@pytest.mark.parametrize("level, elliptic", [(11, False), (13, True)])
+def test_express_explain_lines_follow_the_crossings(capsys, level, elliptic):
+    poly = built_polygon("gamma0", level)
+    gens = poly.generators
+    words = [[(i, 1)] for i in range(len(gens))] + [[(i, -1), (j, 1), (i, 1)]
+                                                    for i in range(len(gens)) for j in range(i)]
+    vertices = 0
+    for word in words:
+        matrix = ",".join(map(str, evaluate_word(gens, word).tuple()))
+        argv = ["express", "--group", "gamma0", "--level", str(level), f"--matrix={matrix}",
+                "--trace"]
+        code, plain, plain_err = run(capsys, *argv)
+        assert (code, plain_err) == (0, "")
+        code, out, err = run(capsys, *argv, "--explain", "--stats")
+        assert code == 0
+        assert out == plain
+        *lines, stats = err.splitlines()
+        stats = json.loads(stats)
+        assert len(lines) == stats["trace_steps"] and stats["trace_restarts"] == 0
+        crossings = [json.loads(line) for line in lines]
+        assert [c["step"] for c in crossings] == list(range(len(crossings)))
+        syllables = []
+        for c in crossings:
+            side = poly.sides[c["side"]]
+            assert c["generator"] == side.gen
+            assert len(c["geodesic"]) == len(c["target"]) == 3
+            assert c["vertex"] or c["exponent"] == side.gen_exp
+            vertices += c["vertex"]
+            syllables.append((c["generator"], -c["exponent"]))
+        assert reduce_word(syllables, gens) == [tuple(s) for s in json.loads(out)["word"]]
+    assert (vertices > 0) == elliptic
+
+
+def test_explain_needs_trace(capsys):
+    code, out, err = run(capsys, "express", "--group", "gamma0", "--level", "11",
+                         "--matrix", "1,1,0,1", "--explain")
+    assert code == 1 and out == ""
+    assert "--trace" in err

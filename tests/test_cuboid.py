@@ -31,7 +31,7 @@ from oracles import (
 def test_whole_group_graph():
     g = built_graph("gamma0", 1)
     assert g.n == 1
-    assert g.v0 == [[0]] and g.v1 == [[0]]
+    assert g.v0 == [(0,)] and g.v1 == [(0,)]
     inv = graph_invariants(g)
     assert (inv.e2, inv.e3, inv.cusp_count, inv.betti, inv.genus) == (1, 1, 1, 0, 0)
     assert inv.n_generators == 2

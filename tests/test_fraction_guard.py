@@ -1,9 +1,10 @@
 """Points move as integer triples: assembling a polygon, stepping the
-geodesic tracer and locating a point triple by the tracer construct no
-Fraction, however many steps the trace takes, and locate_point constructs a
-fixed number of them (lifting its input, returning its result) whatever the
-point.  Constructions are counted as calls of Fraction.__new__ seen by a
-profile hook."""
+geodesic tracer, locating a point triple by the tracer and a traced express
+construct no Fraction, however many steps the trace takes, and
+locate_point constructs three whatever the point: the square of its input's
+y, which it lifts on integers, and the two coordinates of its result.
+Constructions are counted as calls of Fraction.__new__ seen by a profile
+hook."""
 
 import random
 import sys
@@ -12,7 +13,16 @@ from fractions import Fraction
 import pytest
 
 from modpoly.polygon import assemble
-from modpoly.reduce import BASE_POINTS, ExactPoint, _locate_by_trace, _trace, lift, locate_point
+from modpoly.reduce import (
+    BASE_POINTS,
+    ExactPoint,
+    _locate_by_trace,
+    _trace,
+    evaluate_word,
+    express,
+    lift,
+    locate_point,
+)
 
 from oracles import built_polygon, built_tree_dev
 
@@ -64,4 +74,17 @@ def test_trace_and_locate_fraction_count_is_fixed():
         count, _ = fraction_constructions(locate_point, poly, z)
         located.add(count)
     assert len(step_counts) >= 3
-    assert len(located) == 1, located
+    assert located == {3}, located
+
+
+@pytest.mark.parametrize("family, level", [("gamma0", 13), ("gamma0", 1009), ("gamma", 5)])
+def test_traced_express_constructs_no_fraction(family, level):
+    poly = built_polygon(family, level)
+    gens = poly.generators
+    rng = random.Random(level)
+    for _ in range(20):
+        word = [(rng.randrange(len(gens)), rng.choice([-1, 1])) for _ in range(rng.randint(1, 4))]
+        g = evaluate_word(gens, word)
+        count, out = fraction_constructions(express, poly, g, use_trace=True)
+        assert count == 0
+        assert evaluate_word(gens, out) == g

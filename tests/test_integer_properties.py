@@ -1,20 +1,31 @@
-"""The build's integer loops agree with their object-based references over
-random inputs: t_runs with reference_t_runs (one matrix object per Euclid
-step) on unimodular matrices with entries up to 2^800, c = 0 and negative
-entries included; Cusp._coprime with the gcd-reducing Cusp constructor on
-coprime pairs, q <= 0 and (+-1, 0) included; and develop with the product
-of the move letters S, U and U^2 for the five families at levels up to
-30."""
+"""The integer loops agree with their object-based references over random
+inputs: t_runs with reference_t_runs (one matrix object per Euclid step) on
+unimodular matrices with entries up to 2^800, c = 0 and negative entries
+included; Cusp._coprime with the gcd-reducing Cusp constructor on coprime
+pairs, q <= 0 and (+-1, 0) included; develop with the product of the move
+letters S, U and U^2 for the five families at levels up to 30; g ** n with
+the plain product of |n| copies for |n| <= 40 and entries up to 2^200, S, U
+and the identity included; and lift with the Fraction arithmetic of
+reference_lift on negative, integral and 400-bit rationals."""
 
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 from modpoly.cosets import FAMILIES
-from modpoly.polygon import develop
-from modpoly.psl2 import Cusp, t_runs
+from modpoly.polygon import BASE_POINT, develop
+from modpoly.psl2 import IDENTITY, S, T, U, Cusp, t_runs
+from modpoly.reduce import BASE_POINTS, lift
 
-from oracles import built_tree_dev, random_unimodular, reference_develop, reference_t_runs
+from oracles import (
+    built_tree_dev,
+    random_unimodular,
+    reference_develop,
+    reference_lift,
+    reference_power,
+    reference_t_runs,
+)
 
 BIG = 2**800
 entries = st.integers(-BIG, BIG)
@@ -55,3 +66,47 @@ def test_coprime_cusp_matches_cusp(p, q):
 def test_develop_matches_the_product_of_moves(family, level):
     tree, _ = built_tree_dev(family, level)
     assert develop(tree) == reference_develop(tree)
+
+
+# elements with entries up to 2^200: random ones, and S, U, T and the identity
+small_entries = st.integers(-2**200, 2**200)
+elements = st.one_of(
+    st.tuples(small_entries, small_entries, st.integers(-2**8, 2**8))
+    .map(lambda column: random_unimodular(*column)).filter(lambda g: g is not None),
+    st.sampled_from([IDENTITY, S, U, T]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements, st.integers(-40, 40))
+@example(S, -1)
+@example(U, 2)
+@example(U, -3)
+@example(IDENTITY, 7)
+def test_power_is_the_plain_product(g, n):
+    assert g ** n == reference_power(g, n)
+
+
+BIG_DENOMINATOR = 2**400
+rationals = st.one_of(
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.fractions(min_value=-100, max_value=100, max_denominator=10**4),
+    st.tuples(st.integers(-2**420, 2**420), st.integers(1, BIG_DENOMINATOR))
+    .map(lambda pair: Fraction(*pair)))
+positive = st.one_of(
+    st.integers(1, 10**6).map(Fraction),
+    st.tuples(st.integers(1, 2**420), st.integers(1, BIG_DENOMINATOR))
+    .map(lambda pair: Fraction(*pair)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, positive)
+@example(Fraction(0), Fraction(1))
+@example(Fraction(-3), Fraction(4))
+@example(Fraction(-1, 2), Fraction(3, 4))
+@example(Fraction(1, BIG_DENOMINATOR), Fraction(1, BIG_DENOMINATOR - 1))
+def test_lift_matches_the_fraction_lift(x, y2):
+    assert lift(x, y2) == reference_lift(x, y2)
+
+
+def test_polygon_base_point_lifts_to_the_first_base_point():
+    assert lift(BASE_POINT.x, BASE_POINT.y**2) == BASE_POINTS[0] == (17, 4, 16)

@@ -141,8 +141,9 @@ def test_locate_point_through_order3_vertex():
     assert act_point(evaluate_word(poly.generators, word), w) == z
     assert poly.contains(w.x, w.y**2)
     target = lift(z.x, z.y**2)
-    w, word = _locate_by_trace(poly, target)
-    assert act(evaluate_word(poly.generators, word), w) == target
+    w, word, h = _locate_by_trace(poly, target)
+    assert h == evaluate_word(poly.generators, word)
+    assert act(h, w) == target
     assert poly._contains(w)
 
 
@@ -178,13 +179,15 @@ def test_trace_from_a_point_to_itself(family, level):
     poly = built_polygon(family, level)
     for p in BASE_POINTS:
         assert poly._contains(p, strict=True)
-        assert _trace(poly, p, p) == (p, [])
+        assert _trace(poly, p, p) == (p, [], IDENTITY)
 
 
 def test_trace_tests_each_target_once(monkeypatch):
-    # _locate_by_trace tests the base point, and _trace tests the target
-    # once per step, step 0 included: s crossings cost s + 2 side searches
-    # (a separate test of the target before the trace made them s + 3)
+    # _trace tests the target once per step, step 0 included, and
+    # _locate_by_trace starts from the first base point, which assemble has
+    # checked, untested: s crossings cost s + 1 side searches (testing the
+    # base point on every call made them s + 2, and a separate test of the
+    # target before the trace s + 3)
     calls = 0
     excluding = SpecialPolygon._excluding_side
 
@@ -203,13 +206,13 @@ def test_trace_tests_each_target_once(monkeypatch):
             calls = 0
             assert _locate_by_trace(poly, target, stats)[0] == base
             assert stats["trace_restarts"] == 0
-            assert calls == stats["trace_steps"] + 2
+            assert calls == stats["trace_steps"] + 1
             crossings += stats["trace_steps"]
     assert crossings >= 2 * len(poly.generators)
-    # a target in the polygon: the base-point test and step 0
+    # a target in the polygon: step 0 alone
     calls = 0
-    assert _locate_by_trace(poly, base) == (base, [])
-    assert calls == 2
+    assert _locate_by_trace(poly, base) == (base, [], IDENTITY)
+    assert calls == 1
 
 
 def test_express_gamma2_translation_squared():
@@ -271,7 +274,7 @@ def test_round_trip_both_methods():
 
 def test_trace_intermediate_states_stay_on_geodesic():
     # at every step of the trace, the pulled-back target sits exactly on the
-    # pulled-back geodesic
+    # pulled-back geodesic, and the record names the side crossed
     from modpoly.reduce import _trace
     poly = built_polygon("gamma0", 13)
     rng = random.Random(24)
@@ -284,12 +287,17 @@ def test_trace_intermediate_states_stay_on_geodesic():
             continue
         steps = []
         target = lift(z.x, z.y**2)
-        w, out = _trace(poly, lift(poly.base_point.x, poly.base_point.y**2), target,
-                        record=steps)
+        w, out, h = _trace(poly, BASE_POINTS[0], target, record=steps)
         assert steps
-        for geod, (n, m, k) in steps:
+        for geod, (n, m, k), side, gen, exp, _ in steps:
             assert geodesic_eval_at(geod, F(m, k), F(n * k - m * m, k * k)) == 0
-        assert act(evaluate_word(gens, out), w) == target
+            assert poly.sides[side].gen == gen
+        # the final target, on the last geodesic pulled back across the last side
+        n, m, k = w
+        assert geodesic_eval_at(geod.transform(gens[gen][0] ** exp),
+                                F(m, k), F(n * k - m * m, k * k)) == 0
+        assert h == evaluate_word(gens, out)
+        assert act(h, w) == target
 
 
 def test_trace_hits_order2_vertices_exactly():
@@ -305,7 +313,7 @@ def test_trace_hits_order2_vertices_exactly():
                 continue
             z = act_point(g, z0)
             target = lift(z.x, z.y**2)
-            w, word = _locate_by_trace(poly, target)
+            w, word, _ = _locate_by_trace(poly, target)
             assert act(evaluate_word(gens, word), w) == target
             assert poly._contains(w)
 
@@ -351,7 +359,7 @@ def test_trace_hits_order3_vertices_exactly():
             if target is None:
                 continue
             lifted = lift(target.x, target.y**2)
-            w, word = _trace(poly, lift(z0.x, z0.y**2), lifted)
+            w, word, _ = _trace(poly, lift(z0.x, z0.y**2), lifted)
             assert act(evaluate_word(gens, word), w) == lifted
             checked += 1
         assert checked > 0

@@ -78,7 +78,7 @@ def test_locate_returns_a_polygon_point_and_a_member(group, z):
 def test_locate_agrees_with_the_tracer_at_interior_points(group, z):
     poly = built_polygon(*group)
     w, word = locate_point(poly, z)
-    traced_w, traced_word = _locate_by_trace(poly, lift(z.x, z.y**2))
+    traced_w, traced_word, _ = _locate_by_trace(poly, lift(z.x, z.y**2))
     if poly._contains(traced_w, strict=True):
         assert (lift(w.x, w.y**2), word) == (traced_w, traced_word)
 
@@ -117,7 +117,7 @@ def _half_turn(vertex, point):
 
 def assert_traced_without_restart(poly, z):
     target = lift(z.x, z.y**2)
-    w, word = _trace(poly, _first_base_point(poly), target)
+    w, word, _ = _trace(poly, _first_base_point(poly), target)
     assert poly._contains(w)
     assert act(evaluate_word(poly.generators, word), w) == target
 
@@ -139,7 +139,7 @@ def test_trace_passes_elliptic_vertices_without_restart(group):
                 if end[0] == "ell"}
     for vertex in vertices:
         target = _half_turn(vertex, source)
-        w, word = _trace(poly, source, target)
+        w, word, _ = _trace(poly, source, target)
         assert poly._contains(w)
         assert act(evaluate_word(poly.generators, word), w) == target
 
@@ -226,24 +226,29 @@ def test_coset_of_each_developing_matrix_is_its_label():
 
 
 def test_locate_never_tests_a_side(monkeypatch):
-    calls = 0
-    contains = SpecialPolygon._contains
+    # both membership tests are counted; the tracer, which bisects for the
+    # side beyond each pulled-back target, shows the counting is live
+    calls: Counter = Counter()
 
-    def counting(self, *args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return contains(self, *args, **kwargs)
+    def counting(name):
+        method = getattr(SpecialPolygon, name)
 
-    monkeypatch.setattr(SpecialPolygon, "_contains", counting)
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+        monkeypatch.setattr(SpecialPolygon, name, counted)
+
+    counting("_contains")
+    counting("_excluding_side")
     poly = built_polygon("gamma0", 13)
     zs = [poly.base_point, ExactPoint(Fraction(7, 8), Fraction(3, 8)),
           ExactPoint(Fraction(-41, 3), Fraction(1, 97))]
     for z in zs:
         locate_point(poly, z)
-    assert calls == 0
+    assert calls == Counter()
     for z in zs:
         _locate_by_trace(poly, lift(z.x, z.y**2))
-    assert calls > 0
+    assert calls["_excluding_side"] >= len(zs)
 
 
 @pytest.mark.parametrize("level", [1009, 10007])
@@ -268,10 +273,11 @@ def test_trace_step_tests_at_most_four_sides(monkeypatch, level):
         word = [(rng.randrange(len(gens)), rng.choice([-1, 1])) for _ in range(rng.randint(1, 3))]
         steps.clear()
         per_step.clear()
-        w, traced = _trace(poly, source, act(evaluate_word(gens, word), source), record=steps)
+        w, traced, _ = _trace(poly, source, act(evaluate_word(gens, word), source),
+                              record=steps)
         assert (w, traced) == (source, reduce_word(word, gens))
         assert max(per_step.values(), default=0) <= 4
-        crossings += len(steps) - 1
+        crossings += len(steps)
     assert crossings >= 20
 
 
