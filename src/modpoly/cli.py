@@ -45,7 +45,9 @@ def _add_group_args(sub):
 def _add_stats(sub):
     sub.add_argument("--stats", action="store_true",
                      help="write the seconds per layer, the sizes, the garbage "
-                          "collections and the peak memory as one JSON object to stderr")
+                          "collections (with polygon and generators, also the objects "
+                          "the build leaves for the collector to track) and the peak "
+                          "memory as one JSON object to stderr")
 
 
 def _build_parser() -> _Parser:
@@ -100,7 +102,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="text: level, index and seconds, tab-separated; json: one "
                         "row per level with the seconds per layer and the counts "
-                        "of --stats")
+                        "of polygon --stats")
     p.add_argument("--output", default=None)
 
     return parser
@@ -149,6 +151,13 @@ def _build_polygon(system, seconds: dict):
 def _gc_collections() -> int:
     """Garbage collections run so far in this process, over all generations."""
     return sum(gen["collections"] for gen in gc.get_stats())
+
+
+def _tracked_objects() -> int:
+    """Objects the garbage collector tracks after a full collection (which
+    counts as one collection)."""
+    gc.collect()
+    return len(gc.get_objects())
 
 
 def _polygon_counts(poly) -> dict:
@@ -273,9 +282,13 @@ def _cmd_query(args) -> int:
 
 def _cmd_build(args) -> int:
     """graph, polygon, generators and invariants, with each layer timed for
-    --stats."""
-    collections = _gc_collections()
+    --stats.  With --stats, polygon and generators also count the objects
+    the built system and polygon leave for the garbage collector to track,
+    tracked_objects, between two full collections that gc_collections
+    leaves out."""
     cmd = args.command
+    tracked = _tracked_objects() if args.stats and cmd in ("polygon", "generators") else None
+    collections = _gc_collections()
     seconds: dict[str, float] = {}
     system = _timed(seconds, "system", _build_system, args.group, args.level, args.max_index)
     counts = {"index": system.n}
@@ -299,6 +312,10 @@ def _cmd_build(args) -> int:
     else:
         poly = _build_polygon(system, seconds)
         counts.update(_polygon_counts(poly))
+        if tracked is not None:
+            counts["tracked_objects"] = _tracked_objects() - tracked
+            # leave out the collection that count ran
+            collections += 1
         if cmd == "polygon":
             render = partial(polygon.to_json if args.format == "json" else polygon.to_svg, poly)
         else:
@@ -317,14 +334,7 @@ def _cmd_bench(args) -> int:
         raise UsageError(f"bad --levels value {args.levels!r}") from None
     if not levels or any(v < 1 for v in levels):
         raise UsageError("--levels needs positive integers")
-    rows = []
-    for level in levels:
-        collections = _gc_collections()
-        seconds: dict[str, float] = {}
-        system = _timed(seconds, "system", _build_system, args.group, level, args.max_index)
-        poly = _build_polygon(system, seconds)
-        rows.append(_stats("bench", args.group, level, seconds,
-                           {"index": system.n, **_polygon_counts(poly)}, collections))
+    rows = [_bench_row(args.group, level, args.max_index) for level in levels]
     if args.format == "json":
         text = _dumps(rows)
     else:
@@ -332,6 +342,21 @@ def _cmd_bench(args) -> int:
                        for row in rows)
     _emit(text, args.output)
     return 0
+
+
+def _bench_row(group: str, level: int, max_index: int) -> dict:
+    """The _stats of one build, with tracked_objects counted as in
+    polygon --stats; the system and polygon are freed on return, so the
+    next level's count starts without them."""
+    tracked = _tracked_objects()
+    collections = _gc_collections()
+    seconds: dict[str, float] = {}
+    system = _timed(seconds, "system", _build_system, group, level, max_index)
+    poly = _build_polygon(system, seconds)
+    counts = {"index": system.n, **_polygon_counts(poly),
+              "tracked_objects": _tracked_objects() - tracked}
+    # leave out the collection that count ran
+    return _stats("bench", group, level, seconds, counts, collections + 1)
 
 
 def entry():

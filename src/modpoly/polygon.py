@@ -18,13 +18,14 @@ angle 2 pi/3 for an order-3 elliptic vertex.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import NamedTuple
 
 from .cosets import CosetSystem
 from .cuboid import CuboidGraph, build_graph, graph_invariants
 from .jsonout import extend_array
-from .psl2 import CUSP_INF, CUSP_ZERO, IDENTITY, Cusp, Psl2Elt, act_cusp
+from .psl2 import Cusp, Psl2Elt, act_cusp
 from .reduce import (
     BASE_POINTS,
     I_POINT,
@@ -46,9 +47,18 @@ from .reduce import (
 #   e3_arc    (e^(i pi/3), 0)     arc side at an order-3 vertex
 #   e3_line   (e^(i pi/3), inf)   vertical side at an order-3 vertex
 SIDE_KINDS = ("even", "odd_inf", "odd_zero", "e3_arc", "e3_line")
+# the order of a side's elliptic vertex, None for a side between two cusps
+_ELL_ORDER = {"even": None, "odd_inf": 2, "odd_zero": 2, "e3_arc": 3, "e3_line": 3}
 
-# endpoint tags: ("cusp", Cusp) or ("ell", order, point triple)
-Endpoint = tuple
+# a boundary vertex: the cusp p/q as the pair (p, q), q >= 0, with infinity
+# (1, 0), or an elliptic point as its point triple (n, m, k); either way its
+# x is v[-2] / v[-1]
+Vertex = tuple
+INF: Vertex = (1, 0)
+
+# (developing) matrices [[a, b], [c, d]] stored as sign-normalised tuples
+# (a, b, c, d): c > 0, or c = 0 and d > 0
+Matrix = tuple[int, int, int, int]
 
 # the polygon's base point, interior to the root triangle; its triple is
 # reduce.BASE_POINTS[0], the tracer's first source
@@ -56,50 +66,61 @@ BASE_POINT = ExactPoint(Fraction(1, 4), Fraction(1))
 
 
 class Side(NamedTuple):
-    """A boundary side, complete and immutable when it is made."""
+    """A boundary side, complete and immutable when it is made.  It holds
+    only ints, strs and int tuples; its triangle's matrix is dev[edge], and
+    the two sides that meet at a vertex share its tuple."""
 
     kind: str
     edge: int
-    carrier: Psl2Elt
-    start: Endpoint
-    end: Endpoint
+    start: Vertex
+    end: Vertex
     geodesic: Geodesic
     # position range lo < hi on the geodesic (reduce.geodesic_param), as
-    # (num, den) pairs, hi None for the cusp at infinity; lo_ell marks an
-    # elliptic vertex at the low end, ell_order is its order (None for a
-    # side between two cusps)
+    # (num, den) pairs, hi None for the cusp at infinity
     lo: tuple[int, int]
     hi: tuple[int, int] | None
-    lo_ell: bool
-    ell_order: int | None
     # index of the paired side, and the generator power that maps this side
     # onto it
     pair: int
     gen: int
     gen_exp: int
 
+    @property
+    def ell_order(self) -> int | None:
+        """The order of the side's elliptic vertex, None for an even side."""
+        return _ELL_ORDER[self.kind]
 
-def _side(kind: str, edge: int, carrier: Psl2Elt, start: Endpoint, end: Endpoint,
-          geodesic: Geodesic, pair: int, gen: tuple[int, int]) -> Side:
+
+def _side(kind: str, edge: int, start: Vertex, geodesic: Geodesic, pair: int, gen: int,
+          gen_exp: int, end: Vertex) -> Side:
     """A side with its position range and its pairing."""
-    lo, lo_ell = _end_param(geodesic, start)
-    hi, hi_ell = _end_param(geodesic, end)
+    lo, hi = _position(geodesic, start), _position(geodesic, end)
     if lo is None or (hi is not None and det2(hi, lo) < 0):
-        lo, lo_ell, hi = hi, hi_ell, lo
-    ell_order = start[1] if start[0] == "ell" else end[1] if end[0] == "ell" else None
-    return Side(kind, edge, carrier, start, end, geodesic, lo, hi, lo_ell, ell_order, pair, *gen)
+        lo, hi = hi, lo
+    return Side(kind, edge, start, end, geodesic, lo, hi, pair, gen, gen_exp)
 
 
-def _end_param(geod: Geodesic, endpoint: Endpoint) -> tuple[tuple[int, int] | None, bool]:
-    """Position of a side's endpoint (None for the cusp at infinity) and
-    whether the endpoint is elliptic.  A finite cusp p/q sits at x = p/q on
-    a circle and at x^2 = p^2/q^2 on a vertical line."""
-    if endpoint[0] == "ell":
-        return geodesic_param(geod, endpoint[2]), True
-    c = endpoint[1]
-    if c.q == 0:
-        return None, False
-    return ((c.p, c.q) if geod.a else (c.p * c.p, c.q * c.q)), False
+def _position(geod: Geodesic, vertex: Vertex) -> tuple[int, int] | None:
+    """Position of a vertex on a side's geodesic, None for the cusp at
+    infinity.  A finite cusp p/q sits at x = p/q on a circle, so its vertex
+    pair is its position, and at x^2 = p^2/q^2 on a vertical line."""
+    if len(vertex) == 3:
+        return geodesic_param(geod, vertex)
+    p, q = vertex
+    if q == 0:
+        return None
+    return vertex if geod[0] else (p * p, q * q)
+
+
+def _cusp(p: int, q: int) -> Vertex:
+    """The cusp p/q for coprime p and q, such as the image of a reduced cusp
+    under a unimodular matrix, as its vertex pair: only the sign is
+    normalised."""
+    if q > 0:
+        return p, q
+    if q < 0:
+        return -p, -q
+    return INF
 
 
 class CutTree:
@@ -170,29 +191,35 @@ def cut_to_tree(graph: CuboidGraph) -> CutTree:
     return CutTree(graph, cuts, order, parent)
 
 
-def develop(tree: CutTree) -> list[Psl2Elt]:
-    """Assign the developing matrix to every edge: the root gets the
-    identity, children multiply their parent's matrix g = [[a, b], [c, d]]
-    by the move letter.  The moves are sums on g's entries, one matrix made
-    per edge: g*S = (b, -a, d, -c), g*U = (-b, a+b, -d, c+d) and
+def develop(tree: CutTree) -> list[Matrix]:
+    """Assign the developing matrix to every edge, as a sign-normalised
+    tuple (a, b, c, d): the root gets the identity, children multiply their
+    parent's matrix g = [[a, b], [c, d]] by the move letter.  The moves are
+    sums on g's entries: g*S = (b, -a, d, -c), g*U = (-b, a+b, -d, c+d) and
     g*U^2 = (-a-b, a, -c-d, c)."""
-    dev: list[Psl2Elt | None] = [None] * tree.graph.n
-    dev[tree.root] = IDENTITY
-    parent, make = tree.parent, Psl2Elt._make
+    dev: list[Matrix | None] = [None] * tree.graph.n
+    dev[tree.root] = (1, 0, 0, 1)
+    parent = tree.parent
+    # few values recur in many entries (4 447 distinct values in the 228 729
+    # entries outside the small-int cache at gamma0(100003)), so each value
+    # is stored as one int object
+    one = {}.setdefault
     for e in tree.order[1:]:
         p, letter = parent[e]
-        g = dev[p]
-        a, b, c, d = g.a, g.b, g.c, g.d
+        a, b, c, d = dev[p]
         if letter == "S":
-            dev[e] = make(b, -a, d, -c)
+            a, b, c, d = b, -a, d, -c
         elif letter == "U":
-            dev[e] = make(-b, a + b, -d, c + d)
+            a, b, c, d = -b, a + b, -d, c + d
         else:
-            dev[e] = make(-a - b, a, -c - d, c)
+            a, b, c, d = -a - b, a, -c - d, c
+        if c < 0 or (c == 0 and d < 0):
+            a, b, c, d = -a, -b, -c, -d
+        dev[e] = (one(a, a), one(b, b), one(c, c), one(d, d))
     return dev
 
 
-def _generator_table(graph: CuboidGraph, cuts: frozenset[int], dev: list[Psl2Elt]):
+def _generator_table(graph: CuboidGraph, cuts: frozenset[int], dev: list[Matrix]):
     """The independent generators and the syllable each label emits, in one
     pass over the labels.
 
@@ -225,22 +252,18 @@ def _generator_table(graph: CuboidGraph, cuts: frozenset[int], dev: list[Psl2Elt
         return i
 
     make = Psl2Elt._make
-    for e, g in enumerate(dev):
+    for e, (a, b, c, d) in enumerate(dev):
         f = ss[e]
         if f == e:
-            a, b, c, d = g.a, g.b, g.c, g.d
             # g * S * g^-1
             s_gen[e] = (add(make(a * c + b * d, -a * a - b * b, c * c + d * d, -a * c - b * d),
                              2), 1)
         elif e < f and edge_v0[e] in cuts:
-            a, b, c, d = g.a, g.b, g.c, g.d
-            h = dev[f]
+            p, q, r, t = dev[f]
             # dev[f] * S * g^-1
-            i = add(make(h.a * c + h.b * d, -h.a * a - h.b * b, h.c * c + h.d * d,
-                         -h.c * a - h.d * b), 0)
+            i = add(make(p * c + q * d, -p * a - q * b, r * c + t * d, -r * a - t * b), 0)
             s_gen[e], s_gen[f] = (i, -1), (i, 1)
         if su[e] == e:
-            a, b, c, d = g.a, g.b, g.c, g.d
             # g * U^2 * g^-1
             u_gen[e] = (add(make(-a * c - a * d - b * d, a * a + a * b + b * b,
                                  -c * c - c * d - d * d, a * c + b * c + b * d), 3), -1)
@@ -249,9 +272,11 @@ def _generator_table(graph: CuboidGraph, cuts: frozenset[int], dev: list[Psl2Elt
 
 class SpecialPolygon:
     """Fundamental polygon: one triangle dev[e] * (0, e^(i pi/3), infinity)
-    per edge, the boundary sides with their pairing, and an independent
-    generator per pairing orbit.  s_gen and u_gen give, per label, the
-    generator syllable an S or U step emits (see _generator_table).
+    per edge, dev[e] an (a, b, c, d) tuple, the boundary sides with their
+    pairing, and an independent generator per pairing orbit.  s_gen and
+    u_gen give, per label, the generator syllable an S or U step emits (see
+    _generator_table).  The cuboid graph it was cut from is not kept:
+    build_graph(poly.system) makes it again.
 
     The polygon is convex and has infinity as a vertex, so its boundary
     runs from infinity down the left wall (the side numbered left_wall),
@@ -263,10 +288,8 @@ class SpecialPolygon:
     plane above that side's semicircle, so membership is a bisection on x
     and one or two dot products."""
 
-    def __init__(self, system, graph, dev, sides, generators, s_gen, u_gen,
-                 base_point, left_wall):
+    def __init__(self, system, dev, sides, generators, s_gen, u_gen, base_point, left_wall):
         self.system = system
-        self.graph = graph
         self.dev = dev
         self.sides = sides
         self.generators = generators
@@ -303,12 +326,7 @@ class SpecialPolygon:
         while lo < hi:
             mid = (lo + hi) >> 1
             end = sides[(left + mid) % count].end
-            if end[0] == "cusp":
-                c = end[1]
-                dm = c.p * k - m * c.q
-            else:
-                _, p, q = end[2]
-                dm = p * k - m * q
+            dm = end[-2] * k - m * end[-1]
             if dm < 0:
                 lo = mid + 1
             else:
@@ -377,7 +395,7 @@ def _walk_boundary(graph, cuts):
             raise ValueError("internal error: boundary walk does not close")
 
 
-def assemble(tree: CutTree, dev: list[Psl2Elt]) -> SpecialPolygon:
+def assemble(tree: CutTree, dev: list[Matrix]) -> SpecialPolygon:
     """Build the polygon: one triangle per edge, boundary sides with exact
     endpoints, each paired with its partner by one generator.
 
@@ -386,7 +404,9 @@ def assemble(tree: CutTree, dev: list[Psl2Elt]) -> SpecialPolygon:
     order-2 vertex get (i, +1), and the arc and vertical sides at an order-3
     vertex get (i, +1) and (i, -1).  Elliptic partners are adjacent on the
     boundary, the odd_inf and e3_arc side first; an even side of e pairs
-    with the even side of sigma_s(e)."""
+    with the even side of sigma_s(e).  Each side makes the vertex it starts
+    at and ends at the next side's, so two sides that meet share one
+    vertex tuple."""
     graph = tree.graph
     ss = graph.sigma_s
     generators, s_gen, u_gen = _generator_table(graph, tree.cuts, dev)
@@ -403,51 +423,65 @@ def assemble(tree: CutTree, dev: list[Psl2Elt]) -> SpecialPolygon:
     if m != 2 * len(generators):
         raise ValueError("internal error: unpaired boundary side")
 
+    # each side ends where the next one starts; the side that leaves
+    # infinity, an e3_arc or an axis side, is the left wall, where the
+    # boundary in x order starts
     sides: list[Side] = []
-    # the side that leaves infinity, an e3_arc or an axis side: the boundary
-    # in x order starts there
     left_wall = None
-    for e, k in slots:
-        g = dev[e]
-        a, b, c, d = g.a, g.b, g.c, g.d
-        i = len(sides)
-        # each cusp image is made once and gives both an endpoint and the
-        # side geodesic; g is unimodular, so g * (p : q) is coprime for
-        # coprime p and q: g(0) = b/d, g(oo) = a/c, and the far ends g(2)
-        # and g(1/2) of the model arc (0, 2) and vertical line (1/2, oo)
-        if k == 0:
-            zero = Cusp._coprime(b, d)
-            if zero.q == 0:
-                left_wall = i
-            sides.append(_side("e3_arc", e, g, ("cusp", zero), ("ell", 3, act(g, RHO_POINT)),
-                               geodesic_between_cusps(zero, Cusp._coprime(2 * a + b, 2 * c + d)),
-                               (i + 1) % m, (u_gen[e][0], 1)))
-        elif k == 1:
-            inf = Cusp._coprime(a, c)
-            sides.append(_side("e3_line", e, g, ("ell", 3, act(g, RHO_POINT)), ("cusp", inf),
-                               geodesic_between_cusps(Cusp._coprime(a + 2 * b, c + 2 * d), inf),
-                               (i - 1) % m, u_gen[e]))
-        else:
-            inf, zero = Cusp._coprime(a, c), Cusp._coprime(b, d)
-            axis = geodesic_between_cusps(inf, zero)
-            if inf.q == 0:
-                left_wall = i
-            gi, x = s_gen[e]
-            if ss[e] == e:
-                vertex = ("ell", 2, act(g, I_POINT))
-                sides.append(_side("odd_inf", e, g, ("cusp", inf), vertex, axis, i + 1, (gi, 1)))
-                sides.append(_side("odd_zero", e, g, vertex, ("cusp", zero), axis, i, (gi, 1)))
-            else:
-                sides.append(_side("even", e, g, ("cusp", inf), ("cusp", zero), axis,
-                                   axis_side[ss[e]], (gi, -x)))
+    made = _side_data(dev, slots, ss, axis_side, m, s_gen, u_gen)
+    first = last = next(made)
+    for data in chain(made, (first,)):
+        if last[2] == INF:
+            left_wall = len(sides)
+        sides.append(_side(*last, end=data[2]))
+        last = data
 
     if left_wall is None:
         raise ValueError("internal error: no side leaves infinity")
-    poly = SpecialPolygon(graph.system, graph, dev, sides, generators, s_gen, u_gen,
+    poly = SpecialPolygon(graph.system, dev, sides, generators, s_gen, u_gen,
                           BASE_POINT, left_wall)
     if not poly._contains(BASE_POINTS[0], strict=True):
         raise ValueError("internal error: base point is not interior")
     return poly
+
+
+def _side_data(dev, slots, ss, axis_side, m, s_gen, u_gen):
+    """(kind, edge, start, geodesic, pair, gen, gen_exp) of each of the m
+    sides in boundary order, made from its slot's matrix g = dev[e], see
+    assemble.  They are made one at a time: a list of them all, freed once
+    the sides exist, left its memory scattered among the sides (3.6 MB at
+    gamma0(100003)), which raised the resident size of later builds."""
+    i = 0
+    for e, k in slots:
+        a, b, c, d = dev[e]
+        # each cusp image gives both a vertex and the side geodesic; g is
+        # unimodular, so g * (p : q) is coprime for coprime p and q:
+        # g(0) = b/d, g(oo) = a/c, and the far ends g(2) and g(1/2) of the
+        # model arc (0, 2) and vertical line (1/2, oo).  The elliptic
+        # vertices g(e^(i pi/3)) and g(i) are the images of the triples
+        # (2, 1, 2) and (1, 0, 1) under the symmetric square of g (reduce.act)
+        if k == 0:
+            zero = _cusp(b, d)
+            yield ("e3_arc", e, zero, geodesic_between_cusps(zero, _cusp(2 * a + b, 2 * c + d)),
+                   (i + 1) % m, u_gen[e][0], 1)
+        elif k == 1:
+            rho = (2 * (a * a + a * b + b * b), 2 * a * c + a * d + b * c + 2 * b * d,
+                   2 * (c * c + c * d + d * d))
+            yield ("e3_line", e, rho,
+                   geodesic_between_cusps(_cusp(a + 2 * b, c + 2 * d), _cusp(a, c)),
+                   (i - 1) % m, *u_gen[e])
+        else:
+            inf = _cusp(a, c)
+            axis = geodesic_between_cusps(inf, _cusp(b, d))
+            gi, x = s_gen[e]
+            if ss[e] == e:
+                yield "odd_inf", e, inf, axis, i + 1, gi, 1
+                i += 1
+                yield ("odd_zero", e, (a * a + b * b, a * c + b * d, c * c + d * d),
+                       axis, i - 1, gi, 1)
+            else:
+                yield "even", e, inf, axis, axis_side[ss[e]], gi, -x
+        i += 1
 
 
 def build_polygon(system: CosetSystem) -> SpecialPolygon:
@@ -463,11 +497,14 @@ def build_polygon(system: CosetSystem) -> SpecialPolygon:
 
 def validate_special(poly: SpecialPolygon) -> list[str]:
     """Check the polygon axioms symbolically; returns a list of violations
-    (empty means valid)."""
+    (empty means valid).  Each side's ends are mapped from the model
+    segment by its triangle's matrix, a Psl2Elt made here from dev[edge],
+    and each cusp image is reduced by Cusp, apart from the sign-only
+    normalisation assemble uses."""
     out = []
     sides = poly.sides
     m = len(sides)
-    n = poly.graph.n
+    n = poly.system.n
 
     if len(poly.dev) != n:
         out.append(f"triangle count {len(poly.dev)} != index {n}")
@@ -485,12 +522,13 @@ def validate_special(poly: SpecialPolygon) -> list[str]:
     expected_partner = {"even": "even", "odd_inf": "odd_zero",
                         "odd_zero": "odd_inf", "e3_arc": "e3_line",
                         "e3_line": "e3_arc"}
+    zero = (0, 1)
     model_ends = {
-        "even": (CUSP_INF, CUSP_ZERO),
-        "odd_inf": (CUSP_INF, None),
-        "odd_zero": (None, CUSP_ZERO),
-        "e3_arc": (CUSP_ZERO, None),
-        "e3_line": (None, CUSP_INF),
+        "even": (INF, zero),
+        "odd_inf": (INF, I_POINT),
+        "odd_zero": (I_POINT, zero),
+        "e3_arc": (zero, RHO_POINT),
+        "e3_line": (RHO_POINT, INF),
     }
 
     for i, side in enumerate(sides):
@@ -500,10 +538,11 @@ def validate_special(poly: SpecialPolygon) -> list[str]:
         j = side.pair
         if 0 <= j < m and sides[j].kind != expected_partner[side.kind]:
             out.append(f"side {i} ({side.kind}) paired with {sides[j].kind}")
+        carrier = Psl2Elt._make(*poly.dev[side.edge])
         start_model, end_model = model_ends[side.kind]
-        if start_model is not None and side.start != ("cusp", act_cusp(side.carrier, start_model)):
+        if side.start != _map_vertex(carrier, start_model):
             out.append(f"side {i} start endpoint inconsistent with its carrier")
-        if end_model is not None and side.end != ("cusp", act_cusp(side.carrier, end_model)):
+        if side.end != _map_vertex(carrier, end_model):
             out.append(f"side {i} end endpoint inconsistent with its carrier")
 
     # boundary closes up
@@ -512,21 +551,30 @@ def validate_special(poly: SpecialPolygon) -> list[str]:
         if side.end != nxt.start:
             out.append(f"boundary gap between side {i} and side {(i + 1) % m}")
 
+    # consecutive cusp vertices of the boundary, infinity = 1/0 included,
+    # are Farey neighbours: every side of a triangle dev[e] * Delta runs
+    # between g(0) and g(oo) or meets them at an elliptic vertex
+    cusps = [(i, side.start) for i, side in enumerate(sides) if len(side.start) == 2]
+    for (i, (p, q)), (j, (r, s)) in zip(cusps, cusps[1:] + cusps[:1]):
+        if abs(p * s - r * q) != 1:
+            out.append(f"cusps {p}/{q} and {r}/{s} at the starts of sides {i} and {j} "
+                       "are not Farey neighbours")
+
     # from the side that leaves infinity, finite vertex x increases along
     # every semicircle side and stays put only along the vertical half of a
     # wall split at an order-2 vertex, the second or the second to last side
     left = poly.left_wall
-    if not 0 <= left < m or sides[left].start != ("cusp", CUSP_INF):
+    if not 0 <= left < m or sides[left].start != INF:
         out.append(f"left wall {left} does not leave infinity")
     else:
         prev = None
         for j in range(m - 1):
             side = sides[(left + j) % m]
-            x = _vertex_x(side.end)
-            if x is None:
+            x = side.end[-2:]
+            if x[1] == 0:
                 out.append(f"finite vertex {j} from the left wall is infinity")
                 break
-            if j and (det2(x, prev) <= 0 if side.geodesic.a else
+            if j and (det2(x, prev) <= 0 if side.geodesic[0] else
                       det2(x, prev) != 0 or j not in (1, m - 2)):
                 out.append(f"vertex x does not increase along side {(left + j) % m}")
             prev = x
@@ -537,8 +585,8 @@ def validate_special(poly: SpecialPolygon) -> list[str]:
         if not 0 <= j < m:
             continue
         gen = poly.generators[side.gen][0] ** side.gen_exp
-        if _map_endpoint(gen, side.start) != sides[j].end or \
-           _map_endpoint(gen, side.end) != sides[j].start:
+        if _map_vertex(gen, side.start) != sides[j].end or \
+           _map_vertex(gen, side.end) != sides[j].start:
             out.append(f"generator of side {i} does not map it onto side {j}")
 
     # adjacency of elliptic pairs: partners meet at the elliptic vertex
@@ -557,18 +605,13 @@ def validate_special(poly: SpecialPolygon) -> list[str]:
     return out
 
 
-def _vertex_x(endpoint: Endpoint) -> tuple[int, int] | None:
-    """x of a vertex as (num, den), den > 0; None for the cusp at infinity."""
-    if endpoint[0] == "ell":
-        return endpoint[2][1:]
-    c = endpoint[1]
-    return (c.p, c.q) if c.q else None
-
-
-def _map_endpoint(g: Psl2Elt, endpoint: Endpoint) -> Endpoint:
-    if endpoint[0] == "cusp":
-        return ("cusp", act_cusp(g, endpoint[1]))
-    return ("ell", endpoint[1], act(g, endpoint[2]))
+def _map_vertex(g: Psl2Elt, vertex: Vertex) -> Vertex:
+    """The image of a vertex under g: a cusp reduced by Cusp, a point triple
+    moved by reduce.act."""
+    if len(vertex) == 3:
+        return act(g, vertex)
+    c = act_cusp(g, Cusp(*vertex))
+    return c.p, c.q
 
 
 # ---------------------------------------------------------------------------
@@ -581,27 +624,31 @@ def _ratio_str(num: int, den: int) -> str:
     return f"{num}/{den}" if den != 1 else str(num)
 
 
-def _endpoint_text(endpoint: Endpoint) -> str:
-    """A side endpoint as the JSON object that opens at indent 8."""
-    if endpoint[0] == "cusp":
-        c = endpoint[1]
-        cusp = "oo" if c.q == 0 else f"{c.p}/{c.q}"
+def _vertex_text(vertex: Vertex, order: int | None) -> str:
+    """A side endpoint as the JSON object that opens at indent 8; order is
+    the side's elliptic order, written for an elliptic vertex."""
+    if len(vertex) == 2:
+        p, q = vertex
+        cusp = "oo" if q == 0 else f"{p}/{q}"
         return f'{{\n          "cusp": "{cusp}"\n        }}'
-    _, order, (n, m, k) = endpoint
+    n, m, k = vertex
     return (f'{{\n          "elliptic": {{\n            "order": {order},\n'
             f'            "x": "{_ratio_str(m, k)}",\n'
             f'            "y2": "{_ratio_str(n * k - m * m, k * k)}"\n'
             '          }\n        }')
 
 
-def _side_text(side: Side) -> str:
-    """A side as the JSON object that opens at indent 4."""
+def _side_text(side: Side, carrier: Matrix) -> str:
+    """A side and its triangle's matrix as the JSON object that opens at
+    indent 4."""
     if side.kind not in SIDE_KINDS:
         raise ValueError(f"internal error: side kind {side.kind!r} is not one of {SIDE_KINDS}")
-    g = side.carrier
-    return (f'{{\n      "carrier": [\n        {g.a},\n        {g.b},\n        {g.c},\n'
-            f'        {g.d}\n      ],\n      "edge": {side.edge},\n      "endpoints": [\n'
-            f'        {_endpoint_text(side.start)},\n        {_endpoint_text(side.end)}\n'
+    a, b, c, d = carrier
+    order = side.ell_order
+    return (f'{{\n      "carrier": [\n        {a},\n        {b},\n        {c},\n'
+            f'        {d}\n      ],\n      "edge": {side.edge},\n      "endpoints": [\n'
+            f'        {_vertex_text(side.start, order)},\n'
+            f'        {_vertex_text(side.end, order)}\n'
             f'      ],\n      "exponent": {side.gen_exp},\n      "generator": {side.gen},\n'
             f'      "kind": "{side.kind}",\n      "pair": {side.pair}\n    }}')
 
@@ -610,17 +657,17 @@ def to_json(poly: SpecialPolygon) -> str:
     """The polygon's triangles, sides, generators and base point, laid out
     by the template writer of ``jsonout``: byte for byte the text of
     json.dumps(sort_keys=True, indent=2) over the same data."""
-    base = poly.base_point
+    base, dev = poly.base_point, poly.dev
     parts = ['{\n  "base_point": [\n    "', _ratio_str(*base.x.as_integer_ratio()), '",\n    "',
              _ratio_str(*base.y.as_integer_ratio()), '"\n  ],\n  "generators": ']
     extend_array(parts, (f'{{\n      "matrix": [\n        {g.a},\n        {g.b},\n'
                          f'        {g.c},\n        {g.d}\n      ],\n      "order": {order}\n    }}'
                          for g, order in poly.generators), "  ")
     parts.append(',\n  "sides": ')
-    extend_array(parts, map(_side_text, poly.sides), "  ")
+    extend_array(parts, (_side_text(side, dev[side.edge]) for side in poly.sides), "  ")
     parts.append(',\n  "triangles": ')
-    extend_array(parts, (f"[\n      {g.a},\n      {g.b},\n      {g.c},\n      {g.d}\n    ]"
-                         for g in poly.dev), "  ")
+    extend_array(parts, (f"[\n      {a},\n      {b},\n      {c},\n      {d}\n    ]"
+                         for a, b, c, d in dev), "  ")
     parts.append("\n}\n")
     return "".join(parts)
 
@@ -628,14 +675,7 @@ def to_json(poly: SpecialPolygon) -> str:
 def to_svg(poly: SpecialPolygon, width: int = 640, clamp_height: float = 2.5) -> str:
     """Render the boundary sides, one colour per pairing orbit; rays toward
     infinity are clamped at a fixed height.  Presentation only."""
-    xs = []
-    for side in poly.sides:
-        for endpoint in (side.start, side.end):
-            if endpoint[0] == "cusp" and endpoint[1].q != 0:
-                xs.append(endpoint[1].p / endpoint[1].q)
-            elif endpoint[0] == "ell":
-                _, m, k = endpoint[2]
-                xs.append(m / k)
+    xs = [v[-2] / v[-1] for side in poly.sides for v in (side.start, side.end) if v[-1]]
     x_min = min(xs, default=0.0) - 0.3
     x_max = max(xs, default=1.0) + 0.3
     scale = width / (x_max - x_min)
@@ -644,14 +684,15 @@ def to_svg(poly: SpecialPolygon, width: int = 640, clamp_height: float = 2.5) ->
     def to_screen(x: float, y: float) -> tuple[float, float]:
         return ((x - x_min) * scale, height - 10 - min(y, clamp_height) * scale)
 
-    def endpoint_xy(side: Side, endpoint: Endpoint) -> tuple[float, float]:
-        if endpoint[0] == "ell":
-            n, m, k = endpoint[2]
+    def endpoint_xy(side: Side, vertex: Vertex) -> tuple[float, float]:
+        if len(vertex) == 3:
+            n, m, k = vertex
             return m / k, (n * k - m * m) ** 0.5 / k
-        c = endpoint[1]
-        if c.q == 0:
-            return -side.geodesic.c / side.geodesic.b, clamp_height
-        return c.p / c.q, 0.0
+        p, q = vertex
+        if q == 0:
+            _, b, c = side.geodesic
+            return -c / b, clamp_height
+        return p / q, 0.0
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

@@ -9,17 +9,26 @@ from __future__ import annotations
 
 from math import gcd
 
+# the largest power of a hyperbolic element, |n| * bit_length(|trace|),
+# that __pow__ computes: its entries grow by about bit_length(|trace|) bits
+# per factor, so the cap bounds them near 2^20 bits (128 KiB) each
+MAX_POWER_BITS = 1 << 20
 
 # word letters: ("S", 1), ("U", 1) or ("U", 2)
 SUWord = list[tuple[str, int]]
 
 
 class Psl2Elt:
-    """Sign-normalized unimodular 2x2 integer matrix [[a, b], [c, d]]."""
+    """Sign-normalized unimodular 2x2 integer matrix [[a, b], [c, d]].
+    The constructor refuses an entry that is not an int (a float, a bool, a
+    Fraction) and a determinant other than 1."""
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
+        for v in (a, b, c, d):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"matrix entry {v!r} is not an int")
         if a * d - b * c != 1:
             raise ValueError(f"determinant of ({a},{b},{c},{d}) is not 1")
         if c < 0 or (c == 0 and d < 0):
@@ -52,10 +61,23 @@ class Psl2Elt:
     def __pow__(self, n: int) -> "Psl2Elt":
         """Square and multiply from the low bit, with no squaring past the
         top bit: g ** 1 is g, g ** -1 is one inv(), and |n| takes at most
-        2 * bit_length(|n|) - 1 products in all."""
+        2 * bit_length(|n|) - 1 products in all.  Past |n| = 2, an elliptic
+        exponent is first reduced mod the element's order, and a hyperbolic
+        power with |n| * bit_length(|trace|) > MAX_POWER_BITS is refused
+        with ValueError before any product; parabolic powers, whose entries
+        grow only like |n|, are not bounded."""
         base = self
         if n < 0:
             base, n = self.inv(), -n
+        if n > 2:
+            t = abs(self.a + self.d)
+            if t < 2:
+                # order 2 at trace 0, order 3 at trace +-1
+                n %= t + 2
+            elif t > 2 and n * t.bit_length() > MAX_POWER_BITS:
+                raise ValueError(f"power of {self} with |n| = {n} would have entries of "
+                                 f"about {n * t.bit_length()} bits, over MAX_POWER_BITS "
+                                 f"= {MAX_POWER_BITS}")
         if not n:
             return IDENTITY
         result = None
@@ -138,19 +160,6 @@ class Cusp:
             p = 1
         self.p = p
         self.q = q
-
-    @classmethod
-    def _coprime(cls, p: int, q: int) -> "Cusp":
-        """The cusp p/q for coprime p and q, such as the image of a reduced
-        cusp under a unimodular matrix: only the sign is normalised."""
-        self = object.__new__(cls)
-        if q < 0:
-            p, q = -p, -q
-        elif q == 0:
-            p = 1
-        self.p = p
-        self.q = q
-        return self
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Cusp) and self.p == other.p and self.q == other.q

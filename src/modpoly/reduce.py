@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import NamedTuple
 
 from .cosets import MembershipError
-from .psl2 import IDENTITY, Cusp, Psl2Elt, su_word, t_runs
+from .psl2 import IDENTITY, Psl2Elt, su_word, t_runs
 
 # word in the independent generators: (generator index, exponent) pairs
 GenWord = list[tuple[int, int]]
@@ -56,30 +55,27 @@ class ExactPoint:
             raise ValueError(f"point {self.x} + {self.y}i is not in the upper half-plane")
 
 
-class Geodesic(NamedTuple):
-    """The geodesic a(x^2+y^2) + bx + c = 0 as a primitive integer triple,
-    normalised so that a > 0 (a semicircle) or a = 0 and b < 0 (the
-    vertical line x = -c/b).  Its ideal endpoints are the roots of the
-    binary form aX^2 + bXY + cY^2."""
-
-    a: int
-    b: int
-    c: int
-
-    def transform(self, g: Psl2Elt) -> "Geodesic":
-        """Image under g: the endpoint form composed with g^-1."""
-        p, q, r, s = g.tuple()
-        a, b, c = self
-        return _geodesic(a * s * s - b * r * s + c * r * r,
-                         b * (p * s + q * r) - 2 * (a * q * s + c * p * r),
-                         a * q * q - b * p * q + c * p * p)
+# the geodesic a(x^2+y^2) + bx + c = 0 as a primitive integer triple
+# (a, b, c), normalised so that a > 0 (a semicircle) or a = 0 and b < 0 (the
+# vertical line x = -c/b); its ideal endpoints are the roots of the binary
+# form aX^2 + bXY + cY^2
+Geodesic = tuple[int, int, int]
 
 
 def _geodesic(a: int, b: int, c: int) -> Geodesic:
     g = gcd(a, b, c)
     if a < 0 or (a == 0 and b > 0):
         g = -g
-    return Geodesic(a // g, b // g, c // g)
+    return a // g, b // g, c // g
+
+
+def transform(geod: Geodesic, g: Psl2Elt) -> Geodesic:
+    """Image of a geodesic under g: the endpoint form composed with g^-1."""
+    p, q, r, s = g.tuple()
+    a, b, c = geod
+    return _geodesic(a * s * s - b * r * s + c * r * r,
+                     b * (p * s + q * r) - 2 * (a * q * s + c * p * r),
+                     a * q * q - b * p * q + c * p * p)
 
 
 Point = tuple[int, int, int]
@@ -105,7 +101,7 @@ def lift(x: Fraction, y2: Fraction) -> Point:
 def act(g: Psl2Elt, point: Point) -> Point:
     """Moebius action on a point triple: the symmetric square of g, an
     integer matrix of determinant 1, so a primitive triple stays primitive.
-    It is the contragredient of Geodesic.transform: a point's dot product
+    It is the contragredient of transform: a point's dot product
     with a geodesic is unchanged, up to the sign transform normalises."""
     a, b, c, d = g.tuple()
     n, m, k = point
@@ -131,13 +127,15 @@ def meet(g1: Geodesic, g2: Geodesic) -> Point | None:
     return n, m, k
 
 
-def geodesic_between_cusps(c1: Cusp, c2: Cusp) -> Geodesic:
-    """(q1 q2, -(p1 q2 + p2 q1), p1 p2): the form (q1 X - p1 Y)(q2 X - p2 Y).
-    Reduced cusps with q >= 0 and infinity = 1/0 make it primitive and
-    normalised."""
+def geodesic_between_cusps(c1: tuple[int, int], c2: tuple[int, int]) -> Geodesic:
+    """(q1 q2, -(p1 q2 + p2 q1), p1 p2) for the cusps p1/q1 and p2/q2 given
+    as pairs (p, q): the form (q1 X - p1 Y)(q2 X - p2 Y).  Reduced pairs with
+    q >= 0 and infinity = (1, 0) make it primitive and normalised."""
     if c1 == c2:
         raise ValueError("coincident ideal endpoints")
-    return Geodesic(c1.q * c2.q, -(c1.p * c2.q + c2.p * c1.q), c1.p * c2.p)
+    p1, q1 = c1
+    p2, q2 = c2
+    return q1 * q2, -(p1 * q2 + p2 * q1), p1 * p2
 
 
 def act_point(g: Psl2Elt, z: ExactPoint) -> ExactPoint:
@@ -152,7 +150,7 @@ def geodesic_param(geod: Geodesic, point: Point) -> tuple[int, int]:
     increasing in the direction of its tangent: x on circles, x^2+y^2 on
     vertical lines."""
     n, m, k = point
-    return (m if geod.a else n), k
+    return (m if geod[0] else n), k
 
 
 def det2(u: tuple[int, int], v: tuple[int, int]) -> int:
@@ -252,7 +250,7 @@ def locate_point(poly, z: ExactPoint) -> tuple[ExactPoint, GenWord]:
     grows with the bit length of z and of gamma, not with the index.
     """
     w0, h = _reduce_to_base_triangle(lift(z.x, z.y**2))
-    g = poly.dev[poly.system.coset(h)]
+    g = Psl2Elt._make(*poly.dev[poly.system.coset(h)])
     return _exact_point(act(g, w0)), express_schreier(poly, h * g.inv())
 
 
@@ -423,7 +421,7 @@ def _trace(poly, source: Point, target: Point, record: list | None = None,
             record.append((geod, t, sides[side.pair].pair, gi, ge, kind == "vertex"))
         t = act(r, t)
         source = act(r, point)
-        geod = geod.transform(r)
+        geod = transform(geod, r)
         below = poly._excluding_side(t)
     raise TraceDegenerateError("step budget exhausted")
 
@@ -464,7 +462,7 @@ def _pick_rotation(poly, geod: Geodesic, dsign: int, side) -> int:
     differential keeps that shape, so a direction is the pair (beta, gamma)
     and two directions turn by the sign of beta_u*gamma_v - gamma_u*beta_v.
     """
-    vertex = side.start[2] if side.start[0] == "ell" else side.end[2]
+    vertex = side.start if len(side.start) == 3 else side.end
     # travel direction at the vertex
     d_out = _tangent(geod, vertex, dsign)
     u1 = _side_direction(side, vertex)
@@ -489,8 +487,10 @@ def _tangent(geod: Geodesic, vertex: Point, dsign: int) -> tuple[int, int]:
 
 
 def _side_direction(side, vertex: Point) -> tuple[int, int]:
-    """Direction from the elliptic vertex along the side toward its cusp end."""
-    return _tangent(side.geodesic, vertex, 1 if side.lo_ell else -1)
+    """Direction from the elliptic vertex along the side toward its cusp end:
+    up the side's positions when the vertex is at the low end lo."""
+    at_lo = det2(geodesic_param(side.geodesic, vertex), side.lo) == 0
+    return _tangent(side.geodesic, vertex, 1 if at_lo else -1)
 
 
 def _apply_differential(r: Psl2Elt, vertex: Point, direction) -> tuple[int, int]:

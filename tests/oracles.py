@@ -14,7 +14,7 @@ from modpoly.cosets import build_system
 from modpoly.cuboid import build_graph
 from modpoly.polygon import build_polygon, cut_to_tree, develop
 from modpoly.psl2 import IDENTITY, S, U, Psl2Elt
-from modpoly.reduce import Geodesic, lift
+from modpoly.reduce import lift
 
 
 def prime_factors(n):
@@ -189,14 +189,15 @@ def reference_power(g, n):
 
 def reference_develop(tree):
     """Developing matrices as products of the move letters: each child gets
-    its parent's matrix times S, U or U^2."""
+    its parent's matrix times S, U or U^2.  Returned as (a, b, c, d)
+    tuples, the form develop stores."""
     moves = {"S": S, "U": U, "U2": U * U}
     dev = [None] * tree.graph.n
     dev[tree.root] = IDENTITY
     for e in tree.order[1:]:
         p, letter = tree.parent[e]
         dev[e] = dev[p] * moves[letter]
-    return dev
+    return [g.tuple() for g in dev]
 
 
 def random_unimodular(a, c, t):
@@ -384,24 +385,27 @@ def _frac_text(f):
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
-def reference_endpoint_data(endpoint):
-    if endpoint[0] == "cusp":
-        c = endpoint[1]
-        return {"cusp": "oo" if c.q == 0 else f"{c.p}/{c.q}"}
-    _, order, (n, m, k) = endpoint
+def reference_endpoint_data(vertex, order):
+    """A vertex: a cusp pair (p, q) or, with the side's elliptic order, a
+    point triple (n, m, k)."""
+    if len(vertex) == 2:
+        p, q = vertex
+        return {"cusp": "oo" if q == 0 else f"{p}/{q}"}
+    n, m, k = vertex
     x, y2 = Fraction(m, k), Fraction(n * k - m * m, k * k)
     return {"elliptic": {"order": order, "x": _frac_text(x), "y2": _frac_text(y2)}}
 
 
 def reference_polygon_data(poly):
     return {
-        "triangles": [list(g.tuple()) for g in poly.dev],
+        "triangles": [list(g) for g in poly.dev],
         "sides": [
             {
                 "kind": s.kind,
                 "edge": s.edge,
-                "carrier": list(s.carrier.tuple()),
-                "endpoints": [reference_endpoint_data(s.start), reference_endpoint_data(s.end)],
+                "carrier": list(poly.dev[s.edge]),
+                "endpoints": [reference_endpoint_data(s.start, s.ell_order),
+                              reference_endpoint_data(s.end, s.ell_order)],
                 "pair": s.pair,
                 "generator": s.gen,
                 "exponent": s.gen_exp,
@@ -436,8 +440,8 @@ def geodesic_eval_at(geod, x, y2):
 
 def geodesic_through(p, q):
     """The geodesic through two distinct rational points: the primitive
-    triple orthogonal to both lifted points, normalised like
-    modpoly.reduce.Geodesic (a > 0, or a = 0 and b < 0)."""
+    triple orthogonal to both lifted points, normalised like the geodesics
+    of modpoly.reduce (a > 0, or a = 0 and b < 0)."""
     if p == q:
         raise ValueError("need two distinct points")
     u, v = lift(p.x, p.y**2), lift(q.x, q.y**2)
@@ -446,7 +450,7 @@ def geodesic_through(p, q):
     g = gcd(a, b, c)
     if a < 0 or (a == 0 and b > 0):
         g = -g
-    return Geodesic(a // g, b // g, c // g)
+    return a // g, b // g, c // g
 
 
 def reference_halfplanes(poly):

@@ -1,25 +1,32 @@
-"""The build's hot loops run on plain integers: the Euclidean descent of
-t_runs builds no matrix object however long the matrix, develop builds one
-matrix per edge besides the root's identity, and assemble builds one matrix
-per generator and at most four cusps per generator (two per side), a count
-pinned here at gamma0(1009) and gamma(7).  A power g ** n makes at most
-2 * bit_length(|n|) matrices, and g ** 1 is g itself.  Constructions are
-counted as calls of Psl2Elt.__init__ / Psl2Elt._make and Cusp.__init__ /
-Cusp._coprime seen by a profile hook."""
+"""The build runs on plain integers and keeps only plain integers: the
+Euclidean descent of t_runs builds no matrix object however long the
+matrix, develop stores one (a, b, c, d) tuple per edge and builds no matrix
+object, and assemble builds one matrix per generator and no Cusp, a count
+pinned here at gamma0(1009) and gamma(7).  A built gamma0(100003) leaves at
+most 111 000 more objects for the garbage collector to track (333 377 when
+the polygon held a matrix per triangle, cusp objects per side and the
+cuboid graph), and a built gamma0(10007) retains at most 530 bytes per
+index under tracemalloc (482 measured, 765 before).  A power g ** n makes at
+most 2 * bit_length(|n|) matrices, and g ** 1 is g itself.  Constructions
+are counted as calls of Psl2Elt.__init__ / Psl2Elt._make and Cusp.__init__
+seen by a profile hook."""
 
+import gc
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from modpoly.polygon import assemble, develop
+from modpoly.cosets import build_system
+from modpoly.polygon import assemble, build_polygon, develop
 from modpoly.psl2 import T, Cusp, Psl2Elt, t_runs
 
 from oracles import built_system, built_tree_dev, random_unimodular, reference_t_runs
 
 _MADE = {Psl2Elt.__init__.__code__: "Psl2Elt", Psl2Elt._make.__func__.__code__: "Psl2Elt",
-         Cusp.__init__.__code__: "Cusp", Cusp._coprime.__func__.__code__: "Cusp"}
+         Cusp.__init__.__code__: "Cusp"}
 
 
 def constructions(fn, *args):
@@ -60,26 +67,56 @@ def test_t_runs_of_an_800_bit_matrix_builds_no_matrix():
 
 @pytest.mark.parametrize("family, level", [("gamma0", 1009), ("gamma", 7), ("gamma1", 13)])
 def test_develop_builds_one_matrix_per_edge(family, level):
+    # each matrix is an (a, b, c, d) tuple of ints, not a Psl2Elt
     tree, dev = built_tree_dev(family, level)
     made, out = constructions(develop, tree)
     assert out == dev
-    assert made == Counter({"Psl2Elt": tree.graph.n - 1})
+    assert made == Counter()
+    assert len(out) == tree.graph.n
+    assert all(type(g) is tuple and len(g) == 4 and all(type(x) is int for x in g) for g in out)
 
 
-# (Psl2Elt, Cusp) objects assemble makes: one matrix per generator, and two
-# cusps per side (the two halves of an axis at an order-2 vertex share
-# theirs): gamma0(1009) has 171 generators, 342 sides and 2 such vertices,
-# gamma(7) 29 generators and 58 sides
-@pytest.mark.parametrize("family, level, matrices, cusps", [
-    ("gamma0", 1009, 171, 680),
-    ("gamma", 7, 29, 116),
+# Psl2Elt objects assemble makes, and no Cusp: one matrix per generator, for
+# gamma0(1009) 171 generators (342 sides), for gamma(7) 29 (58 sides)
+@pytest.mark.parametrize("family, level, matrices", [
+    ("gamma0", 1009, 171),
+    ("gamma", 7, 29),
 ])
-def test_assemble_builds_a_fixed_count_per_generator(family, level, matrices, cusps):
+def test_assemble_builds_one_matrix_per_generator(family, level, matrices):
     tree, dev = built_tree_dev(family, level)
     made, poly = constructions(assemble, tree, dev)
-    gens = len(poly.generators)
-    assert made == Counter({"Psl2Elt": matrices, "Cusp": cusps})
-    assert matrices == gens and cusps <= 4 * gens
+    assert made == Counter({"Psl2Elt": matrices})
+    assert matrices == len(poly.generators)
+
+
+def test_build_of_gamma0_100003_leaves_few_tracked_objects():
+    # the sides and the generators, about 33 000 and 16 700, and their
+    # matrices stay tracked; the developing matrices, vertices, geodesics
+    # and label tables are tuples of ints, which a collection untracks
+    gc.collect()
+    before = len(gc.get_objects())
+    poly = build_polygon(build_system("gamma0", 100003))
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert poly.system.n == 100004
+    assert grown <= 111_000, grown
+
+
+def test_build_of_gamma0_10007_retains_a_bounded_size_per_index():
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        poly = build_polygon(build_system("gamma0", 10007))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    per_index = retained / poly.system.n
+    assert per_index <= 530, per_index
 
 
 def test_power_makes_at_most_two_matrices_per_bit():

@@ -163,7 +163,7 @@ def test_bench_json(capsys):
         assert all(s >= 0 for s in row["seconds"].values())
         assert (row["sides"], row["generators"]) == (len(poly.sides), len(poly.generators))
         assert sorted(set(row) - {"command", "group", "level", "seconds", "peak_rss_mb"}) == \
-            ["entry_bits", "gc_collections", "generators", "index", "sides"]
+            ["entry_bits", "gc_collections", "generators", "index", "sides", "tracked_objects"]
         assert row["peak_rss_mb"] > 0
 
 
@@ -228,9 +228,9 @@ QUERY_INPUTS = {"express": ["--matrix", "1,1,0,1"], "locate": ["--x", "5/2", "--
 @pytest.mark.parametrize("command, layers, counts", [
     ("graph", ["graph", "system", "write"], ["gc_collections", "index"]),
     ("polygon", ["assemble", "develop", "graph", "system", "tree", "write"],
-     ["entry_bits", "gc_collections", "generators", "index", "sides"]),
+     ["entry_bits", "gc_collections", "generators", "index", "sides", "tracked_objects"]),
     ("generators", ["assemble", "develop", "graph", "system", "tree", "write"],
-     ["entry_bits", "gc_collections", "generators", "index", "sides"]),
+     ["entry_bits", "gc_collections", "generators", "index", "sides", "tracked_objects"]),
     ("invariants", ["graph", "invariants", "system", "write"],
      ["gc_collections", "generators", "index"]),
     ("express", QUERY_LAYERS, QUERY_COUNTS),
@@ -264,6 +264,29 @@ def test_stats_leave_stdout_unchanged(capsys, command, layers, counts):
     if flags == ["--trace"]:
         # T leaves the polygon through one side
         assert (stats["trace_steps"], stats["trace_restarts"]) == (1, 0)
+
+
+def test_tracked_objects_are_the_sides_and_generators(capsys):
+    # what stays tracked is one Side per side, one (matrix, order) pair and
+    # one matrix per generator, and the same few containers at every index;
+    # the two full collections that count them are left out of
+    # gc_collections, which stays 0 over the short build of gamma0(11)
+    def extra(stats):
+        return stats["tracked_objects"] - stats["sides"] - 2 * stats["generators"]
+
+    rows = []
+    for level in (11, 1009, 10007):
+        code, _, err = run(capsys, "polygon", "--group", "gamma0", "--level", str(level),
+                           "--stats")
+        assert code == 0
+        rows.append(json.loads(err))
+    code, out, _ = run(capsys, "bench", "--group", "gamma0", "--levels", "11,1009",
+                       "--format", "json")
+    assert code == 0
+    rows += json.loads(out)
+    counts = {extra(row) for row in rows}
+    assert len(counts) == 1 and 0 < counts.pop() < 100
+    assert rows[0]["gc_collections"] == rows[3]["gc_collections"] == 0
 
 
 # only an elliptic vertex can be met in the upper half-plane: gamma0(11)

@@ -21,11 +21,11 @@ HEIGHTS2 = [Fraction(1, 10**12), Fraction(1, 10**6), Fraction(1, 100), Fraction(
             Fraction(3, 4), Fraction(1), Fraction(4, 3), Fraction(10**4)]
 
 
-def vertex_xy2(endpoint):
-    """(x, y^2) of a finite vertex: y^2 = 0 for a cusp."""
-    if endpoint[0] == "cusp":
-        return Fraction(endpoint[1].p, endpoint[1].q), Fraction(0)
-    n, m, k = endpoint[2]
+def vertex_xy2(vertex):
+    """(x, y^2) of a finite vertex: y^2 = 0 for a cusp (p, q)."""
+    if len(vertex) == 2:
+        return Fraction(*vertex), Fraction(0)
+    n, m, k = vertex
     return Fraction(m, k), Fraction(n * k - m * m, k * k)
 
 

@@ -225,7 +225,7 @@ def test_reduce_to_coset_witness_property():
             g = IDENTITY
             for _ in range(rng.randint(0, 12)):
                 g = g * (S if rng.random() < 0.5 else U)
-            assert member(g * dev[system.coset(g)].inv())
+            assert member(g * Psl2Elt(*dev[system.coset(g)]).inv())
 
 
 def test_member_huge_translation_is_one_jump():

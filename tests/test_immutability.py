@@ -1,5 +1,5 @@
 """The polygon is immutable after construction: its sides refuse
-assignment, and concurrent locate and express --trace queries give the
+assignment, adjacent sides share one vertex tuple, and concurrent locate and express --trace queries give the
 sequential answers and leave every side exactly as it was built."""
 
 import copy
@@ -43,7 +43,13 @@ def test_threaded_queries_leave_the_polygon_unchanged():
 
 
 def test_sides_refuse_assignment():
-    side = build_polygon(build_system("gamma0", 11)).sides[0]
-    for field, value in (("pair", 0), ("gen", 0), ("gen_exp", 1), ("lo", (0, 1))):
+    sides = build_polygon(build_system("gamma0", 13)).sides
+    side = sides[0]
+    for field, value in (("pair", 0), ("gen", 0), ("gen_exp", 1), ("lo", (0, 1)),
+                         ("end", (0, 1))):
         with pytest.raises(AttributeError):
             setattr(side, field, value)
+    # the vertex where two sides meet is one tuple, cusp and elliptic alike
+    for i, side in enumerate(sides):
+        assert side.end is sides[(i + 1) % len(sides)].start
+    assert {len(side.start) for side in sides} == {2, 3}

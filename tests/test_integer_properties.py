@@ -1,8 +1,9 @@
 """The integer loops agree with their object-based references over random
 inputs: t_runs with reference_t_runs (one matrix object per Euclid step) on
 unimodular matrices with entries up to 2^800, c = 0 and negative entries
-included; Cusp._coprime with the gcd-reducing Cusp constructor on coprime
-pairs, q <= 0 and (+-1, 0) included; develop with the product of the move
+included; polygon._cusp, the sign-only normalisation of a cusp vertex, with
+the gcd-reducing Cusp constructor on coprime pairs, q <= 0 and (+-1, 0)
+included; develop with the product of the move
 letters S, U and U^2 for the five families at levels up to 30; g ** n with
 the plain product of |n| copies for |n| <= 40 and entries up to 2^200, S, U
 and the identity included; and lift with the Fraction arithmetic of
@@ -14,7 +15,7 @@ from math import gcd
 from hypothesis import assume, example, given, settings, strategies as st
 
 from modpoly.cosets import FAMILIES
-from modpoly.polygon import BASE_POINT, develop
+from modpoly.polygon import BASE_POINT, _cusp, develop
 from modpoly.psl2 import IDENTITY, S, T, U, Cusp, t_runs
 from modpoly.reduce import BASE_POINTS, lift
 
@@ -58,7 +59,8 @@ def test_t_runs_matches_the_reference(column):
 @example(5, -2)
 def test_coprime_cusp_matches_cusp(p, q):
     assume(gcd(p, q) == 1)
-    assert Cusp._coprime(p, q) == Cusp(p, q)
+    c = Cusp(p, q)
+    assert _cusp(p, q) == (c.p, c.q)
 
 
 @settings(max_examples=40, deadline=None)

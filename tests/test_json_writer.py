@@ -28,7 +28,8 @@ def dumps(data):
 def test_writers_match_json_dumps(group):
     poly = built_polygon(*group)
     assert polygon.to_json(poly) == dumps(reference_polygon_data(poly))
-    assert cuboid.to_json(poly.graph) == dumps(reference_graph_data(poly.graph))
+    graph = cuboid.build_graph(poly.system)
+    assert cuboid.to_json(graph) == dumps(reference_graph_data(graph))
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from modpoly.cuboid import graph_invariants
+from modpoly.cosets import FAMILIES
+from modpoly.cuboid import build_graph, graph_invariants
 from modpoly.polygon import (
     assemble,
     build_polygon,
@@ -14,7 +15,7 @@ from modpoly.polygon import (
     to_svg,
     validate_special,
 )
-from modpoly.psl2 import IDENTITY, S, U, Cusp, Psl2Elt
+from modpoly.psl2 import IDENTITY, S, U, Psl2Elt
 from modpoly.reduce import evaluate_word
 
 from oracles import TEST_GROUPS, built_graph, built_polygon, built_system, built_tree_dev, member_predicate
@@ -32,7 +33,7 @@ def test_cut_counts():
 def test_develop_root_and_counts():
     for family, N in [("gamma0", 11), ("gamma", 3), ("gamma1", 5)]:
         tree, dev = built_tree_dev(family, N)
-        assert dev[tree.root] == IDENTITY
+        assert dev[tree.root] == IDENTITY.tuple()
         assert len(dev) == tree.graph.n
         assert all(g is not None for g in dev)
 
@@ -42,16 +43,17 @@ def test_develop_adjacency_rules():
     # bivalent vertex they differ by S (for the root of gamma(3) this gives
     # the literal matrix S one step from the identity)
     tree, dev = built_tree_dev("gamma", 3)
-    assert dev[tree.graph.sigma_s[tree.root]] == S
+    assert dev[tree.graph.sigma_s[tree.root]] == S.tuple()
     for family, N in [("gamma0", 5), ("gamma0", 12), ("gamma", 3), ("gamma1", 8)]:
         tree, dev = built_tree_dev(family, N)
         graph = tree.graph
         for e in range(graph.n):
+            g = Psl2Elt(*dev[e])
             if graph.sigma_u[e] != e:
-                assert dev[graph.sigma_u[e]] == dev[e] * U
+                assert dev[graph.sigma_u[e]] == (g * U).tuple()
             f = graph.sigma_s[e]
             if f != e and graph.edge_v0[e] not in tree.cuts:
-                assert dev[f] == dev[e] * S
+                assert dev[f] == (g * S).tuple()
 
 
 def test_develop_is_schreier_transversal():
@@ -60,7 +62,7 @@ def test_develop_is_schreier_transversal():
         tree, dev = built_tree_dev(family, N)
         system = tree.graph.system
         for e, g in enumerate(dev):
-            assert system.coset(g) == e
+            assert system.coset(Psl2Elt(*g)) == e
 
 
 def test_whole_group_polygon():
@@ -98,7 +100,7 @@ def test_validate_all_families_to_30():
                       ("gamma_upper1", 12), ("gamma", 7)]:
         poly = built_polygon(family, N)
         assert validate_special(poly) == []
-        inv = graph_invariants(poly.graph)
+        inv = graph_invariants(build_graph(poly.system))
         assert len(poly.dev) == inv.n
         assert len(poly.sides) == 2 * len(poly.generators)
         assert len(poly.generators) == inv.n_generators
@@ -118,15 +120,44 @@ def test_validate_checks_the_x_order_from_the_left_wall():
     poly = copy.deepcopy(built_polygon("gamma0", 11))
     sides, left = poly.sides, poly.left_wall
     m = len(sides)
-    assert sides[left].start == ("cusp", Cusp(1, 0))
+    assert sides[left].start == (1, 0)
     # move the vertex between the second and third sides past the right wall
     i, j = (left + 1) % m, (left + 2) % m
-    far = ("cusp", Cusp(10**6, 1))
+    far = (10**6, 1)
     sides[i], sides[j] = sides[i]._replace(end=far), sides[j]._replace(start=far)
     assert f"vertex x does not increase along side {j}" in validate_special(poly)
     poly = copy.deepcopy(built_polygon("gamma0", 11))
     poly.left_wall = (left + 1) % m
     assert f"left wall {(left + 1) % m} does not leave infinity" in validate_special(poly)
+
+
+def test_boundary_cusps_are_farey_neighbours():
+    # the cusp vertices in boundary order, infinity = 1/0 included, read
+    # here from the sides with no help from validate_special
+    for family in FAMILIES:
+        for N in range(1, 31):
+            sides = built_polygon(family, N).sides
+            cusps = [side.start for side in sides if len(side.start) == 2]
+            assert (1, 0) in cusps
+            for (p, q), (r, s) in zip(cusps, cusps[1:] + cusps[:1]):
+                assert abs(p * s - r * q) == 1, (family, N, (p, q), (r, s))
+
+
+def test_validate_reports_a_cusp_that_is_no_farey_neighbour():
+    # move the cusp r/s that ends an even side from p/q to (p + 2r)/(q + 2s),
+    # whose determinant with p/q is 2; the two sides that meet there still
+    # share it, so the boundary closes
+    poly = copy.deepcopy(built_polygon("gamma0", 11))
+    sides, m = poly.sides, len(poly.sides)
+    i = next(i for i, side in enumerate(sides) if side.kind == "even" and side.end[1] > 0)
+    j = (i + 1) % m
+    (p, q), (r, s) = sides[i].start, sides[i].end
+    moved = (p + 2 * r, q + 2 * s)
+    sides[i], sides[j] = sides[i]._replace(end=moved), sides[j]._replace(start=moved)
+    violations = validate_special(poly)
+    assert (f"cusps {p}/{q} and {moved[0]}/{moved[1]} at the starts of sides {i} and {j} "
+            "are not Farey neighbours") in violations
+    assert not any("boundary gap" in v for v in violations)
 
 
 def test_generators_membership_and_orders():
@@ -182,12 +213,12 @@ def test_cusp_vertices_match_cusp_count():
     # cusp corners of the polygon modulo the pairing = cusp orbits
     for family, N in TEST_GROUPS:
         poly = built_polygon(family, N)
-        inv = graph_invariants(poly.graph)
+        inv = graph_invariants(build_graph(poly.system))
         corners = {}
         for i, side in enumerate(poly.sides):
-            for endpoint in (side.start, side.end):
-                if endpoint[0] == "cusp":
-                    corners.setdefault(endpoint[1], len(corners))
+            for vertex in (side.start, side.end):
+                if len(vertex) == 2:
+                    corners.setdefault(vertex, len(corners))
         parent = list(range(len(corners)))
 
         def find(x):
@@ -199,13 +230,12 @@ def test_cusp_vertices_match_cusp_count():
         def union(x, y):
             parent[find(x)] = find(y)
 
-        from modpoly.polygon import _map_endpoint
+        from modpoly.polygon import _map_vertex
         for i, side in enumerate(poly.sides):
             gen = poly.generators[side.gen][0] ** side.gen_exp
-            for endpoint in (side.start, side.end):
-                if endpoint[0] == "cusp":
-                    image = _map_endpoint(gen, endpoint)
-                    union(corners[endpoint[1]], corners[image[1]])
+            for vertex in (side.start, side.end):
+                if len(vertex) == 2:
+                    union(corners[vertex], corners[_map_vertex(gen, vertex)])
         classes = {find(v) for v in corners.values()}
         assert len(classes) == inv.cusp_count
 
@@ -232,8 +262,7 @@ def test_polygon_svg():
 def test_triangle_matrices_are_unique():
     for family, N in [("gamma0", 13), ("gamma", 5)]:
         poly = built_polygon(family, N)
-        mats = {g.tuple() for g in poly.dev}
-        assert len(mats) == len(poly.dev)
+        assert len(set(poly.dev)) == len(poly.dev)
 
 
 def test_pipeline_on_oracle_presented_subgroup():

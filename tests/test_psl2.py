@@ -1,11 +1,15 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
+from modpoly.cosets import build_system
 from modpoly.psl2 import (
     CUSP_INF,
     CUSP_ZERO,
     IDENTITY,
+    MAX_POWER_BITS,
     S,
     T,
     U,
@@ -17,6 +21,7 @@ from modpoly.psl2 import (
     su_word,
     t_runs,
 )
+from modpoly.reduce import evaluate_word
 
 from oracles import su_evaluate
 
@@ -32,6 +37,18 @@ def test_determinant_check():
         Psl2Elt(1, 0, 0, -1)
     with pytest.raises(ValueError):
         Psl2Elt(2, 0, 0, 2)
+
+
+def test_constructor_refuses_entries_that_are_not_ints():
+    refused = [(0.5, 0, 0, 2.0), (2.0, 1, 1, 1.0), (True, 0, 0, True), (1, 1, 0, True),
+               (Fraction(1), 0, 0, 1), (1, Fraction(1, 2), 0, 1)]
+    for entries in refused:
+        with pytest.raises(ValueError, match="is not an int"):
+            Psl2Elt(*entries)
+    # a float matrix never reaches the coset walk, where it would index a list
+    with pytest.raises(ValueError, match="matrix entry 2.0 is not an int"):
+        build_system("gamma0", 11).coset(Psl2Elt(2.0, 1, 1, 1.0))
+    assert Psl2Elt(-2, -1, -7, -4) == Psl2Elt(2, 1, 7, 4)
 
 
 def test_sign_normalization():
@@ -62,6 +79,33 @@ def test_pow():
     assert T**-3 == Psl2Elt(1, -3, 0, 1)
     assert (U**2) * U == IDENTITY
     assert S**0 == IDENTITY
+
+
+def test_elliptic_exponents_are_reduced_mod_the_order():
+    v = U * S * U.inv()
+    assert v.torsion_order() == 2
+    assert S ** (10**30 + 1) == S and v ** -(10**30) == IDENTITY
+    assert U ** (3 * 10**20 + 2) == U * U and U ** -(10**20) == U * U
+    assert (U * U) ** (10**20) == U * U and U ** 3 == IDENTITY
+
+
+def test_hyperbolic_power_past_the_bit_cap_is_refused_at_once():
+    # (2, 1; 7, 4) has trace 6, 3 bits: its entries grow by about
+    # log2(3 + 2 sqrt 2) = 2.5 bits per factor
+    g = Psl2Elt(2, 1, 7, 4)
+    n = 2**40 - 1
+    start = time.perf_counter()
+    for exponent in (n, -n, MAX_POWER_BITS // 3 + 1):
+        with pytest.raises(ValueError, match="over MAX_POWER_BITS"):
+            g ** exponent
+    with pytest.raises(ValueError, match="over MAX_POWER_BITS"):
+        evaluate_word([(g, 0)], [(0, 1), (0, n)])
+    assert time.perf_counter() - start < 1
+    # at the cap the power is computed; parabolic powers have no cap
+    big = g ** (MAX_POWER_BITS // 3)
+    assert 0.8 * MAX_POWER_BITS < big.d.bit_length() <= MAX_POWER_BITS
+    assert T ** (2**40 - 1) == Psl2Elt(1, 2**40 - 1, 0, 1)
+    assert Psl2Elt(1, 0, 5, 1) ** (10**12) == Psl2Elt(1, 0, 5 * 10**12, 1)
 
 
 def test_torsion_order():

@@ -27,7 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 from modpoly import reduce
 from modpoly.cosets import FAMILIES
 from modpoly.polygon import SpecialPolygon
-from modpoly.psl2 import IDENTITY, S, U
+from modpoly.psl2 import IDENTITY, S, U, Psl2Elt
 from modpoly.reduce import (
     BASE_POINTS,
     ExactPoint,
@@ -135,8 +135,7 @@ def test_trace_passes_elliptic_vertices_without_restart(group):
     # order-3 crossing must pick the rotation that re-enters the polygon
     poly = built_polygon(*group)
     source = _first_base_point(poly)
-    vertices = {end[2] for side in poly.sides for end in (side.start, side.end)
-                if end[0] == "ell"}
+    vertices = {end for side in poly.sides for end in (side.start, side.end) if len(end) == 3}
     for vertex in vertices:
         target = _half_turn(vertex, source)
         w, word, _ = _trace(poly, source, target)
@@ -170,7 +169,7 @@ def _model_point(kind, t):
 def test_locate_boundary_points(group, data, t):
     poly = built_polygon(*group)
     side = poly.sides[data.draw(st.integers(0, len(poly.sides) - 1))]
-    z = act_point(side.carrier, _model_point(side.kind, t))
+    z = act_point(Psl2Elt(*poly.dev[side.edge]), _model_point(side.kind, t))
     assert poly.contains(z.x, z.y**2)
     z = act_point(_random_member(poly, data), z)
     assert_located(poly, z, *locate_point(poly, z))
@@ -198,7 +197,7 @@ def test_locate_at_and_next_to_elliptic_vertices(group, data, digits):
         else:
             continue
         for p in model:
-            z = act_point(gamma * side.carrier, p)
+            z = act_point(gamma * Psl2Elt(*poly.dev[side.edge]), p)
             assert_located(poly, z, *locate_point(poly, z))
             assert_traced_without_restart(poly, z)
 
@@ -212,7 +211,7 @@ def test_locate_near_cusps(group, data, x, height_bits):
     # triangle's developing matrix next to that triangle's cusp
     poly = built_polygon(*group)
     e = data.draw(st.integers(0, len(poly.dev) - 1))
-    g = poly.dev[e] * data.draw(st.sampled_from([IDENTITY, S]))
+    g = Psl2Elt(*poly.dev[e]) * data.draw(st.sampled_from([IDENTITY, S]))
     z = act_point(_random_member(poly, data) * g, ExactPoint(x, 2**height_bits))
     assert_located(poly, z, *locate_point(poly, z))
     assert_traced_without_restart(poly, z)
@@ -222,7 +221,8 @@ def test_coset_of_each_developing_matrix_is_its_label():
     for family in FAMILIES:
         for level in range(1, 9 if family == "gamma" else 14):
             poly = built_polygon(family, level)
-            assert [poly.system.coset(g) for g in poly.dev] == list(range(len(poly.dev)))
+            assert ([poly.system.coset(Psl2Elt(*g)) for g in poly.dev]
+                    == list(range(len(poly.dev))))
 
 
 def test_locate_never_tests_a_side(monkeypatch):
