@@ -13,7 +13,7 @@ from .cosets import (
     build_system,
 )
 from .cuboid import CuboidGraph, SurfaceInvariants, build_graph, graph_invariants, is_normal, pointed_isomorphic
-from .polygon import SpecialPolygon, assemble, build_polygon, cut_to_tree, develop, validate_special
+from .polygon import SpecialPolygon, assemble, build_polygon, develop, validate_special
 from .reduce import ExactPoint, express, express_schreier, locate_point
 
 __version__ = "0.1.0"

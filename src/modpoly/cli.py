@@ -142,10 +142,8 @@ def _timed(seconds: dict, layer: str, fn, *args):
 
 def _build_polygon(system, seconds: dict):
     """build_polygon's layers, one call each, timed one by one."""
-    graph = _timed(seconds, "graph", cuboid.build_graph, system)
-    tree = _timed(seconds, "tree", polygon.cut_to_tree, graph)
-    dev = _timed(seconds, "develop", polygon.develop, tree)
-    return _timed(seconds, "assemble", polygon.assemble, tree, dev)
+    crossed, dev = _timed(seconds, "develop", polygon.develop, system)
+    return _timed(seconds, "assemble", polygon.assemble, system, crossed, dev)
 
 
 def _gc_collections() -> int:

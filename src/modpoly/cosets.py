@@ -22,7 +22,7 @@ index, computed from the factorisation of N, exceeds its max_index:
 * Gamma1(N) / Gamma^1(N) refine those by a diagonal unit class mod +-1.  The
   P^1 image of a point and its unit are read once per point and letter; each
   class then costs one multiplication mod N and one table lookup.
-* Gamma(N) cosets are stored as triples of points of X = (Z/N)^2 / +-1: the
+* Gamma(N) cosets are numbered by triples of points of X = (Z/N)^2 / +-1: the
   two matrix columns plus the class of their sum, which pins down the pair of
   column signs so that both generator actions become local triple rewrites.
   The triples are enumerated by breadth-first search from the identity's
@@ -46,21 +46,22 @@ FAMILIES = ("gamma0", "gamma_upper0", "gamma1", "gamma_upper1", "gamma")
 
 
 class CosetSystem:
-    """Labelled coset space with the right actions of S and U.
+    """Coset space of index n with the right actions of S and U.
 
     sigma_s and sigma_u are permutations of range(n) with sigma_s^2 = id and
     sigma_u^3 = id, acting transitively; `distinguished` is the coset of the
-    identity.  The orbits of T = U^2 * S are tabulated at construction: for
-    each label, `t_cycle` holds its T-orbit in walking order (the list is
-    shared by the whole orbit) and `t_pos` its position there, so a run T^q
-    moves a label by one table jump.
+    identity.  The labels a builder sorted to number the cosets are not
+    kept: nothing reads them once the permutations exist.  The orbits of
+    T = U^2 * S are tabulated at construction: for each label, `t_cycle`
+    holds its T-orbit in walking order (the list is shared by the whole
+    orbit) and `t_pos` its position there, so a run T^q moves a label by one
+    table jump.
     """
 
-    def __init__(self, family, level, labels, sigma_s, sigma_u, distinguished):
+    def __init__(self, family, level, n, sigma_s, sigma_u, distinguished):
         self.family = family
         self.level = level
-        self.labels = labels
-        self.n = len(labels)
+        self.n = n
         self.sigma_s = sigma_s
         self.sigma_u = sigma_u
         self.distinguished = distinguished
@@ -83,12 +84,19 @@ class CosetSystem:
     def validate(self):
         n = self.n
         ss, su = self.sigma_s, self.sigma_u
-        if sorted(ss) != list(range(n)) or sorted(su) != list(range(n)):
-            raise ValueError("sigma_s / sigma_u are not permutations")
+        identity = list(range(n))
+        # a map of range(n) into itself whose square (cube) is the identity
+        # is a permutation, so the sorted test only runs to pick the message;
         # the compositions, i -> ss[ss[i]] and i -> su[su[su[i]]], as maps
-        if list(map(ss.__getitem__, ss)) != list(range(n)):
-            raise ValueError("sigma_s is not an involution")
-        if list(map(su.__getitem__, map(su.__getitem__, su))) != list(range(n)):
+        if not (len(ss) == len(su) == n
+                and min(ss, default=0) >= 0 and max(ss, default=0) < n
+                and min(su, default=0) >= 0 and max(su, default=0) < n
+                and list(map(ss.__getitem__, ss)) == identity
+                and list(map(su.__getitem__, map(su.__getitem__, su))) == identity):
+            if sorted(ss) != identity or sorted(su) != identity:
+                raise ValueError("sigma_s / sigma_u are not permutations")
+            if list(map(ss.__getitem__, ss)) != identity:
+                raise ValueError("sigma_s is not an involution")
             raise ValueError("sigma_u does not have order dividing 3")
         if not 0 <= self.distinguished < n:
             raise ValueError("distinguished label out of range")
@@ -179,9 +187,9 @@ def _idempotents(N: int, factors: Factorization) -> list[int]:
 
 
 def _p1_line(N: int, letters=(), unit_exponent: int = 0):
-    """Sorted labels of P^1(Z/N) and, for each letter, the permutation of the
-    labels it induces with the scaling unit of each image (raised to
-    `unit_exponent`; not computed when that is 0).
+    """Sorted keys a * N + b of the labels (a : b) of P^1(Z/N) and, for each
+    letter, the permutation of the labels it induces with the scaling unit
+    of each image (raised to `unit_exponent`; not computed when that is 0).
 
     Works per prime power and in mixed radix: combination c of local labels
     lifts to one global pair, and its image under a letter is the
@@ -236,11 +244,10 @@ def _p1_line(N: int, letters=(), unit_exponent: int = 0):
     pos = [0] * len(order)
     for k, c in enumerate(order):
         pos[c] = k
-    labels = [divmod(keys[c], N) for c in order]
     actions = [([pos[image[c]] for c in order],
                 [unit[c] % N for c in order] if unit_exponent else None)
                for image, unit in zip(images, units)]
-    return labels, actions
+    return list(map(keys.__getitem__, order)), actions
 
 
 def unit_classes(N: int) -> list[int]:
@@ -331,15 +338,16 @@ def build_from_oracle(member, max_index: int) -> CosetSystem:
     later question from its permutations."""
     n, sigma_s, sigma_u = _oracle_bfs(member, max_index)
     try:
-        return CosetSystem("oracle", None, list(range(n)), sigma_s, sigma_u, 0)
+        return CosetSystem("oracle", None, n, sigma_s, sigma_u, 0)
     except ValueError as err:
         raise ValueError(f"membership oracle is inconsistent (merge conflict): {err}") from err
 
 
 def _build_p1_family(N: int, family: str) -> CosetSystem:
-    labels, ((sigma_s, _), (sigma_u, _)) = _p1_line(N, (S, U))
-    base = (0, 0) if N == 1 else ((0, 1) if family == "gamma0" else (1, 0))
-    return CosetSystem(family, N, labels, sigma_s, sigma_u, bisect_left(labels, base))
+    keys, ((sigma_s, _), (sigma_u, _)) = _p1_line(N, (S, U))
+    # the key of (0 : 1) or (1 : 0); P^1(Z/1) is the one label (0, 0)
+    base = 0 if N == 1 else (1 if family == "gamma0" else N)
+    return CosetSystem(family, N, len(keys), sigma_s, sigma_u, bisect_left(keys, base))
 
 
 def build_gamma0(N: int) -> CosetSystem:
@@ -371,9 +379,9 @@ def _build_unit_family(N: int, family: str) -> CosetSystem:
     sigma_s, sigma_u = [[class_of[u * w % N] * npts + i
                          for u in units for i, w in zip(image, scale)]
                         for image, scale in actions]
-    labels = [(u, pt) for u in units for pt in points]
-    base = (0, 0) if N == 1 else ((0, 1) if lower else (1, 0))
-    return CosetSystem(family, N, labels, sigma_s, sigma_u,
+    # the key of (0 : 1) or (1 : 0), as in _build_p1_family
+    base = 0 if N == 1 else (1 if lower else N)
+    return CosetSystem(family, N, len(sigma_s), sigma_s, sigma_u,
                        class_of[1 % N] * npts + bisect_left(points, base))
 
 
@@ -398,7 +406,7 @@ def build_gamma(N: int) -> CosetSystem:
     if N <= 2:
         n, sigma_s, sigma_u = _oracle_bfs(lambda g: g.b % N == 0 and g.c % N == 0,
                                           max_index=10)
-        return CosetSystem("gamma", N, list(range(n)), sigma_s, sigma_u, 0)
+        return CosetSystem("gamma", N, n, sigma_s, sigma_u, 0)
     start = gamma_triple((1, 0, 0, 1), N)
     seen = {start}
     queue = [start]
@@ -413,7 +421,9 @@ def build_gamma(N: int) -> CosetSystem:
     index = {lab: i for i, lab in enumerate(labels)}
     sigma_s = [index[_triple_s(lab, N)] for lab in labels]
     sigma_u = [index[_triple_u(lab)] for lab in labels]
-    return CosetSystem("gamma", N, labels, sigma_s, sigma_u, index[start])
+    distinguished = index[start]
+    del labels, index  # the triples are not kept once the permutations exist
+    return CosetSystem("gamma", N, len(sigma_s), sigma_s, sigma_u, distinguished)
 
 
 def coset_index(family: str, N: int) -> int:

@@ -1,18 +1,24 @@
-"""Cutting the cuboid graph to a spanning tree and developing it into the
-upper half-plane as a fundamental polygon with side pairings.
+"""The special polygon of a coset system: its edges (the cosets) cut to a
+tree of U-orbits and developed into the upper half-plane as a fundamental
+polygon with side pairings, from the permutations sigma_s and sigma_u alone.
+
+The build has two layers.  `develop` is one breadth-first pass over the
+U-orbits: it picks the S-pairs it crosses (the rest are cuts) and gives
+each edge its developing matrix.  `assemble` reads the generators off the
+cut pairs and fixed edges and walks the boundary.
 
 The base triangle has vertices 0, e^(i pi/3) and infinity: its sides are the
 imaginary axis, the unit circle around 1, and the vertical line x = 1/2.
-Crossing an uncut bivalent type-(0) vertex multiplies the developing matrix
-on the right by S; stepping around a trivalent type-(1) vertex multiplies by
-U, matching the counterclockwise order of triangles around a copy of
-e^(i pi/3) (U maps i to (1+i)/2, on the line x = 1/2).
+Crossing an S-pair multiplies the developing matrix on the right by S;
+stepping around a U-orbit of three edges multiplies by U, matching the
+counterclockwise order of triangles around a copy of e^(i pi/3) (U maps i
+to (1+i)/2, on the line x = 1/2).
 
-Boundary sides come in three flavours, one per kind of univalent vertex of
-the cut tree: a full copy of the geodesic (0, infinity) for each cut, the two
-halves of such a copy split at a copy of i for an order-2 elliptic vertex,
-and an (arc, vertical) pair meeting at a copy of e^(i pi/3) with internal
-angle 2 pi/3 for an order-3 elliptic vertex.
+Boundary sides come in three flavours: a full copy of the geodesic
+(0, infinity) for each edge of a cut pair, the two halves of such a copy
+split at a copy of i for an S-fixed edge, and an (arc, vertical) pair
+meeting at a copy of e^(i pi/3) with internal angle 2 pi/3 for a U-fixed
+edge.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from math import gcd
 from typing import NamedTuple
 
 from .cosets import CosetSystem
-from .cuboid import CuboidGraph, build_graph, graph_invariants
 from .jsonout import extend_array
 from .psl2 import Cusp, Psl2Elt, act_cusp
 from .reduce import (
@@ -123,108 +128,98 @@ def _cusp(p: int, q: int) -> Vertex:
     return INF
 
 
-class CutTree:
-    """Spanning structure: cut vertices plus a rooted traversal of all edges."""
+def develop(system: CosetSystem) -> tuple[bytearray, list[Matrix]]:
+    """Cut the coset system to a tree of U-orbits and develop it, in one
+    breadth-first pass over the U-orbits on the two permutations alone.
 
-    def __init__(self, graph: CuboidGraph, cuts: frozenset[int],
-                 order: list[int], parent: list[tuple[int, str] | None]):
-        self.graph = graph
-        self.cuts = cuts
-        self.order = order
-        self.parent = parent
-        self.root = graph.distinguished
+    The pass starts at the orbit of the distinguished edge.  Each orbit
+    tries its edges x in increasing min(x, sigma_s(x)); when the orbit of
+    f = sigma_s(x) is not reached yet, the pair {x, f} is crossed and that
+    orbit is developed from it.  crossed[e] is 1 exactly on the edges of
+    the crossed pairs, and every other S-moved pair is a cut: an axis slot
+    lies on the boundary exactly when its edge is not crossed.
 
+    dev[e] is the developing matrix of edge e as a sign-normalised tuple
+    (a, b, c, d): the identity at the distinguished edge, g*S at f when x
+    has matrix g, and the matrix of an orbit's first edge times U and U^2
+    at its other two.  The moves are sums on the entries of
+    g = [[a, b], [c, d]]: g*S = (b, -a, d, -c), g*U = (-b, a+b, -d, c+d)
+    and g*U^2 = (-a-b, a, -c-d, c).
 
-def cut_to_tree(graph: CuboidGraph) -> CutTree:
-    """Pick the cut set by BFS on the contracted graph whose vertices are the
-    type-(1) vertices and whose edges are the bivalent type-(0) vertices;
-    everything off the BFS forest gets cut.  Deterministic in the label order:
-    a vertex y tries its bivalent vertices in increasing order, each one
-    edge_v0[x] for an edge x of y that sigma_s moves, leading to the vertex
-    of sigma_s(x)."""
-    ss, edge_v0, edge_v1, v1 = graph.sigma_s, graph.edge_v0, graph.edge_v1, graph.v1
-    root_y = edge_v1[graph.distinguished]
-    seen = [False] * len(v1)
-    seen[root_y] = True
-    tree_v0: set[int] = set()
-    queue = [root_y]
-    for y in queue:
-        for v0i, z in sorted((edge_v0[x], edge_v1[ss[x]]) for x in v1[y] if ss[x] != x):
-            if not seen[z]:
-                seen[z] = True
-                tree_v0.add(v0i)
-                queue.append(z)
-    cuts = frozenset(v0i for v0i, orbit in enumerate(graph.v0)
-                     if len(orbit) == 2 and v0i not in tree_v0)
-
-    inv = graph_invariants(graph)
-    if len(cuts) != inv.betti:
-        raise ValueError("internal error: cut count differs from the Betti number")
-
-    # rooted breadth-first traversal of the edges, never crossing a cut:
-    # order is also the queue, and each edge tries its U, U^2 and S moves
-    n = graph.n
-    su = graph.sigma_u
-    order = [graph.distinguished]
-    parent: list[tuple[int, str] | None] = [None] * n
-    visited = [False] * n
-    visited[graph.distinguished] = True
-    for e in order:
-        f = su[e]
-        if f != e:
-            if not visited[f]:
-                visited[f] = True
-                parent[f] = (e, "U")
-                order.append(f)
-            f = su[f]
-            if not visited[f]:
-                visited[f] = True
-                parent[f] = (e, "U2")
-                order.append(f)
-        f = ss[e]
-        if f != e and not visited[f] and edge_v0[e] not in cuts:
-            visited[f] = True
-            parent[f] = (e, "S")
-            order.append(f)
-    if len(order) != n:
-        raise ValueError("internal error: cut graph is not connected")
-    return CutTree(graph, cuts, order, parent)
-
-
-def develop(tree: CutTree) -> list[Matrix]:
-    """Assign the developing matrix to every edge, as a sign-normalised
-    tuple (a, b, c, d): the root gets the identity, children multiply their
-    parent's matrix g = [[a, b], [c, d]] by the move letter.  The moves are
-    sums on g's entries: g*S = (b, -a, d, -c), g*U = (-b, a+b, -d, c+d) and
-    g*U^2 = (-a-b, a, -c-d, c)."""
-    dev: list[Matrix | None] = [None] * tree.graph.n
-    dev[tree.root] = (1, 0, 0, 1)
-    parent = tree.parent
+    The cuts are counted against the Betti number of the orbit counts,
+    n - ((n + e2)/2 + (n + 2*e3)/3) + 1, and that against the cusp count."""
+    n = system.n
+    ss, su = system.sigma_s, system.sigma_u
+    crossed = bytearray(n)
+    dev: list[Matrix | None] = [None] * n
     # few values recur in many entries (4 447 distinct values in the 228 729
     # entries outside the small-int cache at gamma0(100003)), so each value
     # is stored as one int object
     one = {}.setdefault
-    for e in tree.order[1:]:
-        p, letter = parent[e]
-        a, b, c, d = dev[p]
-        if letter == "S":
-            a, b, c, d = b, -a, d, -c
-        elif letter == "U":
-            a, b, c, d = -b, a + b, -d, c + d
-        else:
-            a, b, c, d = -a - b, a, -c - d, c
+    # the first edge of each reached orbit, in breadth-first order
+    queue: list[int] = []
+
+    def reach(y: int, a: int, b: int, c: int, d: int):
+        """Develop the orbit of y from y's matrix, not yet sign-normalised."""
         if c < 0 or (c == 0 and d < 0):
             a, b, c, d = -a, -b, -c, -d
-        dev[e] = (one(a, a), one(b, b), one(c, c), one(d, d))
-    return dev
+        dev[y] = (one(a, a), one(b, b), one(c, c), one(d, d))
+        u = su[y]
+        if u != y:
+            p, q, r, t = -b, a + b, -d, c + d
+            if r < 0 or (r == 0 and t < 0):
+                p, q, r, t = -p, -q, -r, -t
+            dev[u] = (one(p, p), one(q, q), one(r, r), one(t, t))
+            p, q, r, t = -a - b, a, -c - d, c
+            if r < 0 or (r == 0 and t < 0):
+                p, q, r, t = -p, -q, -r, -t
+            dev[su[u]] = (one(p, p), one(q, q), one(r, r), one(t, t))
+        queue.append(y)
+
+    reach(system.distinguished, 1, 0, 0, 1)
+    e2 = e3 = 0
+    for y in queue:
+        u = su[y]
+        if u == y:
+            e3 += 1
+            tries = (y,)
+        else:
+            # the orbit's edges by the smaller edge of their S-pair
+            w = su[u]
+            ky, ku, kw = min(y, ss[y]), min(u, ss[u]), min(w, ss[w])
+            if ky > ku:
+                y, u, ky, ku = u, y, ku, ky
+            if ku > kw:
+                u, w, ku = w, u, kw
+            if ky > ku:
+                y, u = u, y
+            tries = (y, u, w)
+        for x in tries:
+            f = ss[x]
+            if dev[f] is None:
+                crossed[x] = crossed[f] = 1
+                a, b, c, d = dev[x]
+                reach(f, b, -a, d, -c)
+            elif f == x:
+                e2 += 1
+    if None in dev:
+        raise ValueError("internal error: cut graph is not connected")
+
+    betti = n - ((n + e2) // 2 + (n + 2 * e3) // 3) + 1
+    if (n - e2 - crossed.count(1)) // 2 != betti:
+        raise ValueError("internal error: cut count differs from the Betti number")
+    cusps = system.t_pos.count(0)
+    if (betti + 1 - cusps) % 2 != 0 or betti + 1 - cusps < 0:
+        raise ValueError("inconsistent Betti/cusp data")
+    return crossed, dev
 
 
-def _generator_table(graph: CuboidGraph, cuts: frozenset[int], dev: list[Matrix]):
+def _generator_table(system: CosetSystem, crossed: bytearray, dev: list[Matrix]):
     """The independent generators and the syllable each label emits, in one
     pass over the labels.
 
-    Every cut bivalent vertex and every fixed edge gives one generator,
-    numbered by its smallest edge, a cut or order-2 generator before the
+    Every cut pair and every fixed edge gives one generator, numbered by
+    its smallest edge, a cut or order-2 generator before the
     order-3 one of the same edge.  A cut between edges e < f gives
     dev[f] * S * dev[e]^-1, which maps the side of e onto the side of f; a
     fixed edge conjugates S or U^2 by its developing matrix.  Each
@@ -233,12 +228,11 @@ def _generator_table(graph: CuboidGraph, cuts: frozenset[int], dev: list[Matrix]
 
     s_gen[e] is the syllable Schreier rewriting emits when S crosses from e: (i, 1) for
     an S-fixed e, (i, -1) / (i, +1) at the smaller / larger edge of a cut,
-    None along the tree.  u_gen[e] is (i, -1) for a U-fixed e, else None.
+    None across a crossed pair.  u_gen[e] is (i, -1) for a U-fixed e, else None.
     """
-    system: CosetSystem = graph.system
-    ss, su, edge_v0 = graph.sigma_s, graph.sigma_u, graph.edge_v0
-    s_gen: list[tuple[int, int] | None] = [None] * graph.n
-    u_gen: list[tuple[int, int] | None] = [None] * graph.n
+    ss, su = system.sigma_s, system.sigma_u
+    s_gen: list[tuple[int, int] | None] = [None] * system.n
+    u_gen: list[tuple[int, int] | None] = [None] * system.n
     generators: list[tuple[Psl2Elt, int]] = []
 
     def add(gen: Psl2Elt, order: int) -> int:
@@ -258,7 +252,7 @@ def _generator_table(graph: CuboidGraph, cuts: frozenset[int], dev: list[Matrix]
             # g * S * g^-1
             s_gen[e] = (add(make(a * c + b * d, -a * a - b * b, c * c + d * d, -a * c - b * d),
                              2), 1)
-        elif e < f and edge_v0[e] in cuts:
+        elif e < f and not crossed[e]:
             p, q, r, t = dev[f]
             # dev[f] * S * g^-1
             i = add(make(p * c + q * d, -p * a - q * b, r * c + t * d, -r * a - t * b), 0)
@@ -275,8 +269,7 @@ class SpecialPolygon:
     per edge, dev[e] an (a, b, c, d) tuple, the boundary sides with their
     pairing, and an independent generator per pairing orbit.  s_gen and
     u_gen give, per label, the generator syllable an S or U step emits (see
-    _generator_table).  The cuboid graph it was cut from is not kept:
-    build_graph(poly.system) makes it again.
+    _generator_table).
 
     The polygon is convex and has infinity as a vertex, so its boundary
     runs from infinity down the left wall (the side numbered left_wall),
@@ -354,31 +347,31 @@ class SpecialPolygon:
                 f"generators={len(self.generators)})")
 
 
-def _walk_boundary(graph, cuts):
+def _walk_boundary(system: CosetSystem, crossed: bytearray):
     """Boundary slots in counterclockwise order.  Slot k of edge e is a side
     of its triangle: 0 the arc and 1 the vertical at the order-3 corner,
     both on the boundary when e is U-fixed, and 2 the axis, on the boundary
-    when e is S-fixed or its bivalent vertex is cut.  The walk advances to
+    when e is not crossed (S-fixed or cut).  The walk advances to
     the next slot of the same triangle and pivots through glued sides (slot
     0 of e is glued to slot 1 of sigma_u(e), slot 1 to slot 0 of
     sigma_u^2(e), slot 2 to slot 2 of sigma_s(e)) until a boundary slot."""
-    ss, su, edge_v0 = graph.sigma_s, graph.sigma_u, graph.edge_v0
-    for e in range(graph.n):
+    ss, su = system.sigma_s, system.sigma_u
+    for e in range(system.n):
         if su[e] == e:
             k = 0
             break
-        if ss[e] == e or edge_v0[e] in cuts:
+        if not crossed[e]:
             k = 2
             break
     else:
         raise ValueError("internal error: polygon has no boundary slots")
     start = e, k
     seq = []
-    budget = 6 * graph.n + 12
+    budget = 6 * system.n + 12
     while True:
         seq.append((e, k))
         k = (k + 1) % 3
-        while not (su[e] == e if k < 2 else ss[e] == e or edge_v0[e] in cuts):
+        while not (su[e] == e if k < 2 else not crossed[e]):
             if k == 0:
                 e, k = su[e], 2
             elif k == 1:
@@ -395,7 +388,7 @@ def _walk_boundary(graph, cuts):
             raise ValueError("internal error: boundary walk does not close")
 
 
-def assemble(tree: CutTree, dev: list[Matrix]) -> SpecialPolygon:
+def assemble(system: CosetSystem, crossed: bytearray, dev: list[Matrix]) -> SpecialPolygon:
     """Build the polygon: one triangle per edge, boundary sides with exact
     endpoints, each paired with its partner by one generator.
 
@@ -407,11 +400,10 @@ def assemble(tree: CutTree, dev: list[Matrix]) -> SpecialPolygon:
     with the even side of sigma_s(e).  Each side makes the vertex it starts
     at and ends at the next side's, so two sides that meet share one
     vertex tuple."""
-    graph = tree.graph
-    ss = graph.sigma_s
-    generators, s_gen, u_gen = _generator_table(graph, tree.cuts, dev)
+    ss = system.sigma_s
+    generators, s_gen, u_gen = _generator_table(system, crossed, dev)
 
-    slots = _walk_boundary(graph, tree.cuts)
+    slots = _walk_boundary(system, crossed)
     # where each axis slot's first side will sit, so an even side can name
     # its partner when it is made
     axis_side: dict[int, int] = {}
@@ -438,7 +430,7 @@ def assemble(tree: CutTree, dev: list[Matrix]) -> SpecialPolygon:
 
     if left_wall is None:
         raise ValueError("internal error: no side leaves infinity")
-    poly = SpecialPolygon(graph.system, dev, sides, generators, s_gen, u_gen,
+    poly = SpecialPolygon(system, dev, sides, generators, s_gen, u_gen,
                           BASE_POINT, left_wall)
     if not poly._contains(BASE_POINTS[0], strict=True):
         raise ValueError("internal error: base point is not interior")
@@ -485,11 +477,9 @@ def _side_data(dev, slots, ss, axis_side, m, s_gen, u_gen):
 
 
 def build_polygon(system: CosetSystem) -> SpecialPolygon:
-    """Full pipeline: graph, cut tree, developing map, assembled polygon."""
-    graph = build_graph(system)
-    tree = cut_to_tree(graph)
-    dev = develop(tree)
-    return assemble(tree, dev)
+    """Full pipeline: the developing pass, then the assembled polygon."""
+    crossed, dev = develop(system)
+    return assemble(system, crossed, dev)
 
 
 # ---------------------------------------------------------------------------

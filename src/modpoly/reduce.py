@@ -198,8 +198,8 @@ def express_schreier(poly, g: Psl2Elt) -> GenWord:
     its S/U letter word through the coset permutations from the distinguished
     label.
 
-    Letters that move along the developed spanning structure contribute
-    nothing; an S step across a cut vertex or from an S-fixed label, and a U
+    Letters that move within a U-orbit or across a crossed S-pair contribute
+    nothing; an S step across a cut pair or from an S-fixed label, and a U
     step from a U-fixed label, emit the syllable the polygon's s_gen / u_gen
     table holds for that label.  Membership is decided first, by walking g's
     runs of T through the T-cycle table (one jump per run), so a non-member

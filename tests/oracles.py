@@ -10,9 +10,9 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
-from modpoly.cosets import build_system
+from modpoly.cosets import _p1_line, build_system, unit_classes
 from modpoly.cuboid import build_graph
-from modpoly.polygon import build_polygon, cut_to_tree, develop
+from modpoly.polygon import build_polygon, develop
 from modpoly.psl2 import IDENTITY, S, U, Psl2Elt
 from modpoly.reduce import lift
 
@@ -187,17 +187,50 @@ def reference_power(g, n):
     return result
 
 
-def reference_develop(tree):
-    """Developing matrices as products of the move letters: each child gets
-    its parent's matrix times S, U or U^2.  Returned as (a, b, c, d)
-    tuples, the form develop stores."""
-    moves = {"S": S, "U": U, "U2": U * U}
-    dev = [None] * tree.graph.n
-    dev[tree.root] = IDENTITY
-    for e in tree.order[1:]:
-        p, letter = tree.parent[e]
-        dev[e] = dev[p] * moves[letter]
-    return [g.tuple() for g in dev]
+def reference_cuts(graph):
+    """Cut set of the cuboid graph: a BFS on the contracted graph whose
+    vertices are the type-(1) vertices and whose edges are the bivalent
+    type-(0) vertices, every bivalent vertex off the BFS forest cut.  A
+    vertex y tries its bivalent vertices in increasing order, each one
+    edge_v0[x] for an edge x of y that sigma_s moves, leading to the vertex
+    of sigma_s(x).  Returns the cut type-(0) vertex ids."""
+    ss, edge_v0, edge_v1, v1 = graph.sigma_s, graph.edge_v0, graph.edge_v1, graph.v1
+    root_y = edge_v1[graph.distinguished]
+    seen = [False] * len(v1)
+    seen[root_y] = True
+    tree_v0 = set()
+    queue = [root_y]
+    for y in queue:
+        for v0i, z in sorted((edge_v0[x], edge_v1[ss[x]]) for x in v1[y] if ss[x] != x):
+            if not seen[z]:
+                seen[z] = True
+                tree_v0.add(v0i)
+                queue.append(z)
+    return frozenset(v0i for v0i, orbit in enumerate(graph.v0)
+                     if len(orbit) == 2 and v0i not in tree_v0)
+
+
+def reference_develop(system):
+    """(crossed, dev) of develop, through the cuboid graph: the cut set of
+    reference_cuts, then a breadth-first traversal of the edges that never
+    crosses a cut, each child getting its parent's matrix times S, U or U^2
+    as a Psl2Elt product.  crossed flags the edges of the uncut bivalent
+    vertices; dev is returned as (a, b, c, d) tuples, the form develop
+    stores."""
+    graph = build_graph(system)
+    cuts = reference_cuts(graph)
+    ss, su, edge_v0 = graph.sigma_s, graph.sigma_u, graph.edge_v0
+    crossed = bytearray(ss[e] != e and edge_v0[e] not in cuts for e in range(graph.n))
+    dev = [None] * graph.n
+    dev[graph.distinguished] = IDENTITY
+    order = [graph.distinguished]
+    for e in order:
+        for f, move in ((su[e], U), (su[su[e]], U * U), (ss[e], S)):
+            if dev[f] is None and (move is not S or crossed[e]):
+                dev[f] = dev[e] * move
+                order.append(f)
+    assert len(order) == graph.n, "the uncut graph is not connected"
+    return crossed, [g.tuple() for g in dev]
 
 
 def random_unimodular(a, c, t):
@@ -310,6 +343,19 @@ def reference_p1_list(N):
         combos = [c + [x] for c in combos for x in local]
     return sorted((reference_crt([x[0] for x in c], moduli),
                    reference_crt([x[1] for x in c], moduli)) for c in combos)
+
+
+def p1_labels(N):
+    """The sorted labels (a, b) of P^1(Z/N) that number the Gamma0 and
+    Gamma^0 cosets, from the keys a * N + b that cosets._p1_line returns."""
+    return [divmod(key, N) for key in _p1_line(N)[0]]
+
+
+def unit_labels(N):
+    """The sorted labels (u, (a, b)) that number the Gamma1 and Gamma^1
+    cosets: a unit class mod +-1 and a point of P^1(Z/N)."""
+    points = p1_labels(N)
+    return [(u, pt) for u in unit_classes(N) for pt in points]
 
 
 def _row_act(row, letter, N):
@@ -496,6 +542,6 @@ def built_polygon(family, N):
 
 
 @lru_cache(maxsize=None)
-def built_tree_dev(family, N):
-    tree = cut_to_tree(built_graph(family, N))
-    return tree, develop(tree)
+def built_develop(family, N):
+    """(crossed, dev) of develop on the cached system."""
+    return develop(built_system(family, N))

@@ -1,8 +1,11 @@
 """The build runs on plain integers and keeps only plain integers: the
 Euclidean descent of t_runs builds no matrix object however long the
-matrix, develop stores one (a, b, c, d) tuple per edge and builds no matrix
-object, and assemble builds one matrix per generator and no Cusp, a count
-pinned here at gamma0(1009) and gamma(7).  A built gamma0(100003) leaves at
+matrix, develop stores one (a, b, c, d) tuple per edge and one byte of its
+crossed flags, builds no matrix object and no other per-edge object, and
+assemble builds one matrix per generator and no Cusp, a count pinned here
+at gamma0(1009) and gamma(7).  Building the polygon of gamma0(10007) peaks
+at most 3.6 MB above its start under tracemalloc (3.28 MB measured, 5.67 MB
+when the build went through a cuboid graph, a cut tree and a parent table).  A built gamma0(100003) leaves at
 most 111 000 more objects for the garbage collector to track (333 377 when
 the polygon held a matrix per triangle, cusp objects per side and the
 cuboid graph), and a built gamma0(10007) retains at most 530 bytes per
@@ -23,7 +26,7 @@ from modpoly.cosets import build_system
 from modpoly.polygon import assemble, build_polygon, develop
 from modpoly.psl2 import T, Cusp, Psl2Elt, t_runs
 
-from oracles import built_system, built_tree_dev, random_unimodular, reference_t_runs
+from oracles import built_develop, built_system, random_unimodular, reference_t_runs
 
 _MADE = {Psl2Elt.__init__.__code__: "Psl2Elt", Psl2Elt._make.__func__.__code__: "Psl2Elt",
          Cusp.__init__.__code__: "Cusp"}
@@ -68,12 +71,49 @@ def test_t_runs_of_an_800_bit_matrix_builds_no_matrix():
 @pytest.mark.parametrize("family, level", [("gamma0", 1009), ("gamma", 7), ("gamma1", 13)])
 def test_develop_builds_one_matrix_per_edge(family, level):
     # each matrix is an (a, b, c, d) tuple of ints, not a Psl2Elt
-    tree, dev = built_tree_dev(family, level)
-    made, out = constructions(develop, tree)
-    assert out == dev
+    system = built_system(family, level)
+    made, out = constructions(develop, system)
+    assert out == built_develop(family, level)
     assert made == Counter()
-    assert len(out) == tree.graph.n
-    assert all(type(g) is tuple and len(g) == 4 and all(type(x) is int for x in g) for g in out)
+    crossed, dev = out
+    assert type(crossed) is bytearray and len(crossed) == len(dev) == system.n
+    assert all(type(g) is tuple and len(g) == 4 and all(type(x) is int for x in g) for g in dev)
+
+
+def traced_peak(fn, *args):
+    """(bytes fn(*args) allocates at its peak under tracemalloc, above what
+    was allocated when it started; its result)."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return peak, result
+
+
+def test_develop_peaks_at_one_matrix_and_one_byte_per_edge():
+    # a list slot, one 4-tuple and one byte of crossed per edge, and up to
+    # 10 bytes more for the queue of U-orbits (a slot per three edges) and
+    # the ints the tuples share (89.7 bytes per edge measured): a second
+    # per-edge object, or a second list of n slots, goes past the bound
+    system = built_system("gamma0", 10007)
+    peak, _ = traced_peak(develop, system)
+    per_edge = 8 + sys.getsizeof((0, 0, 0, 0)) + 1 + 10
+    assert peak <= per_edge * system.n, peak / system.n
+
+
+def test_build_of_gamma0_10007_peaks_below_a_bound():
+    system = built_system("gamma0", 10007)
+    peak, poly = traced_peak(build_polygon, system)
+    assert poly.system is system
+    assert peak <= 3_600_000, peak
 
 
 # Psl2Elt objects assemble makes, and no Cusp: one matrix per generator, for
@@ -83,8 +123,8 @@ def test_develop_builds_one_matrix_per_edge(family, level):
     ("gamma", 7, 29),
 ])
 def test_assemble_builds_one_matrix_per_generator(family, level, matrices):
-    tree, dev = built_tree_dev(family, level)
-    made, poly = constructions(assemble, tree, dev)
+    crossed, dev = built_develop(family, level)
+    made, poly = constructions(assemble, built_system(family, level), crossed, dev)
     assert made == Counter({"Psl2Elt": matrices})
     assert matrices == len(poly.generators)
 

@@ -159,7 +159,7 @@ def test_bench_json(capsys):
     for row in rows:
         poly = built_polygon("gamma0", row["level"])
         assert (row["command"], row["group"]) == ("bench", "gamma0")
-        assert sorted(row["seconds"]) == ["assemble", "develop", "graph", "system", "tree"]
+        assert sorted(row["seconds"]) == ["assemble", "develop", "system"]
         assert all(s >= 0 for s in row["seconds"].values())
         assert (row["sides"], row["generators"]) == (len(poly.sides), len(poly.generators))
         assert sorted(set(row) - {"command", "group", "level", "seconds", "peak_rss_mb"}) == \
@@ -220,16 +220,16 @@ def test_max_index_option(capsys):
     assert code == 0 and json.loads(out)["index"] == 12
 
 
-QUERY_LAYERS = ["assemble", "develop", "graph", "query", "system", "tree"]
+QUERY_LAYERS = ["assemble", "develop", "query", "system"]
 QUERY_COUNTS = ["entry_bits", "gc_collections", "generators", "index", "sides", "syllables"]
 QUERY_INPUTS = {"express": ["--matrix", "1,1,0,1"], "locate": ["--x", "5/2", "--y", "1/7"]}
 
 
 @pytest.mark.parametrize("command, layers, counts", [
     ("graph", ["graph", "system", "write"], ["gc_collections", "index"]),
-    ("polygon", ["assemble", "develop", "graph", "system", "tree", "write"],
+    ("polygon", ["assemble", "develop", "system", "write"],
      ["entry_bits", "gc_collections", "generators", "index", "sides", "tracked_objects"]),
-    ("generators", ["assemble", "develop", "graph", "system", "tree", "write"],
+    ("generators", ["assemble", "develop", "system", "write"],
      ["entry_bits", "gc_collections", "generators", "index", "sides", "tracked_objects"]),
     ("invariants", ["graph", "invariants", "system", "write"],
      ["gc_collections", "generators", "index"]),

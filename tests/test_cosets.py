@@ -7,7 +7,6 @@ import modpoly.cosets as cosets
 from modpoly.cosets import (
     FAMILIES,
     MembershipError,
-    _p1_line,
     build_from_oracle,
     build_gamma,
     build_gamma0,
@@ -25,11 +24,13 @@ from modpoly.polygon import build_polygon, validate_special
 from modpoly.psl2 import IDENTITY, S, T, U, Psl2Elt
 
 from oracles import (
-    built_tree_dev,
+    built_develop,
+    built_system,
     gamma0_index,
     gamma1_index,
     gamma_index,
     member_predicate,
+    p1_labels,
     reference_gamma_system,
     reference_p1_normalize,
 )
@@ -61,7 +62,7 @@ def test_p1_normalize_examples():
 def test_p1_normalize_unit_reconstruction():
     rng = random.Random(11)
     for N in range(2, 101):
-        reps = _p1_line(N)[0]
+        reps = p1_labels(N)
         units = [u for u in range(1, N) if gcd(u, N) == 1]
         for rep in reps:
             u = rng.choice(units)
@@ -78,14 +79,14 @@ def test_p1_normalize_rejects_noncoprime():
 
 
 def test_p1_list_sizes():
-    assert len(_p1_line(4)[0]) == 6
-    assert _p1_line(1)[0] == [(0, 0)]
-    assert len(_p1_line(12)[0]) == 24
+    assert len(p1_labels(4)) == 6
+    assert p1_labels(1) == [(0, 0)]
+    assert len(p1_labels(12)) == 24
 
 
 def test_p1_list_is_transversal():
     for N in range(1, 40):
-        reps = _p1_line(N)[0]
+        reps = p1_labels(N)
         # size formula N * prod(1 + 1/p)
         from modpoly.modint import factorize
         expected = N
@@ -152,14 +153,14 @@ def test_gamma0_small_structure():
     s2 = build_gamma0(2)
     assert s2.n == 3
     assert sum(1 for i in range(3) if s2.sigma_s[i] == i) == 1
-    assert s2.labels[[i for i in range(3) if s2.sigma_s[i] == i][0]] == (1, 1)
+    assert p1_labels(2)[[i for i in range(3) if s2.sigma_s[i] == i][0]] == (1, 1)
     assert all(s2.sigma_u[i] != i for i in range(3))
 
     s3 = build_gamma0(3)
     assert s3.n == 4
     assert all(s3.sigma_s[i] != i for i in range(4))
     fixed_u = [i for i in range(4) if s3.sigma_u[i] == i]
-    assert [s3.labels[i] for i in fixed_u] == [(1, 1)]
+    assert [p1_labels(3)[i] for i in fixed_u] == [(1, 1)]
 
     assert build_gamma0(11).n == 12
 
@@ -175,16 +176,20 @@ def test_gamma_triple_examples():
     ident = gamma_triple((1, 0, 0, 1), N)
     assert ident == (xpoint(1, 0, N), xpoint(0, 1, N), xpoint(1, 1, N))
     system = build_gamma(N)
-    i = system.labels.index(ident)
-    shifted = system.labels[system.sigma_u[i]]
+    # the sorted triples number the cosets; the system does not keep them
+    labels = reference_gamma_system(N)[0]
+    i = labels.index(ident)
+    assert i == system.distinguished
+    shifted = labels[system.sigma_u[i]]
     assert shifted == (xpoint(0, 1, N), xpoint(1, 1, N), xpoint(1, 0, N))
 
 
 def test_gamma_matches_reference():
     for N in range(3, 13):
         system = build_gamma(N)
-        assert (system.labels, system.sigma_s, system.sigma_u,
-                system.distinguished) == reference_gamma_system(N), N
+        labels, sigma_s, sigma_u, distinguished = reference_gamma_system(N)
+        assert (system.n, system.sigma_s, system.sigma_u,
+                system.distinguished) == (len(labels), sigma_s, sigma_u, distinguished), N
 
 
 def test_gamma_indices():
@@ -204,11 +209,11 @@ def test_reduce_to_coset_examples():
     # the coset walk reduces an element to the label of its coset
     s11 = build_gamma0(11)
     assert s11.coset(IDENTITY) == s11.distinguished
-    assert s11.labels[s11.coset(T)] == (0, 1)
+    assert p1_labels(11)[s11.coset(T)] == (0, 1)
     assert s11.member(T) and not s11.member(S)
 
     s2 = build_gamma0(2)
-    assert s2.labels[s2.coset(S)] == (1, 0)
+    assert p1_labels(2)[s2.coset(S)] == (1, 0)
     assert s2.coset(S * T * T) == s2.coset(S)
 
 
@@ -218,8 +223,8 @@ def test_reduce_to_coset_witness_property():
     rng = random.Random(12)
     for family, N in [("gamma0", 12), ("gamma_upper0", 9), ("gamma1", 7),
                       ("gamma_upper1", 8), ("gamma", 4)]:
-        tree, dev = built_tree_dev(family, N)
-        system = tree.graph.system
+        system = built_system(family, N)
+        _, dev = built_develop(family, N)
         member = member_predicate(family, N)
         for _ in range(50):
             g = IDENTITY
@@ -265,15 +270,21 @@ def test_oracle_polygon_without_oracle_calls():
 def test_validate_rejects_bad_permutations():
     from modpoly.cosets import CosetSystem
     with pytest.raises(ValueError, match="order dividing 3"):
-        CosetSystem("gamma0", 2, [0, 1], [1, 0], [1, 0], 0)  # sigma_u has order 2
+        CosetSystem("gamma0", 2, 2, [1, 0], [1, 0], 0)  # sigma_u has order 2
     with pytest.raises(ValueError, match="not transitive"):
-        CosetSystem("gamma0", 2, [0, 1], [0, 1], [0, 1], 0)
+        CosetSystem("gamma0", 2, 2, [0, 1], [0, 1], 0)
     with pytest.raises(ValueError, match="not an involution"):
-        CosetSystem("gamma0", 3, [0, 1, 2], [1, 2, 0], [1, 2, 0], 0)
+        CosetSystem("gamma0", 3, 3, [1, 2, 0], [1, 2, 0], 0)
     with pytest.raises(ValueError, match="not permutations"):
-        CosetSystem("gamma0", 3, [0, 1, 2], [1, 0, 2], [1, 1, 2], 0)
+        CosetSystem("gamma0", 3, 3, [1, 0, 2], [1, 1, 2], 0)
+    # entries out of range and lists of another length than n are refused
+    # before either permutation is composed
+    for ss, su in [([1, 0, 3], [1, 2, 0]), ([1, 0, -1], [1, 2, 0]), ([1, 0, 2], [1, 2, -3]),
+                   ([1, 0], [1, 2, 0]), ([1, 0, 2], [1, 2, 0, 3])]:
+        with pytest.raises(ValueError, match="not permutations"):
+            CosetSystem("gamma0", 3, 3, ss, su, 0)
     # a valid pair: S swaps 0 and 1, U is the 3-cycle
-    assert CosetSystem("gamma0", 3, [0, 1, 2], [1, 0, 2], [1, 2, 0], 0).n == 3
+    assert CosetSystem("gamma0", 3, 3, [1, 0, 2], [1, 2, 0], 0).n == 3
 
 
 def test_oracle_equivalence_small():

@@ -137,7 +137,7 @@ def test_is_normal_agrees_with_the_edge_orbit():
               for N in range(1, 10 if family == "gamma" else 31)]
     graphs.append(build_graph(build_from_oracle(lambda g: g.b % 5 == 0 and g.c % 5 == 0,
                                                 max_index=100)))
-    graphs.append(build_graph(CosetSystem("oracle", None, list(range(4)),
+    graphs.append(build_graph(CosetSystem("oracle", None, 4,
                                           [2, 3, 0, 1], [0, 2, 3, 1], 0)))
     for g in graphs:
         assert is_normal(g) == (len(distinguished_edge_orbit(g)) == g.n), g
@@ -194,4 +194,4 @@ def test_malformed_system_rejected():
     # a malformed permutation pair never reaches the graph: the coset system
     # refuses it when it is constructed
     with pytest.raises(ValueError):
-        build_graph(CosetSystem("oracle", None, [0, 1], [1, 0], [1, 0], 0))  # sigma_u has order 2
+        build_graph(CosetSystem("oracle", None, 2, [1, 0], [1, 0], 0))  # sigma_u has order 2

@@ -24,7 +24,7 @@ from modpoly.reduce import (
     locate_point,
 )
 
-from oracles import built_polygon, built_tree_dev
+from oracles import built_develop, built_polygon, built_system
 
 
 def fraction_constructions(fn, *args, **kwargs):
@@ -49,8 +49,8 @@ def fraction_constructions(fn, *args, **kwargs):
 @pytest.mark.parametrize("family, level", [("gamma0", 1), ("gamma0", 13), ("gamma", 5),
                                            ("gamma1", 7), ("gamma0", 1009)])
 def test_assemble_constructs_no_fraction(family, level):
-    tree, dev = built_tree_dev(family, level)
-    count, _ = fraction_constructions(assemble, tree, dev)
+    crossed, dev = built_develop(family, level)
+    count, _ = fraction_constructions(assemble, built_system(family, level), crossed, dev)
     assert count == 0
 
 

@@ -3,8 +3,9 @@ inputs: t_runs with reference_t_runs (one matrix object per Euclid step) on
 unimodular matrices with entries up to 2^800, c = 0 and negative entries
 included; polygon._cusp, the sign-only normalisation of a cusp vertex, with
 the gcd-reducing Cusp constructor on coprime pairs, q <= 0 and (+-1, 0)
-included; develop with the product of the move
-letters S, U and U^2 for the five families at levels up to 30; g ** n with
+included; develop with the cut set of a BFS over the cuboid graph and the
+product of the move letters S, U and U^2 along it, for the five families at
+every level up to 30; g ** n with
 the plain product of |n| copies for |n| <= 40 and entries up to 2^200, S, U
 and the identity included; and lift with the Fraction arithmetic of
 reference_lift on negative, integral and 400-bit rationals."""
@@ -14,13 +15,12 @@ from math import gcd
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from modpoly.cosets import FAMILIES
+from modpoly.cosets import FAMILIES, build_system
 from modpoly.polygon import BASE_POINT, _cusp, develop
 from modpoly.psl2 import IDENTITY, S, T, U, Cusp, t_runs
 from modpoly.reduce import BASE_POINTS, lift
 
 from oracles import (
-    built_tree_dev,
     random_unimodular,
     reference_develop,
     reference_lift,
@@ -63,11 +63,13 @@ def test_coprime_cusp_matches_cusp(p, q):
     assert _cusp(p, q) == (c.p, c.q)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(FAMILIES), st.integers(1, 30))
-def test_develop_matches_the_product_of_moves(family, level):
-    tree, _ = built_tree_dev(family, level)
-    assert develop(tree) == reference_develop(tree)
+def test_develop_matches_the_product_of_moves():
+    # the one pass over the U-orbits crosses the pairs the BFS over the
+    # cuboid graph's type-(1) vertices keeps, and develops the same matrices
+    for family in FAMILIES:
+        for level in range(1, 31):
+            system = build_system(family, level)
+            assert develop(system) == reference_develop(system), (family, level)
 
 
 # elements with entries up to 2^200: random ones, and S, U, T and the identity

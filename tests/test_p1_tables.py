@@ -8,9 +8,9 @@ from math import gcd, prod
 
 from hypothesis import assume, given, settings, strategies as st
 
-from modpoly.cosets import _p1_line, build_system
+from modpoly.cosets import build_system
 
-from oracles import reference_p1_list, reference_p1_normalize, reference_system
+from oracles import p1_labels, reference_p1_list, reference_p1_normalize, reference_system, unit_labels
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -27,14 +27,19 @@ BOUNDED = settings(max_examples=25, deadline=None)
 
 
 def system_data(family, N):
+    """(labels, sigma_s, sigma_u, distinguished): the system keeps no
+    labels, so they are the P^1 points, or unit classes and points, that
+    number its cosets."""
     system = build_system(family, N)
-    return system.labels, system.sigma_s, system.sigma_u, system.distinguished
+    labels = p1_labels(N) if family in ("gamma0", "gamma_upper0") else unit_labels(N)
+    assert system.n == len(labels)
+    return labels, system.sigma_s, system.sigma_u, system.distinguished
 
 
 @BOUNDED
 @given(levels(3000))
 def test_p1_families_match_reference(N):
-    assert _p1_line(N)[0] == reference_p1_list(N)
+    assert p1_labels(N) == reference_p1_list(N)
     for family in ("gamma0", "gamma_upper0"):
         assert system_data(family, N) == reference_system(family, N), (family, N)
 

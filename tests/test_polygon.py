@@ -7,10 +7,7 @@ import pytest
 from modpoly.cosets import FAMILIES
 from modpoly.cuboid import build_graph, graph_invariants
 from modpoly.polygon import (
-    assemble,
     build_polygon,
-    cut_to_tree,
-    develop,
     to_json,
     to_svg,
     validate_special,
@@ -18,49 +15,62 @@ from modpoly.polygon import (
 from modpoly.psl2 import IDENTITY, S, U, Psl2Elt
 from modpoly.reduce import evaluate_word
 
-from oracles import TEST_GROUPS, built_graph, built_polygon, built_system, built_tree_dev, member_predicate
+from oracles import (
+    TEST_GROUPS,
+    built_develop,
+    built_graph,
+    built_polygon,
+    built_system,
+    member_predicate,
+)
+
+
+def cut_pairs(system, crossed):
+    """The S-moved pairs develop did not cross, each by its smaller edge."""
+    return [e for e in range(system.n) if e < system.sigma_s[e] and not crossed[e]]
 
 
 def test_cut_counts():
-    tree, _ = built_tree_dev("gamma0", 1)
-    assert len(tree.cuts) == 0
-    tree, _ = built_tree_dev("gamma0", 11)
-    assert len(tree.cuts) == 3
-    tree, _ = built_tree_dev("gamma", 2)
-    assert len(tree.cuts) == 2
+    for (family, N), cuts in [(("gamma0", 1), 0), (("gamma0", 11), 3), (("gamma", 2), 2)]:
+        crossed, _ = built_develop(family, N)
+        assert len(cut_pairs(built_system(family, N), crossed)) == cuts
 
 
 def test_develop_root_and_counts():
     for family, N in [("gamma0", 11), ("gamma", 3), ("gamma1", 5)]:
-        tree, dev = built_tree_dev(family, N)
-        assert dev[tree.root] == IDENTITY.tuple()
-        assert len(dev) == tree.graph.n
+        system = built_system(family, N)
+        crossed, dev = built_develop(family, N)
+        assert dev[system.distinguished] == IDENTITY.tuple()
+        assert len(dev) == len(crossed) == system.n
         assert all(g is not None for g in dev)
 
 
 def test_develop_adjacency_rules():
-    # around a trivalent vertex the matrices advance by U; across any uncut
-    # bivalent vertex they differ by S (for the root of gamma(3) this gives
+    # around a trivalent vertex the matrices advance by U; across any
+    # crossed pair they differ by S (for the root of gamma(3) this gives
     # the literal matrix S one step from the identity)
-    tree, dev = built_tree_dev("gamma", 3)
-    assert dev[tree.graph.sigma_s[tree.root]] == S.tuple()
+    system = built_system("gamma", 3)
+    crossed, dev = built_develop("gamma", 3)
+    assert dev[system.sigma_s[system.distinguished]] == S.tuple()
     for family, N in [("gamma0", 5), ("gamma0", 12), ("gamma", 3), ("gamma1", 8)]:
-        tree, dev = built_tree_dev(family, N)
-        graph = tree.graph
-        for e in range(graph.n):
+        system = built_system(family, N)
+        crossed, dev = built_develop(family, N)
+        for e in range(system.n):
             g = Psl2Elt(*dev[e])
-            if graph.sigma_u[e] != e:
-                assert dev[graph.sigma_u[e]] == (g * U).tuple()
-            f = graph.sigma_s[e]
-            if f != e and graph.edge_v0[e] not in tree.cuts:
+            if system.sigma_u[e] != e:
+                assert dev[system.sigma_u[e]] == (g * U).tuple()
+            f = system.sigma_s[e]
+            assert crossed[e] == crossed[f]
+            if crossed[e]:
+                assert f != e
                 assert dev[f] == (g * S).tuple()
 
 
 def test_develop_is_schreier_transversal():
     # the developed matrix of an edge lies in that edge's coset
     for family, N in [("gamma0", 10), ("gamma1", 5), ("gamma", 4)]:
-        tree, dev = built_tree_dev(family, N)
-        system = tree.graph.system
+        system = built_system(family, N)
+        _, dev = built_develop(family, N)
         for e, g in enumerate(dev):
             assert system.coset(Psl2Elt(*g)) == e
 

@@ -1,0 +1,74 @@
+"""Property tests over random coset systems, most of them of non-congruence
+subgroups: a random involution sigma_s and a random permutation sigma_u of
+order dividing 3 on up to 60 points, restricted to the orbit of a random
+point, which becomes the distinguished edge.  Every transitive pair with
+sigma_s^2 = sigma_u^3 = 1 is the coset action of a finite-index subgroup of
+PSL2(Z) = Z/2 * Z/3, so the whole pipeline must hold on it: the polygon is
+special, each developing matrix lies in its edge's coset, the one pass over
+the U-orbits agrees with the reference through the cuboid graph, and every
+generator is expressed as a word that evaluates back to it."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from modpoly.cosets import CosetSystem
+from modpoly.polygon import build_polygon, develop, validate_special
+from modpoly.psl2 import Psl2Elt
+from modpoly.reduce import evaluate_word, express
+
+from oracles import reference_develop
+
+
+def _cycles(order, fixed, length):
+    """The permutation of range(len(order)) that fixes order[:fixed] and
+    cycles the rest of order in consecutive blocks of the given length."""
+    perm = list(range(len(order)))
+    for i in range(fixed, len(order), length):
+        block = order[i:i + length]
+        for x, y in zip(block, block[1:] + block[:1]):
+            perm[x] = y
+    return perm
+
+
+@st.composite
+def coset_systems(draw, max_points=60):
+    """A transitive CosetSystem of index at most max_points."""
+    n = draw(st.integers(1, max_points))
+    # few fixed points, as in most subgroups: many of them split the pair
+    # into small orbits
+    e2 = min(n % 2 + 2 * draw(st.integers(0, 1)), n)
+    e3 = min(n % 3 + 3 * draw(st.integers(0, 1)), n)
+    # shuffled by a Random from a drawn seed: st.permutations and st.randoms
+    # favour orders close to the identity, whose blocks leave small orbits
+    rng = random.Random(draw(st.integers(0, 2**64)))
+    ss = _cycles(rng.sample(range(n), n), e2, 2)
+    su = _cycles(rng.sample(range(n), n), e3, 3)
+    root = draw(st.integers(0, n - 1))
+    orbit, seen = [root], {root}
+    for x in orbit:
+        for y in (ss[x], su[x]):
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    # number the orbit in the order of its points, so the distinguished
+    # edge is not always 0
+    index = {x: i for i, x in enumerate(sorted(orbit))}
+    sigma_s = [ss[x] for x in sorted(orbit)]
+    sigma_u = [su[x] for x in sorted(orbit)]
+    return CosetSystem("oracle", None, len(orbit), [index[y] for y in sigma_s],
+                       [index[y] for y in sigma_u], index[root])
+
+
+@settings(max_examples=300, deadline=None)
+@given(coset_systems())
+def test_random_transitive_pair_gives_a_special_polygon(system):
+    poly = build_polygon(system)
+    assert validate_special(poly) == []
+    crossed, dev = develop(system)
+    assert dev == poly.dev
+    for e, g in enumerate(dev):
+        assert system.coset(Psl2Elt(*g)) == e
+    assert (crossed, dev) == reference_develop(system)
+    for g, _ in poly.generators:
+        assert evaluate_word(poly.generators, express(poly, g)) == g
