@@ -1,6 +1,6 @@
 """Coset graphs, special polygons and reduction for subgroups of PSL2(Z)."""
 
-from .psl2 import IDENTITY, S, T, U, Cusp, Psl2Elt, act_cusp
+from .psl2 import IDENTITY, S, T, U, Psl2Elt, act_cusp
 from .cosets import (
     CosetSystem,
     MembershipError,
@@ -12,7 +12,7 @@ from .cosets import (
     build_gamma_upper1,
     build_system,
 )
-from .cuboid import CuboidGraph, SurfaceInvariants, build_graph, graph_invariants, is_normal, pointed_isomorphic
+from .cuboid import SurfaceInvariants, graph_invariants, is_normal, pointed_isomorphic
 from .polygon import SpecialPolygon, assemble, build_polygon, develop, validate_special
 from .reduce import ExactPoint, express, express_schreier, locate_point
 

@@ -291,11 +291,9 @@ def _cmd_build(args) -> int:
     system = _timed(seconds, "system", _build_system, args.group, args.level, args.max_index)
     counts = {"index": system.n}
     if cmd == "graph":
-        graph = _timed(seconds, "graph", cuboid.build_graph, system)
-        render = partial(cuboid.to_json if args.format == "json" else cuboid.to_dot, graph)
+        render = partial(cuboid.to_json if args.format == "json" else cuboid.to_dot, system)
     elif cmd == "invariants":
-        graph = _timed(seconds, "graph", cuboid.build_graph, system)
-        inv = _timed(seconds, "invariants", cuboid.graph_invariants, graph)
+        inv = _timed(seconds, "invariants", cuboid.graph_invariants, system)
         counts["generators"] = inv.n_generators
         render = partial(_dumps, {
             "index": inv.n,

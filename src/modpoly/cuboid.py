@@ -1,10 +1,13 @@
-"""Bipartite cuboid graph of a coset system, surface invariants, normality.
+"""The bipartite cuboid graph of a coset system: surface invariants,
+normality and the graph writers.
 
-Edges are the cosets.  Type-(0) vertices are the orbits of the order-2
-generator action (valency 1 or 2); type-(1) vertices are the orbits of the
-order-3 action (valency 1 or 3), each trivalent orbit carrying the cyclic
-order (x, x.U, x.U^2).  Vertices are named by the smallest edge label in the
-orbit, which keeps every construction canonical.
+By Kulkarni's bijection the graph is the pair (sigma_s, sigma_u) itself, so
+every function here takes the CosetSystem.  Edges are the cosets.  Type-(0)
+vertices are the orbits of the order-2 generator action (valency 1 or 2);
+type-(1) vertices are the orbits of the order-3 action (valency 1 or 3),
+each trivalent orbit carrying the cyclic order (x, x.U, x.U^2).  Only the
+two writers enumerate the orbits; a vertex is named by the smallest edge
+label in its orbit, which keeps every output canonical.
 """
 
 from __future__ import annotations
@@ -15,45 +18,23 @@ from .cosets import CosetSystem
 from .jsonout import extend_array, int_array
 
 
-class CuboidGraph:
-    def __init__(self, system: CosetSystem):
-        # the system validated its permutations when it was constructed
-        n = system.n
-        ss, su = system.sigma_s, system.sigma_u
-        self.system = system
-        self.n = n
-        self.sigma_s = ss
-        self.sigma_u = su
-        self.distinguished = system.distinguished
-
-        # vertex orbits are tuples: immutable, and not tracked by the
-        # garbage collector once they hold only ints
-        self.v0: list[tuple[int, ...]] = []
-        self.edge_v0 = [-1] * n
-        for e in range(n):
-            if self.edge_v0[e] != -1:
-                continue
-            orbit = (e,) if ss[e] == e else (e, ss[e])
-            for x in orbit:
-                self.edge_v0[x] = len(self.v0)
-            self.v0.append(orbit)
-
-        self.v1: list[tuple[int, ...]] = []
-        self.edge_v1 = [-1] * n
-        for e in range(n):
-            if self.edge_v1[e] != -1:
-                continue
-            orbit = (e,) if su[e] == e else (e, su[e], su[su[e]])
-            for x in orbit:
-                self.edge_v1[x] = len(self.v1)
-            self.v1.append(orbit)
-
-    def __repr__(self):
-        return f"CuboidGraph(n={self.n}, v0={len(self.v0)}, v1={len(self.v1)})"
-
-
-def build_graph(system: CosetSystem) -> CuboidGraph:
-    return CuboidGraph(system)
+def _orbits(perm: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The orbits of sigma_s or sigma_u, the type-(0) or type-(1) vertices:
+    each named by its smallest edge and listed in increasing order of it, a
+    trivalent orbit in the cyclic order (x, x.U, x.U^2); and each edge's
+    orbit index.  Orbits are tuples: immutable, and not tracked by the
+    garbage collector once they hold only ints."""
+    orbits: list[tuple[int, ...]] = []
+    orbit_of = [-1] * len(perm)
+    for e in range(len(perm)):
+        if orbit_of[e] != -1:
+            continue
+        f = perm[e]
+        orbit = (e,) if f == e else (e, f) if perm[f] == e else (e, f, perm[f])
+        for x in orbit:
+            orbit_of[x] = len(orbits)
+        orbits.append(orbit)
+    return orbits, orbit_of
 
 
 @dataclass(frozen=True)
@@ -68,19 +49,20 @@ class SurfaceInvariants:
     n_generators: int
 
 
-def graph_invariants(graph: CuboidGraph) -> SurfaceInvariants:
+def graph_invariants(system: CosetSystem) -> SurfaceInvariants:
     """Surface data read off the graph: elliptic counts are the fixed points
     of the two actions, cusps are the orbits of the T-action (their lengths,
     the cusp widths, are the system's T-cycles), the Betti number comes from
-    the Euler characteristic."""
-    n = graph.n
-    ss, su = graph.sigma_s, graph.sigma_u
+    the Euler characteristic, with (n + e2) / 2 type-(0) and (n + 2 e3) / 3
+    type-(1) vertices."""
+    n = system.n
+    ss, su = system.sigma_s, system.sigma_u
     e2 = sum(1 for i in range(n) if ss[i] == i)
     e3 = sum(1 for i in range(n) if su[i] == i)
-    t_cycle, t_pos = graph.system.t_cycle, graph.system.t_pos
+    t_cycle, t_pos = system.t_cycle, system.t_pos
     widths = sorted(len(t_cycle[x]) for x in range(n) if t_pos[x] == 0)
     cusps = len(widths)
-    betti = n - (len(graph.v0) + len(graph.v1)) + 1
+    betti = n - ((n + e2) // 2 + (n + 2 * e3) // 3) + 1
     if (betti + 1 - cusps) % 2 != 0 or betti + 1 - cusps < 0:
         raise ValueError("inconsistent Betti/cusp data")
     genus = (betti + 1 - cusps) // 2
@@ -123,27 +105,27 @@ def _propagate(ss1, su1, e1, ss2, su2, e2, n) -> list[int] | None:
     return img
 
 
-def distinguished_edge_orbit(graph: CuboidGraph) -> list[int]:
+def distinguished_edge_orbit(system: CosetSystem) -> list[int]:
     """Edges reachable from the distinguished one under structure-preserving
     graph automorphisms."""
-    ss, su = graph.sigma_s, graph.sigma_u
-    r = graph.distinguished
-    return [e for e in range(graph.n)
-            if _propagate(ss, su, r, ss, su, e, graph.n) is not None]
+    ss, su = system.sigma_s, system.sigma_u
+    r = system.distinguished
+    return [e for e in range(system.n)
+            if _propagate(ss, su, r, ss, su, e, system.n) is not None]
 
 
-def is_normal(graph: CuboidGraph) -> bool:
+def is_normal(system: CosetSystem) -> bool:
     """The subgroup is normal iff the automorphism group moves the
     distinguished edge r onto every edge.  Automorphisms commute with
     sigma_s and sigma_u, which act transitively, so that holds as soon as
     automorphisms send r to sigma_s(r) and to sigma_u(r): two propagations,
     linear in the index."""
-    ss, su = graph.sigma_s, graph.sigma_u
-    r = graph.distinguished
-    return all(_propagate(ss, su, r, ss, su, e, graph.n) is not None for e in (ss[r], su[r]))
+    ss, su = system.sigma_s, system.sigma_u
+    r = system.distinguished
+    return all(_propagate(ss, su, r, ss, su, e, system.n) is not None for e in (ss[r], su[r]))
 
 
-def pointed_isomorphic(g1: CuboidGraph, g2: CuboidGraph) -> bool:
+def pointed_isomorphic(g1: CosetSystem, g2: CosetSystem) -> bool:
     """Do the pointed graphs agree (same subgroup, not just conjugate)?"""
     if g1.n != g2.n:
         return False
@@ -157,30 +139,29 @@ _ORBIT = (None, "[\n      %d\n    ]", "[\n      %d,\n      %d\n    ]",
           "[\n      %d,\n      %d,\n      %d\n    ]")
 
 
-def to_json(graph: CuboidGraph) -> str:
-    """The graph's permutations, distinguished edge and vertex orbits, laid
+def to_json(system: CosetSystem) -> str:
+    """The system's permutations, distinguished edge and vertex orbits, laid
     out by the template writer of ``jsonout``: byte for byte the text of
     json.dumps(sort_keys=True, indent=2) over the same data."""
-    parts = [f'{{\n  "distinguished": {graph.distinguished},\n  "n": {graph.n},\n  "sigma_S": ',
-             int_array(graph.sigma_s, "  "), ',\n  "sigma_U": ', int_array(graph.sigma_u, "  "),
-             ',\n  "v0": ']
-    extend_array(parts, (_ORBIT[len(orbit)] % orbit for orbit in graph.v0), "  ")
-    parts.append(',\n  "v1": ')
-    extend_array(parts, (_ORBIT[len(orbit)] % orbit for orbit in graph.v1), "  ")
+    parts = [f'{{\n  "distinguished": {system.distinguished},\n  "n": {system.n},\n  "sigma_S": ',
+             int_array(system.sigma_s, "  "), ',\n  "sigma_U": ', int_array(system.sigma_u, "  ")]
+    for key, perm in ((',\n  "v0": ', system.sigma_s), (',\n  "v1": ', system.sigma_u)):
+        parts.append(key)
+        extend_array(parts, (_ORBIT[len(orbit)] % orbit for orbit in _orbits(perm)[0]), "  ")
     parts.append("\n}\n")
     return "".join(parts)
 
 
-def to_dot(graph: CuboidGraph) -> str:
+def to_dot(system: CosetSystem) -> str:
     """Graphviz output: circles for type-(0), triangles for type-(1),
     the distinguished edge bold."""
+    v0, edge_v0 = _orbits(system.sigma_s)
+    v1, edge_v1 = _orbits(system.sigma_u)
     lines = ["graph cuboid {"]
-    for i in range(len(graph.v0)):
-        lines.append(f'  s{i} [shape=circle, label="{graph.v0[i][0]}"];')
-    for j in range(len(graph.v1)):
-        lines.append(f'  t{j} [shape=triangle, label="{graph.v1[j][0]}"];')
-    for e in range(graph.n):
-        style = ", style=bold" if e == graph.distinguished else ""
-        lines.append(f'  s{graph.edge_v0[e]} -- t{graph.edge_v1[e]} [label="{e}"{style}];')
+    lines.extend(f'  s{i} [shape=circle, label="{orbit[0]}"];' for i, orbit in enumerate(v0))
+    lines.extend(f'  t{j} [shape=triangle, label="{orbit[0]}"];' for j, orbit in enumerate(v1))
+    for e in range(system.n):
+        style = ", style=bold" if e == system.distinguished else ""
+        lines.append(f'  s{edge_v0[e]} -- t{edge_v1[e]} [label="{e}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .cosets import CosetSystem
 from .jsonout import extend_array
-from .psl2 import Cusp, Psl2Elt, act_cusp
+from .psl2 import Psl2Elt, act_cusp
 from .reduce import (
     BASE_POINTS,
     I_POINT,
@@ -489,8 +489,8 @@ def validate_special(poly: SpecialPolygon) -> list[str]:
     """Check the polygon axioms symbolically; returns a list of violations
     (empty means valid).  Each side's ends are mapped from the model
     segment by its triangle's matrix, a Psl2Elt made here from dev[edge],
-    and each cusp image is reduced by Cusp, apart from the sign-only
-    normalisation assemble uses."""
+    and each cusp image is fully reduced by act_cusp, apart from the
+    sign-only normalisation assemble uses."""
     out = []
     sides = poly.sides
     m = len(sides)
@@ -596,12 +596,9 @@ def validate_special(poly: SpecialPolygon) -> list[str]:
 
 
 def _map_vertex(g: Psl2Elt, vertex: Vertex) -> Vertex:
-    """The image of a vertex under g: a cusp reduced by Cusp, a point triple
-    moved by reduce.act."""
-    if len(vertex) == 3:
-        return act(g, vertex)
-    c = act_cusp(g, Cusp(*vertex))
-    return c.p, c.q
+    """The image of a vertex under g: a cusp pair reduced by act_cusp, a
+    point triple moved by reduce.act."""
+    return act(g, vertex) if len(vertex) == 3 else act_cusp(g, vertex)
 
 
 # ---------------------------------------------------------------------------

@@ -143,41 +143,20 @@ def parse_matrix(text: str) -> Psl2Elt:
     return Psl2Elt(a, b, c, d)
 
 
-class Cusp:
-    """Boundary point p/q of the upper half-plane; q = 0 means infinity."""
-
-    __slots__ = ("p", "q")
-
-    def __init__(self, p: int, q: int):
-        if p == 0 and q == 0:
-            raise ValueError("0/0 is not a cusp")
-        g = gcd(p, q)
-        p //= g
-        q //= g
-        if q < 0:
-            p, q = -p, -q
-        if q == 0:
-            p = 1
-        self.p = p
-        self.q = q
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Cusp) and self.p == other.p and self.q == other.q
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
-
-    def __repr__(self) -> str:
-        return "oo" if self.q == 0 else f"{self.p}/{self.q}"
-
-
-CUSP_ZERO = Cusp(0, 1)
-CUSP_INF = Cusp(1, 0)
-
-
-def act_cusp(g: Psl2Elt, x: Cusp) -> Cusp:
-    """Moebius action on the boundary: (p : q) -> (ap + bq : cp + dq)."""
-    return Cusp(g.a * x.p + g.b * x.q, g.c * x.p + g.d * x.q)
+def act_cusp(g: Psl2Elt, x: tuple[int, int]) -> tuple[int, int]:
+    """Moebius action on the boundary: (p : q) -> (ap + bq : cp + dq), the
+    image reduced to lowest terms with q >= 0 and infinity written (1, 0).
+    The pair (0, 0) is not a cusp and is refused with ValueError."""
+    p, q = x
+    if p == 0 and q == 0:
+        raise ValueError("0/0 is not a cusp")
+    p, q = g.a * p + g.b * q, g.c * p + g.d * q
+    if q == 0:
+        return 1, 0
+    k = gcd(p, q)
+    if q < 0:
+        k = -k
+    return p // k, q // k
 
 
 def su_reduce(word: SUWord) -> SUWord:

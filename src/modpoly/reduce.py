@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .cosets import MembershipError
-from .psl2 import IDENTITY, Psl2Elt, su_word, t_runs
+from .psl2 import IDENTITY, MAX_POWER_BITS, Psl2Elt, su_word, t_runs
 
 # word in the independent generators: (generator index, exponent) pairs
 GenWord = list[tuple[int, int]]
@@ -182,7 +182,18 @@ def reduce_word(word: GenWord, generators) -> GenWord:
 
 def evaluate_word(generators, word: GenWord) -> Psl2Elt:
     """Left-to-right product of generator powers; the first power is taken
-    as it is, with no product by the identity."""
+    as it is, with no product by the identity.  A hyperbolic syllable (g, n)
+    adds about |n| * bit_length(|trace g|) bits to the entries, and a word
+    whose syllables add up past MAX_POWER_BITS, the bound __pow__ puts on
+    one power, is refused with ValueError before any power is taken."""
+    bits = 0
+    for idx, exp in word:
+        t = abs(generators[idx][0].trace())
+        if t > 2:
+            bits += abs(exp) * t.bit_length()
+    if bits > MAX_POWER_BITS:
+        raise ValueError(f"word would have entries of about {bits} bits, over "
+                         f"MAX_POWER_BITS = {MAX_POWER_BITS}")
     result = IDENTITY
     for idx, exp in word:
         power = generators[idx][0] ** exp

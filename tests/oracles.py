@@ -11,7 +11,6 @@ from itertools import product
 from math import gcd, lcm
 
 from modpoly.cosets import _p1_line, build_system, unit_classes
-from modpoly.cuboid import build_graph
 from modpoly.polygon import build_polygon, develop
 from modpoly.psl2 import IDENTITY, S, U, Psl2Elt
 from modpoly.reduce import lift
@@ -187,27 +186,47 @@ def reference_power(g, n):
     return result
 
 
-def reference_cuts(graph):
+def reference_orbits(perm):
+    """The cycles of a permutation, each one a tuple that starts at its
+    smallest point and follows perm, listed in increasing order of that
+    point: the vertex orbits of the cuboid graph for sigma_s (type 0) and
+    sigma_u (type 1).  Each cycle is walked until it closes, and kept only
+    when walked from its smallest point."""
+    orbits = []
+    for e in range(len(perm)):
+        cycle = [e]
+        while perm[cycle[-1]] != e:
+            cycle.append(perm[cycle[-1]])
+        if min(cycle) == e:
+            orbits.append(tuple(cycle))
+    return orbits
+
+
+def reference_cuts(system):
     """Cut set of the cuboid graph: a BFS on the contracted graph whose
     vertices are the type-(1) vertices and whose edges are the bivalent
     type-(0) vertices, every bivalent vertex off the BFS forest cut.  A
-    vertex y tries its bivalent vertices in increasing order, each one
-    edge_v0[x] for an edge x of y that sigma_s moves, leading to the vertex
-    of sigma_s(x).  Returns the cut type-(0) vertex ids."""
-    ss, edge_v0, edge_v1, v1 = graph.sigma_s, graph.edge_v0, graph.edge_v1, graph.v1
-    root_y = edge_v1[graph.distinguished]
+    type-(1) vertex tries its bivalent vertices in increasing order of
+    their smallest edge, each one the S-orbit of an edge x of the vertex
+    that sigma_s moves, leading to the vertex of sigma_s(x).  Returns the
+    cut type-(0) vertices as their orbits (x, sigma_s(x)), x the smaller."""
+    ss = system.sigma_s
+    v1 = reference_orbits(system.sigma_u)
+    edge_v1 = {x: y for y, orbit in enumerate(v1) for x in orbit}
+    root_y = edge_v1[system.distinguished]
     seen = [False] * len(v1)
     seen[root_y] = True
     tree_v0 = set()
     queue = [root_y]
     for y in queue:
-        for v0i, z in sorted((edge_v0[x], edge_v1[ss[x]]) for x in v1[y] if ss[x] != x):
+        for v0, z in sorted((tuple(sorted((x, ss[x]))), edge_v1[ss[x]])
+                            for x in v1[y] if ss[x] != x):
             if not seen[z]:
                 seen[z] = True
-                tree_v0.add(v0i)
+                tree_v0.add(v0)
                 queue.append(z)
-    return frozenset(v0i for v0i, orbit in enumerate(graph.v0)
-                     if len(orbit) == 2 and v0i not in tree_v0)
+    return frozenset(orbit for orbit in reference_orbits(ss)
+                     if len(orbit) == 2 and orbit not in tree_v0)
 
 
 def reference_develop(system):
@@ -217,19 +236,18 @@ def reference_develop(system):
     as a Psl2Elt product.  crossed flags the edges of the uncut bivalent
     vertices; dev is returned as (a, b, c, d) tuples, the form develop
     stores."""
-    graph = build_graph(system)
-    cuts = reference_cuts(graph)
-    ss, su, edge_v0 = graph.sigma_s, graph.sigma_u, graph.edge_v0
-    crossed = bytearray(ss[e] != e and edge_v0[e] not in cuts for e in range(graph.n))
-    dev = [None] * graph.n
-    dev[graph.distinguished] = IDENTITY
-    order = [graph.distinguished]
+    cuts = reference_cuts(system)
+    ss, su, n = system.sigma_s, system.sigma_u, system.n
+    crossed = bytearray(ss[e] != e and tuple(sorted((e, ss[e]))) not in cuts for e in range(n))
+    dev = [None] * n
+    dev[system.distinguished] = IDENTITY
+    order = [system.distinguished]
     for e in order:
         for f, move in ((su[e], U), (su[su[e]], U * U), (ss[e], S)):
             if dev[f] is None and (move is not S or crossed[e]):
                 dev[f] = dev[e] * move
                 order.append(f)
-    assert len(order) == graph.n, "the uncut graph is not connected"
+    assert len(order) == n, "the uncut graph is not connected"
     return crossed, [g.tuple() for g in dev]
 
 
@@ -466,14 +484,14 @@ def reference_polygon_data(poly):
     }
 
 
-def reference_graph_data(graph):
+def reference_graph_data(system):
     return {
-        "n": graph.n,
-        "sigma_S": graph.sigma_s,
-        "sigma_U": graph.sigma_u,
-        "distinguished": graph.distinguished,
-        "v0": graph.v0,
-        "v1": graph.v1,
+        "n": system.n,
+        "sigma_S": system.sigma_s,
+        "sigma_U": system.sigma_u,
+        "distinguished": system.distinguished,
+        "v0": reference_orbits(system.sigma_s),
+        "v1": reference_orbits(system.sigma_u),
     }
 
 
@@ -529,11 +547,6 @@ TEST_GROUPS = ([("gamma0", N) for N in (2, 3, 4, 5, 6, 7, 10, 11, 13)]
 @lru_cache(maxsize=None)
 def built_system(family, N):
     return build_system(family, N)
-
-
-@lru_cache(maxsize=None)
-def built_graph(family, N):
-    return build_graph(built_system(family, N))
 
 
 @lru_cache(maxsize=None)

@@ -9,15 +9,15 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from modpoly.cosets import FAMILIES, build_from_oracle, build_system
-from modpoly.cuboid import build_graph, distinguished_edge_orbit, graph_invariants, is_normal, pointed_isomorphic
+from modpoly.cuboid import distinguished_edge_orbit, graph_invariants, is_normal, pointed_isomorphic
 from modpoly.polygon import build_polygon, validate_special
 from modpoly.psl2 import IDENTITY, S, T
 from modpoly.reduce import ExactPoint, act_point, evaluate_word, express, express_schreier, locate_point
 
 from oracles import (
     TEST_GROUPS,
-    built_graph,
     built_polygon,
+    built_system,
     gamma0_cusps,
     gamma0_index,
     gamma0_nu2,
@@ -43,7 +43,7 @@ def criterion(number, description):
 def test_criterion_1_structural_table():
     with criterion(1, "graph invariants match closed-form oracles exactly"):
         for N in (2, 3, 4, 5, 6, 7, 10, 11, 13):
-            inv = graph_invariants(built_graph("gamma0", N))
+            inv = graph_invariants(built_system("gamma0", N))
             assert inv.n == gamma0_index(N)
             assert inv.e2 == gamma0_nu2(N)
             assert inv.e3 == gamma0_nu3(N)
@@ -51,12 +51,12 @@ def test_criterion_1_structural_table():
             assert list(inv.cusp_widths) == gamma0_widths(N)
             assert inv.genus == genus_from(inv.n, inv.e2, inv.e3, inv.cusp_count)
         for N in (2, 3, 4, 5):
-            inv = graph_invariants(built_graph("gamma", N))
+            inv = graph_invariants(built_system("gamma", N))
             n, e2, e3, cusps, widths = gamma_data(N)
             assert (inv.n, inv.e2, inv.e3, inv.cusp_count) == (n, e2, e3, cusps)
             assert list(inv.cusp_widths) == widths
             assert inv.genus == genus_from(n, e2, e3, cusps)
-        inv = graph_invariants(built_graph("gamma1", 5))
+        inv = graph_invariants(built_system("gamma1", 5))
         n, e2, e3, cusps, widths = gamma1_prime_data(5)
         assert (inv.n, inv.e2, inv.e3, inv.cusp_count) == (n, e2, e3, cusps)
         assert list(inv.cusp_widths) == widths
@@ -68,9 +68,8 @@ def test_criterion_2_oracle_equivalence():
                       "all families, N <= 20"):
         for family in FAMILIES:
             for N in range(1, 21):
-                fast = build_graph(build_system(family, N))
-                oracle = build_graph(
-                    build_from_oracle(member_predicate(family, N), max_index=5000))
+                fast = build_system(family, N)
+                oracle = build_from_oracle(member_predicate(family, N), max_index=5000)
                 assert pointed_isomorphic(fast, oracle), (family, N)
 
 
@@ -181,16 +180,16 @@ def test_criterion_5b_trace_expression_agrees():
 def test_criterion_6_normality():
     with criterion(6, "normality via edge-transitive automorphisms"):
         for N in range(1, 14):
-            assert is_normal(built_graph("gamma", N)), N
+            assert is_normal(built_system("gamma", N)), N
         for N in range(2, 14):
-            graph = built_graph("gamma0", N)
-            orbit = distinguished_edge_orbit(graph)
-            assert is_normal(graph) == (len(orbit) == graph.n)
+            system = built_system("gamma0", N)
+            orbit = distinguished_edge_orbit(system)
+            assert is_normal(system) == (len(orbit) == system.n)
             # independent cross-check: S T S^-1 has lower-left entry -1
             assert (S * T * S.inv()).c % N != 0
-            assert not is_normal(graph)
-        assert not is_normal(built_graph("gamma0", 11))
-        assert is_normal(built_graph("gamma0", 1))
+            assert not is_normal(system)
+        assert not is_normal(built_system("gamma0", 11))
+        assert is_normal(built_system("gamma0", 1))
 
 
 def test_criterion_7_performance_scaling():

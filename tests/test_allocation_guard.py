@@ -2,8 +2,8 @@
 Euclidean descent of t_runs builds no matrix object however long the
 matrix, develop stores one (a, b, c, d) tuple per edge and one byte of its
 crossed flags, builds no matrix object and no other per-edge object, and
-assemble builds one matrix per generator and no Cusp, a count pinned here
-at gamma0(1009) and gamma(7).  Building the polygon of gamma0(10007) peaks
+assemble builds one matrix per generator and reduces no cusp with
+act_cusp, a count pinned here at gamma0(1009) and gamma(7).  Building the polygon of gamma0(10007) peaks
 at most 3.6 MB above its start under tracemalloc (3.28 MB measured, 5.67 MB
 when the build went through a cuboid graph, a cut tree and a parent table).  A built gamma0(100003) leaves at
 most 111 000 more objects for the garbage collector to track (333 377 when
@@ -11,8 +11,8 @@ the polygon held a matrix per triangle, cusp objects per side and the
 cuboid graph), and a built gamma0(10007) retains at most 530 bytes per
 index under tracemalloc (482 measured, 765 before).  A power g ** n makes at
 most 2 * bit_length(|n|) matrices, and g ** 1 is g itself.  Constructions
-are counted as calls of Psl2Elt.__init__ / Psl2Elt._make and Cusp.__init__
-seen by a profile hook."""
+and cusp reductions are counted as calls of Psl2Elt.__init__ /
+Psl2Elt._make and act_cusp seen by a profile hook."""
 
 import gc
 import random
@@ -24,16 +24,17 @@ import pytest
 
 from modpoly.cosets import build_system
 from modpoly.polygon import assemble, build_polygon, develop
-from modpoly.psl2 import T, Cusp, Psl2Elt, t_runs
+from modpoly.psl2 import T, Psl2Elt, act_cusp, t_runs
 
 from oracles import built_develop, built_system, random_unimodular, reference_t_runs
 
 _MADE = {Psl2Elt.__init__.__code__: "Psl2Elt", Psl2Elt._make.__func__.__code__: "Psl2Elt",
-         Cusp.__init__.__code__: "Cusp"}
+         act_cusp.__code__: "act_cusp"}
 
 
 def constructions(fn, *args):
-    """(Counter of the Psl2Elt and Cusp objects fn(*args) makes, its result)."""
+    """(Counter of the Psl2Elt objects fn(*args) makes and of its act_cusp
+    calls, its result)."""
     made: Counter = Counter()
 
     def hook(frame, event, arg):
@@ -116,7 +117,7 @@ def test_build_of_gamma0_10007_peaks_below_a_bound():
     assert peak <= 3_600_000, peak
 
 
-# Psl2Elt objects assemble makes, and no Cusp: one matrix per generator, for
+# Psl2Elt objects assemble makes, and no act_cusp: one matrix per generator, for
 # gamma0(1009) 171 generators (342 sides), for gamma(7) 29 (58 sides)
 @pytest.mark.parametrize("family, level, matrices", [
     ("gamma0", 1009, 171),

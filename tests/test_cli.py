@@ -226,12 +226,12 @@ QUERY_INPUTS = {"express": ["--matrix", "1,1,0,1"], "locate": ["--x", "5/2", "--
 
 
 @pytest.mark.parametrize("command, layers, counts", [
-    ("graph", ["graph", "system", "write"], ["gc_collections", "index"]),
+    ("graph", ["system", "write"], ["gc_collections", "index"]),
     ("polygon", ["assemble", "develop", "system", "write"],
      ["entry_bits", "gc_collections", "generators", "index", "sides", "tracked_objects"]),
     ("generators", ["assemble", "develop", "system", "write"],
      ["entry_bits", "gc_collections", "generators", "index", "sides", "tracked_objects"]),
-    ("invariants", ["graph", "invariants", "system", "write"],
+    ("invariants", ["invariants", "system", "write"],
      ["gc_collections", "generators", "index"]),
     ("express", QUERY_LAYERS, QUERY_COUNTS),
     ("express --trace", QUERY_LAYERS, QUERY_COUNTS + ["trace_restarts", "trace_steps"]),

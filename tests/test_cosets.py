@@ -19,7 +19,7 @@ from modpoly.cosets import (
     unit_classes,
     xpoint,
 )
-from modpoly.cuboid import build_graph, pointed_isomorphic
+from modpoly.cuboid import pointed_isomorphic
 from modpoly.polygon import build_polygon, validate_special
 from modpoly.psl2 import IDENTITY, S, T, U, Psl2Elt
 
@@ -291,9 +291,8 @@ def test_oracle_equivalence_small():
     # full N <= 20 sweep lives in the acceptance suite
     for family in FAMILIES:
         for N in (1, 2, 3, 4, 6):
-            fast = build_graph(build_system(family, N))
-            oracle = build_graph(build_from_oracle(member_predicate(family, N),
-                                                   max_index=2000))
+            fast = build_system(family, N)
+            oracle = build_from_oracle(member_predicate(family, N), max_index=2000)
             assert pointed_isomorphic(fast, oracle), (family, N)
 
 

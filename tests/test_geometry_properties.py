@@ -13,7 +13,7 @@ from math import gcd
 
 from hypothesis import assume, given, settings, strategies as st
 
-from modpoly.psl2 import IDENTITY, S, U, Cusp, act_cusp
+from modpoly.psl2 import IDENTITY, S, U, act_cusp
 from modpoly.reduce import (
     I_POINT,
     RHO_POINT,
@@ -31,9 +31,11 @@ from oracles import built_polygon, geodesic_eval_at, geodesic_through, reference
 coords = st.fractions(min_value=-20, max_value=20, max_denominator=60)
 heights = st.fractions(min_value=Fraction(1, 60), max_value=20, max_denominator=60)
 points = st.builds(ExactPoint, coords, heights)
+# cusps as the reduced (p, q) pairs that geodesic_between_cusps takes
 cusps = st.one_of(
-    st.just(Cusp(1, 0)),
-    st.builds(Cusp, st.integers(-200, 200), st.integers(1, 200)),
+    st.just((1, 0)),
+    st.tuples(st.integers(-200, 200), st.integers(1, 200)).map(
+        lambda c: act_cusp(IDENTITY, c)),
 )
 elements = st.lists(st.sampled_from([S, U, U * U]), max_size=16).map(
     lambda word: reduce(lambda g, h: g * h, word, IDENTITY))
@@ -49,17 +51,12 @@ def test_transform_of_join_is_join_of_images(p, q, g):
     assert transform(geodesic_through(p, q), g) == image
 
 
-def pair(c):
-    """A Cusp as the (p, q) pair that geodesic_between_cusps takes."""
-    return c.p, c.q
-
-
 @BOUNDED
 @given(cusps, cusps, elements)
 def test_transform_of_cusp_geodesic_is_geodesic_of_images(c1, c2, g):
     assume(c1 != c2)
-    assert (transform(geodesic_between_cusps(pair(c1), pair(c2)), g)
-            == geodesic_between_cusps(pair(act_cusp(g, c1)), pair(act_cusp(g, c2))))
+    assert (transform(geodesic_between_cusps(c1, c2), g)
+            == geodesic_between_cusps(act_cusp(g, c1), act_cusp(g, c2)))
 
 
 @BOUNDED

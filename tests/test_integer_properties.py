@@ -2,7 +2,7 @@
 inputs: t_runs with reference_t_runs (one matrix object per Euclid step) on
 unimodular matrices with entries up to 2^800, c = 0 and negative entries
 included; polygon._cusp, the sign-only normalisation of a cusp vertex, with
-the gcd-reducing Cusp constructor on coprime pairs, q <= 0 and (+-1, 0)
+the gcd-reducing act_cusp of the identity on coprime pairs, q <= 0 and (+-1, 0)
 included; develop with the cut set of a BFS over the cuboid graph and the
 product of the move letters S, U and U^2 along it, for the five families at
 every level up to 30; g ** n with
@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from modpoly.cosets import FAMILIES, build_system
 from modpoly.polygon import BASE_POINT, _cusp, develop
-from modpoly.psl2 import IDENTITY, S, T, U, Cusp, t_runs
+from modpoly.psl2 import IDENTITY, S, T, U, act_cusp, t_runs
 from modpoly.reduce import BASE_POINTS, lift
 
 from oracles import (
@@ -59,8 +59,7 @@ def test_t_runs_matches_the_reference(column):
 @example(5, -2)
 def test_coprime_cusp_matches_cusp(p, q):
     assume(gcd(p, q) == 1)
-    c = Cusp(p, q)
-    assert _cusp(p, q) == (c.p, c.q)
+    assert _cusp(p, q) == act_cusp(IDENTITY, (p, q))
 
 
 def test_develop_matches_the_product_of_moves():

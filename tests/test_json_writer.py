@@ -28,8 +28,7 @@ def dumps(data):
 def test_writers_match_json_dumps(group):
     poly = built_polygon(*group)
     assert polygon.to_json(poly) == dumps(reference_polygon_data(poly))
-    graph = cuboid.build_graph(poly.system)
-    assert cuboid.to_json(graph) == dumps(reference_graph_data(graph))
+    assert cuboid.to_json(poly.system) == dumps(reference_graph_data(poly.system))
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from modpoly.cosets import FAMILIES
-from modpoly.cuboid import build_graph, graph_invariants
+from modpoly.cuboid import graph_invariants
 from modpoly.polygon import (
     build_polygon,
     to_json,
@@ -18,7 +18,6 @@ from modpoly.reduce import evaluate_word
 from oracles import (
     TEST_GROUPS,
     built_develop,
-    built_graph,
     built_polygon,
     built_system,
     member_predicate,
@@ -110,7 +109,7 @@ def test_validate_all_families_to_30():
                       ("gamma_upper1", 12), ("gamma", 7)]:
         poly = built_polygon(family, N)
         assert validate_special(poly) == []
-        inv = graph_invariants(build_graph(poly.system))
+        inv = graph_invariants(poly.system)
         assert len(poly.dev) == inv.n
         assert len(poly.sides) == 2 * len(poly.generators)
         assert len(poly.generators) == inv.n_generators
@@ -223,7 +222,7 @@ def test_cusp_vertices_match_cusp_count():
     # cusp corners of the polygon modulo the pairing = cusp orbits
     for family, N in TEST_GROUPS:
         poly = built_polygon(family, N)
-        inv = graph_invariants(build_graph(poly.system))
+        inv = graph_invariants(poly.system)
         corners = {}
         for i, side in enumerate(poly.sides):
             for vertex in (side.start, side.end):

@@ -6,14 +6,11 @@ import pytest
 
 from modpoly.cosets import build_system
 from modpoly.psl2 import (
-    CUSP_INF,
-    CUSP_ZERO,
     IDENTITY,
     MAX_POWER_BITS,
     S,
     T,
     U,
-    Cusp,
     Psl2Elt,
     act_cusp,
     parse_matrix,
@@ -108,6 +105,24 @@ def test_hyperbolic_power_past_the_bit_cap_is_refused_at_once():
     assert Psl2Elt(1, 0, 5, 1) ** (10**12) == Psl2Elt(1, 0, 5 * 10**12, 1)
 
 
+def test_word_past_the_bit_cap_is_refused_at_once():
+    # each power (2, 1; 7, 4) ** 349 525 is just under the cap on its own
+    # (349 525 * 3 bits), but two of them, split by a parabolic T^2 that
+    # __pow__ would not bound, go past it: refused before any power is
+    # taken, where the product took over a second
+    g = Psl2Elt(2, 1, 7, 4)
+    n = MAX_POWER_BITS // 3
+    gens = [(g, 0), (T * T, 0)]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="over MAX_POWER_BITS"):
+        evaluate_word(gens, [(0, n), (1, 1)] * 2)
+    with pytest.raises(ValueError, match="over MAX_POWER_BITS"):
+        evaluate_word(gens, [(0, -n), (1, 1), (0, 1)])
+    assert time.perf_counter() - start < 0.1
+    # the parabolic syllables add nothing to the count
+    assert evaluate_word(gens, [(0, 1), (1, 10**6)]) == g * T ** (2 * 10**6)
+
+
 def test_torsion_order():
     assert IDENTITY.torsion_order() == 1
     assert S.torsion_order() == 2
@@ -117,18 +132,19 @@ def test_torsion_order():
 
 
 def test_cusp_normalization():
-    assert Cusp(2, 4) == Cusp(1, 2)
-    assert Cusp(-3, -6) == Cusp(1, 2)
-    assert Cusp(5, 0) == CUSP_INF
-    assert Cusp(-2, 0) == CUSP_INF
+    # act_cusp reduces the image pair: lowest terms, q >= 0, oo = (1, 0)
+    assert act_cusp(IDENTITY, (2, 4)) == (1, 2)
+    assert act_cusp(IDENTITY, (-3, -6)) == (1, 2)
+    assert act_cusp(IDENTITY, (5, 0)) == (1, 0)
+    assert act_cusp(IDENTITY, (-2, 0)) == (1, 0)
     with pytest.raises(ValueError):
-        Cusp(0, 0)
+        act_cusp(IDENTITY, (0, 0))
 
 
 def test_act_cusp_examples():
-    assert act_cusp(T, CUSP_INF) == CUSP_INF
-    assert act_cusp(S, CUSP_ZERO) == CUSP_INF
-    assert act_cusp(U * U, CUSP_ZERO) == CUSP_INF
+    assert act_cusp(T, (1, 0)) == (1, 0)
+    assert act_cusp(S, (0, 1)) == (1, 0)
+    assert act_cusp(U * U, (0, 1)) == (1, 0)
 
 
 def test_act_cusp_is_action():
@@ -139,7 +155,7 @@ def test_act_cusp_is_action():
         h = su_evaluate([("U", rng.randint(1, 2)) if rng.random() < 0.5 else ("S", 1)
                          for _ in range(rng.randint(0, 15))])
         p, q = rng.randint(-20, 20), rng.randint(0, 20)
-        x = Cusp(p, q) if (p, q) != (0, 0) else CUSP_INF
+        x = (p, q) if (p, q) != (0, 0) else (1, 0)
         assert act_cusp(g, act_cusp(h, x)) == act_cusp(g * h, x)
 
 

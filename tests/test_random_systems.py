@@ -5,17 +5,24 @@ point, which becomes the distinguished edge.  Every transitive pair with
 sigma_s^2 = sigma_u^3 = 1 is the coset action of a finite-index subgroup of
 PSL2(Z) = Z/2 * Z/3, so the whole pipeline must hold on it: the polygon is
 special, each developing matrix lies in its edge's coset, the one pass over
-the U-orbits agrees with the reference through the cuboid graph, and every
-generator is expressed as a word that evaluates back to it."""
+the U-orbits agrees with the reference through the cuboid graph, every
+generator is expressed, by Schreier rewriting and by the tracer, as a word
+that evaluates back to it, a rational point is located in the polygon by a
+word that maps it back, the generator count of the graph invariants is the
+polygon's, the system is pointed-isomorphic to itself, and normality agrees
+with the orbit of the distinguished edge."""
 
 import random
+
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from modpoly.cosets import CosetSystem
+from modpoly.cuboid import distinguished_edge_orbit, graph_invariants, is_normal, pointed_isomorphic
 from modpoly.polygon import build_polygon, develop, validate_special
 from modpoly.psl2 import Psl2Elt
-from modpoly.reduce import evaluate_word, express
+from modpoly.reduce import ExactPoint, act_point, evaluate_word, express, locate_point
 
 from oracles import reference_develop
 
@@ -60,9 +67,14 @@ def coset_systems(draw, max_points=60):
                        [index[y] for y in sigma_u], index[root])
 
 
+points = st.builds(ExactPoint,
+                   st.fractions(min_value=-20, max_value=20, max_denominator=60),
+                   st.fractions(min_value=Fraction(1, 60), max_value=20, max_denominator=60))
+
+
 @settings(max_examples=300, deadline=None)
-@given(coset_systems())
-def test_random_transitive_pair_gives_a_special_polygon(system):
+@given(coset_systems(), points)
+def test_random_transitive_pair_gives_a_special_polygon(system, z):
     poly = build_polygon(system)
     assert validate_special(poly) == []
     crossed, dev = develop(system)
@@ -71,4 +83,11 @@ def test_random_transitive_pair_gives_a_special_polygon(system):
         assert system.coset(Psl2Elt(*g)) == e
     assert (crossed, dev) == reference_develop(system)
     for g, _ in poly.generators:
-        assert evaluate_word(poly.generators, express(poly, g)) == g
+        for use_trace in (False, True):
+            assert evaluate_word(poly.generators, express(poly, g, use_trace)) == g
+    w, word = locate_point(poly, z)
+    assert poly.contains(w.x, w.y**2)
+    assert act_point(evaluate_word(poly.generators, word), w) == z
+    assert graph_invariants(system).n_generators == len(poly.generators)
+    assert pointed_isomorphic(system, system)
+    assert is_normal(system) == (len(distinguished_edge_orbit(system)) == system.n)
