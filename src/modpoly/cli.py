@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 for usage or parse errors and for groups whose
-index exceeds --max-index, 2 for domain errors (typically a matrix that fails
-the subgroup membership test).
+index exceeds --max-index, 2 for domain errors (a matrix that fails the
+subgroup membership test, or a query whose work would pass a fixed bound).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import partial
 
 from . import cuboid, polygon
 from .cosets import FAMILIES, MAX_INDEX, MembershipError, build_system
-from .psl2 import parse_matrix
+from .psl2 import WorkBoundError, parse_matrix
 from .reduce import ExactPoint, act_point, evaluate_word, express, locate_point
 
 
@@ -212,7 +212,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except MembershipError as err:
+    except (MembershipError, WorkBoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
@@ -228,11 +228,8 @@ def _dispatch(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    """express and locate: build the polygon layer by layer, then answer
-    the one query, each step timed for --stats."""
-    collections = _gc_collections()
-    seconds: dict[str, float] = {}
-    system = _timed(seconds, "system", _build_system, args.group, args.level, args.max_index)
+    """express and locate: check the arguments, build the polygon layer by
+    layer, then answer the one query, each step timed for --stats."""
     if args.command == "express":
         if args.explain and not args.trace:
             raise UsageError("--explain needs --trace")
@@ -245,6 +242,9 @@ def _cmd_query(args) -> int:
         if y <= 0:
             raise UsageError("--y must be positive (point must lie in the upper half-plane)")
         z = ExactPoint(x, y)
+    collections = _gc_collections()
+    seconds: dict[str, float] = {}
+    system = _timed(seconds, "system", _build_system, args.group, args.level, args.max_index)
     poly = _build_polygon(system, seconds)
 
     counts = {"index": system.n, **_polygon_counts(poly)}

@@ -7,14 +7,14 @@ meets are desk scale (N up to about 10^7).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 # (prime, exponent) pairs with ascending primes
 Factorization = list[tuple[int, int]]
 
 
-@lru_cache(maxsize=4096)
-def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
+def factorize(n: int) -> Factorization:
+    """Factor n >= 1 by trial division, ascending primes."""
+    if n < 1:
+        raise ValueError(f"cannot factorize {n}")
     out = []
     m = n
     p = 2
@@ -28,11 +28,4 @@ def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
         p += 1 if p == 2 else 2
     if m > 1:
         out.append((m, 1))
-    return tuple(out)
-
-
-def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division, ascending primes."""
-    if n < 1:
-        raise ValueError(f"cannot factorize {n}")
-    return list(_factorize_cached(n))
+    return out

@@ -14,8 +14,10 @@ from math import gcd
 # per factor, so the cap bounds them near 2^20 bits (128 KiB) each
 MAX_POWER_BITS = 1 << 20
 
-# word letters: ("S", 1), ("U", 1) or ("U", 2)
-SUWord = list[tuple[str, int]]
+
+class WorkBoundError(ValueError):
+    """A computation refused before it starts, because its work or the
+    size of its result would pass a fixed bound."""
 
 
 class Psl2Elt:
@@ -64,7 +66,7 @@ class Psl2Elt:
         2 * bit_length(|n|) - 1 products in all.  Past |n| = 2, an elliptic
         exponent is first reduced mod the element's order, and a hyperbolic
         power with |n| * bit_length(|trace|) > MAX_POWER_BITS is refused
-        with ValueError before any product; parabolic powers, whose entries
+        with WorkBoundError before any product; parabolic powers, whose entries
         grow only like |n|, are not bounded."""
         base = self
         if n < 0:
@@ -75,9 +77,9 @@ class Psl2Elt:
                 # order 2 at trace 0, order 3 at trace +-1
                 n %= t + 2
             elif t > 2 and n * t.bit_length() > MAX_POWER_BITS:
-                raise ValueError(f"power of {self} with |n| = {n} would have entries of "
-                                 f"about {n * t.bit_length()} bits, over MAX_POWER_BITS "
-                                 f"= {MAX_POWER_BITS}")
+                raise WorkBoundError(f"power of {self} with |n| = {n} would have entries "
+                                     f"of about {n * t.bit_length()} bits, over "
+                                     f"MAX_POWER_BITS = {MAX_POWER_BITS}")
         if not n:
             return IDENTITY
         result = None
@@ -159,22 +161,6 @@ def act_cusp(g: Psl2Elt, x: tuple[int, int]) -> tuple[int, int]:
     return p // k, q // k
 
 
-def su_reduce(word: SUWord) -> SUWord:
-    """Free-product reduction: cancel S*S and merge adjacent powers of U.
-    The output stays reduced after every letter, so a new letter only ever
-    meets the last one."""
-    out: SUWord = []
-    for gen, e in word:
-        if out and out[-1][0] == gen:
-            e += out.pop()[1]
-            if gen == "U" and e % 3:
-                out.append(("U", e % 3))
-            # S*S vanishes
-        else:
-            out.append((gen, e))
-    return out
-
-
 def t_runs(g: Psl2Elt) -> list[int]:
     """Exponents [r0, r1, ..., rk] with g = T^r0 * S * T^r1 * S * ... * S * T^rk,
     found by Euclidean descent on the bottom row.  Each quotient is the
@@ -197,20 +183,3 @@ def t_runs(g: Psl2Elt) -> list[int]:
     runs.append(b)
     runs.reverse()
     return runs
-
-
-def _t_power(k: int) -> SUWord:
-    if k > 0:
-        return [("U", 2), ("S", 1)] * k
-    if k < 0:
-        return [("S", 1), ("U", 1)] * (-k)
-    return []
-
-
-def su_word(runs: list[int]) -> SUWord:
-    """Reduced S/U word of T^r0 * S * T^r1 * S * ... * S * T^rk."""
-    word: SUWord = _t_power(runs[0])
-    for r in runs[1:]:
-        word.append(("S", 1))
-        word.extend(_t_power(r))
-    return su_reduce(word)

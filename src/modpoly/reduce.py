@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .cosets import MembershipError
-from .psl2 import IDENTITY, MAX_POWER_BITS, Psl2Elt, su_word, t_runs
+from .psl2 import IDENTITY, MAX_POWER_BITS, Psl2Elt, WorkBoundError, t_runs
 
 # word in the independent generators: (generator index, exponent) pairs
 GenWord = list[tuple[int, int]]
@@ -185,15 +185,15 @@ def evaluate_word(generators, word: GenWord) -> Psl2Elt:
     as it is, with no product by the identity.  A hyperbolic syllable (g, n)
     adds about |n| * bit_length(|trace g|) bits to the entries, and a word
     whose syllables add up past MAX_POWER_BITS, the bound __pow__ puts on
-    one power, is refused with ValueError before any power is taken."""
+    one power, is refused with WorkBoundError before any power is taken."""
     bits = 0
     for idx, exp in word:
         t = abs(generators[idx][0].trace())
         if t > 2:
             bits += abs(exp) * t.bit_length()
     if bits > MAX_POWER_BITS:
-        raise ValueError(f"word would have entries of about {bits} bits, over "
-                         f"MAX_POWER_BITS = {MAX_POWER_BITS}")
+        raise WorkBoundError(f"word would have entries of about {bits} bits, over "
+                             f"MAX_POWER_BITS = {MAX_POWER_BITS}")
     result = IDENTITY
     for idx, exp in word:
         power = generators[idx][0] ** exp
@@ -204,38 +204,63 @@ def evaluate_word(generators, word: GenWord) -> Psl2Elt:
 # ---------------------------------------------------------------------------
 # combinatorial rewriting along the coset permutations (Schreier path)
 
-def express_schreier(poly, g: Psl2Elt) -> GenWord:
-    """Write g as a word in the polygon's independent generators by walking
-    its S/U letter word through the coset permutations from the distinguished
-    label.
+# runs T^r0 * S * ... * S * T^rk with sum |r| above this are not walked
+MAX_WALK_STEPS = 10**7
 
-    Letters that move within a U-orbit or across a crossed S-pair contribute
-    nothing; an S step across a cut pair or from an S-fixed label, and a U
-    step from a U-fixed label, emit the syllable the polygon's s_gen / u_gen
-    table holds for that label.  Membership is decided first, by walking g's
-    runs of T through the T-cycle table (one jump per run), so a non-member
-    is refused before any letter is expanded.
-    """
+
+def _rewrite(poly, runs: list[int]) -> tuple[int, GenWord]:
+    """(label, word) for T^r0 * S * T^r1 * ... * S * T^rk, walked from the
+    distinguished label through the coset permutations one letter at a
+    time, with T = U^2 * S and T^-1 = S * U.  A step emits the s_gen /
+    u_gen syllable of the label it leaves, if any; the other steps follow
+    the Schreier transversal dev, so the word is that of the element times
+    dev[label]^-1.  Sum |r| > MAX_WALK_STEPS is refused with WorkBoundError."""
+    steps = sum(map(abs, runs))
+    if steps > MAX_WALK_STEPS:
+        raise WorkBoundError(f"rewriting would walk {steps} powers of T, over "
+                             f"MAX_WALK_STEPS = {MAX_WALK_STEPS}")
+    ss, su = poly.system.sigma_s, poly.system.sigma_u
+    s_gen, u_gen = poly.s_gen, poly.u_gen
+    word: GenWord = []
+    emit = word.append
+    x = poly.system.distinguished
+    for k, r in enumerate(runs):
+        if k:
+            if s_gen[x] is not None:
+                emit(s_gen[x])
+            x = ss[x]
+        for _ in range(r):
+            # T = U * U * S
+            if u_gen[x] is not None:
+                emit(u_gen[x])
+            x = su[x]
+            if u_gen[x] is not None:
+                emit(u_gen[x])
+            x = su[x]
+            if s_gen[x] is not None:
+                emit(s_gen[x])
+            x = ss[x]
+        for _ in range(-r):
+            # T^-1 = S * U
+            if s_gen[x] is not None:
+                emit(s_gen[x])
+            x = ss[x]
+            if u_gen[x] is not None:
+                emit(u_gen[x])
+            x = su[x]
+    return x, reduce_word(word, poly.generators)
+
+
+def express_schreier(poly, g: Psl2Elt) -> GenWord:
+    """Write g as a word in the polygon's independent generators by the walk
+    of its runs of T (_rewrite).  Membership is decided first, by one jump
+    per run through the T-cycle table, so a non-member is never walked."""
     system = poly.system
     runs = t_runs(g)
     label = system.walk(runs)
     if label != system.distinguished:
         raise _not_member(system, g, label)
-    ss, su = system.sigma_s, system.sigma_u
-    s_gen, u_gen = poly.s_gen, poly.u_gen
-
-    word: GenWord = []
-    for gen, e in su_word(runs):
-        if gen == "S":
-            if s_gen[label] is not None:
-                word.append(s_gen[label])
-            label = ss[label]
-        else:
-            for _ in range(e):
-                if u_gen[label] is not None:
-                    word.append(u_gen[label])
-                label = su[label]
-    word = reduce_word(word, poly.generators)
+    word = _rewrite(poly, runs)[1]
     if evaluate_word(poly.generators, word) != g:
         raise ValueError("internal error: rewritten word does not evaluate back")
     return word
@@ -247,36 +272,44 @@ def _not_member(system, g: Psl2Elt, label: int) -> MembershipError:
 
 
 # ---------------------------------------------------------------------------
-# locating a point: one reduction into the base triangle, one coset lookup
+# locating a point: one reduction into the base triangle, one coset walk
 
 def locate_point(poly, z: ExactPoint) -> tuple[ExactPoint, GenWord]:
     """Find w in the fundamental polygon and a word evaluating to g with
-    g * w = z, by one reduction into the base triangle and one coset lookup.
+    g * w = z, by one reduction into the base triangle and one walk.
 
-    z's triple is reduced into Delta = (0, e^(i pi/3), infinity) by integer
-    translations and inversions, keeping h with z = h * w0.  The coset e of
-    h gives w = dev[e] * w0, a point of the polygon's triangle
-    dev[e] * Delta, and gamma = h * dev[e]^-1, a member of the subgroup
-    with gamma * w = z, which Schreier rewriting writes as a word.  The work
-    grows with the bit length of z and of gamma, not with the index.
+    z's triple is reduced into Delta = (0, e^(i pi/3), infinity), which
+    gives z = h * w0 and the runs of T of h.  Their walk (_rewrite) gives
+    the coset e of h, so w = dev[e] * w0 lies in the polygon's triangle
+    dev[e] * Delta, and the word of gamma = h * dev[e]^-1; checking that
+    the word evaluates to gamma also shows that gamma is in the subgroup.
+    The work grows with the bit length of z and with sum |r|, not with the
+    index.
     """
-    w0, h = _reduce_to_base_triangle(lift(z.x, z.y**2))
-    g = Psl2Elt._make(*poly.dev[poly.system.coset(h)])
-    return _exact_point(act(g, w0)), express_schreier(poly, h * g.inv())
+    w0, h, runs = _reduce_to_base_triangle(lift(z.x, z.y**2))
+    e, word = _rewrite(poly, runs)
+    g = Psl2Elt._make(*poly.dev[e])
+    if evaluate_word(poly.generators, word) != h * g.inv():
+        raise ValueError("internal error: located word does not evaluate back")
+    return _exact_point(act(g, w0)), word
 
 
-def _reduce_to_base_triangle(point: Point) -> tuple[Point, Psl2Elt]:
-    """(w0, h) with point = h * w0 and w0 in Delta = (0, e^(i pi/3), infinity).
+def _reduce_to_base_triangle(point: Point) -> tuple[Point, Psl2Elt, list[int]]:
+    """(w0, h, runs) with point = h * w0, w0 in Delta = (0, e^(i pi/3),
+    infinity) and h = T^r0 * S * T^r1 * ... * S * T^rk.
 
     The loop reaches the standard domain |x| <= 1/2, |z| >= 1: translate by
     T^-j for j the nearest integer to x, and invert by S while |z| < 1.  A
     final S folds its left half x < 0 onto the triangle (0, i, e^(i pi/3))
-    of Delta.  The inversions follow the nearest-integer continued fraction
-    of z, so their number is linear in the bit length of the triple."""
+    of Delta.  Each pass of the loop adds one run j, and the fold a run 0.
+    The inversions follow the nearest-integer continued fraction of z, so
+    their number is linear in the bit length of the triple."""
     n, m, k = point
     a, b, c, d = 1, 0, 0, 1     # h = [[a, b], [c, d]]
+    runs = []
     while True:
         j = (2 * m + k) // (2 * k)
+        runs.append(j)
         if j:
             # (n, m, k) -> T^-j (n, m, k), h -> h * T^j
             n, m = n - 2 * j * m + j * j * k, m - j * k
@@ -289,7 +322,8 @@ def _reduce_to_base_triangle(point: Point) -> tuple[Point, Psl2Elt]:
     if m < 0:
         n, m, k = k, -m, n
         a, b, c, d = b, -a, d, -c
-    return (n, m, k), Psl2Elt._make(a, b, c, d)
+        runs.append(0)
+    return (n, m, k), Psl2Elt._make(a, b, c, d), runs
 
 
 # ---------------------------------------------------------------------------

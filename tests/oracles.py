@@ -13,7 +13,7 @@ from math import gcd, lcm
 from modpoly.cosets import _p1_line, build_system, unit_classes
 from modpoly.polygon import build_polygon, develop
 from modpoly.psl2 import IDENTITY, S, U, Psl2Elt
-from modpoly.reduce import lift
+from modpoly.reduce import _exact_point, _reduce_to_base_triangle, act, express_schreier, lift
 
 
 def prime_factors(n):
@@ -152,6 +152,50 @@ def su_evaluate(word):
         else:
             result = result * U * U
     return result
+
+
+def _su_reduce(word):
+    """Free-product reduction: cancel S*S and merge adjacent powers of U.
+    The output stays reduced after every letter, so a new letter only ever
+    meets the last one."""
+    out = []
+    for gen, e in word:
+        if out and out[-1][0] == gen:
+            e += out.pop()[1]
+            if gen == "U" and e % 3:
+                out.append(("U", e % 3))
+            # S*S vanishes
+        else:
+            out.append((gen, e))
+    return out
+
+
+def _t_power(k):
+    if k > 0:
+        return [("U", 2), ("S", 1)] * k
+    if k < 0:
+        return [("S", 1), ("U", 1)] * (-k)
+    return []
+
+
+def reference_su_word(runs):
+    """The reduced S/U word, ("S", 1), ("U", 1) and ("U", 2) letters, of
+    T^r0 * S * T^r1 * S * ... * S * T^rk, with T = U^2 * S: the normal form
+    of the free product Z/2 * Z/3."""
+    word = _t_power(runs[0])
+    for r in runs[1:]:
+        word.append(("S", 1))
+        word.extend(_t_power(r))
+    return _su_reduce(word)
+
+
+def reference_locate(poly, z):
+    """locate by two walks: the coset e of h by CosetSystem.coset, then
+    Schreier rewriting of gamma = h * dev[e]^-1, for z = h * w0 with w0 in
+    the base triangle."""
+    w0, h, _ = _reduce_to_base_triangle(lift(z.x, z.y**2))
+    g = Psl2Elt._make(*poly.dev[poly.system.coset(h)])
+    return _exact_point(act(g, w0)), express_schreier(poly, h * g.inv())
 
 
 def reference_t_runs(g):

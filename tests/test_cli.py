@@ -207,6 +207,36 @@ def test_level_above_max_index_is_refused_before_building(capsys, monkeypatch):
     assert "max_index" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["express", "--matrix", "1,1,0"], "4 comma-separated integers"),
+    (["express", "--matrix", "1,1,0,1", "--explain"], "--trace"),
+    (["locate", "--x", "1/2", "--y", "0"], "--y must be positive"),
+])
+def test_query_arguments_are_checked_before_building(capsys, monkeypatch, argv, message):
+    def never(*args):
+        raise AssertionError("the system was built")
+
+    for name in ("build_gamma0", "_p1_line"):
+        monkeypatch.setattr(cosets, name, never)
+    command, *flags = argv
+    code, out, err = run(capsys, command, "--group", "gamma0", "--level", "100003", *flags)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["express", "--matrix", "1,1000000000,0,1"],
+    ["locate", "--x", "1000000000", "--y", "1"],
+])
+def test_walk_past_the_bound_exits_2(capsys, argv):
+    command, *flags = argv
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--group", "gamma0", "--level", "11", *flags)
+    assert time.perf_counter() - start < 0.05
+    assert (code, out) == (2, "")
+    assert "over MAX_WALK_STEPS" in err
+
+
 def test_max_index_option(capsys):
     # gamma1(1009) has index 1010 * 504 = 509040 > the default limit: refused
     # from the closed form at once

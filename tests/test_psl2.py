@@ -14,8 +14,6 @@ from modpoly.psl2 import (
     Psl2Elt,
     act_cusp,
     parse_matrix,
-    su_reduce,
-    su_word,
     t_runs,
 )
 from modpoly.reduce import evaluate_word
@@ -157,33 +155,6 @@ def test_act_cusp_is_action():
         p, q = rng.randint(-20, 20), rng.randint(0, 20)
         x = (p, q) if (p, q) != (0, 0) else (1, 0)
         assert act_cusp(g, act_cusp(h, x)) == act_cusp(g * h, x)
-
-
-def test_su_word_examples():
-    assert su_word(t_runs(IDENTITY)) == []
-    assert su_word(t_runs(S)) == [("S", 1)]
-    assert su_word(t_runs(T)) == [("U", 2), ("S", 1)]
-    assert su_evaluate([("U", 2), ("S", 1)]) == T
-
-
-def test_su_word_round_trip():
-    rng = random.Random(8)
-    for _ in range(1000):
-        word = [("S", 1) if rng.random() < 0.4 else ("U", rng.randint(1, 2))
-                for _ in range(rng.randint(0, 40))]
-        g = su_evaluate(word)
-        back = su_word(t_runs(g))
-        assert su_evaluate(back) == g
-        # reduced: letters alternate between the two factors
-        for first, second in zip(back, back[1:]):
-            assert first[0] != second[0]
-
-
-def test_su_reduce():
-    assert su_reduce([("S", 1), ("S", 1)]) == []
-    assert su_reduce([("U", 1), ("U", 2)]) == []
-    assert su_reduce([("U", 1), ("U", 1)]) == [("U", 2)]
-    assert su_reduce([("S", 1), ("U", 1), ("U", 2), ("S", 1)]) == []
 
 
 def test_parse_matrix():

@@ -8,9 +8,10 @@ special, each developing matrix lies in its edge's coset, the one pass over
 the U-orbits agrees with the reference through the cuboid graph, every
 generator is expressed, by Schreier rewriting and by the tracer, as a word
 that evaluates back to it, a rational point is located in the polygon by a
-word that maps it back, the generator count of the graph invariants is the
-polygon's, the system is pointed-isomorphic to itself, and normality agrees
-with the orbit of the distinguished edge."""
+word that maps it back, and to the same pair as the two-walk reference
+(coset lookup, then Schreier rewriting), the generator count of the graph
+invariants is the polygon's, the system is pointed-isomorphic to itself,
+and normality agrees with the orbit of the distinguished edge."""
 
 import random
 
@@ -24,7 +25,7 @@ from modpoly.polygon import build_polygon, develop, validate_special
 from modpoly.psl2 import Psl2Elt
 from modpoly.reduce import ExactPoint, act_point, evaluate_word, express, locate_point
 
-from oracles import reference_develop
+from oracles import reference_develop, reference_locate
 
 
 def _cycles(order, fixed, length):
@@ -70,6 +71,10 @@ def coset_systems(draw, max_points=60):
 points = st.builds(ExactPoint,
                    st.fractions(min_value=-20, max_value=20, max_denominator=60),
                    st.fractions(min_value=Fraction(1, 60), max_value=20, max_denominator=60))
+wide_points = st.builds(ExactPoint,
+                        st.fractions(min_value=-1000, max_value=1000, max_denominator=1000),
+                        st.fractions(min_value=Fraction(1, 10**6), max_value=20,
+                                     max_denominator=10**6))
 
 
 @settings(max_examples=300, deadline=None)
@@ -91,3 +96,10 @@ def test_random_transitive_pair_gives_a_special_polygon(system, z):
     assert graph_invariants(system).n_generators == len(poly.generators)
     assert pointed_isomorphic(system, system)
     assert is_normal(system) == (len(distinguished_edge_orbit(system)) == system.n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coset_systems(), wide_points)
+def test_locate_equals_the_two_walk_reference(system, z):
+    poly = build_polygon(system)
+    assert locate_point(poly, z) == reference_locate(poly, z)

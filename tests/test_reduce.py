@@ -7,9 +7,10 @@ import pytest
 
 from modpoly.cosets import MembershipError
 from modpoly.polygon import SpecialPolygon
-from modpoly.psl2 import IDENTITY, S, T, U, Psl2Elt
+from modpoly.psl2 import IDENTITY, MAX_POWER_BITS, S, T, U, Psl2Elt, WorkBoundError, t_runs
 from modpoly.reduce import (
     BASE_POINTS,
+    MAX_WALK_STEPS,
     ExactPoint,
     _locate_by_trace,
     _trace,
@@ -24,7 +25,14 @@ from modpoly.reduce import (
     transform,
 )
 
-from oracles import TEST_GROUPS, built_polygon, geodesic_eval_at, geodesic_through
+from oracles import (
+    TEST_GROUPS,
+    built_polygon,
+    geodesic_eval_at,
+    geodesic_through,
+    reference_su_word,
+    su_evaluate,
+)
 
 
 F = Fraction
@@ -250,6 +258,63 @@ def test_express_refuses_a_long_run_at_once():
     with pytest.raises(MembershipError, match=f"its coset is {poly.system.coset(g)}$"):
         express(poly, g)
     assert time.perf_counter() - start < 0.05
+
+
+def test_express_and_locate_refuse_a_walk_past_the_bound():
+    # T^(10^9) is in gamma0(11): membership passes, and the walk of its one
+    # run of 10^9 letters is refused before it starts, as is the walk of
+    # the translation that locate makes for x = 10^9
+    poly = built_polygon("gamma0", 11)
+    start = time.perf_counter()
+    with pytest.raises(WorkBoundError, match="over MAX_WALK_STEPS"):
+        express(poly, T**10**9)
+    with pytest.raises(WorkBoundError, match="over MAX_WALK_STEPS"):
+        locate_point(poly, ExactPoint(F(10**9), F(1)))
+    with pytest.raises(WorkBoundError, match="over MAX_WALK_STEPS"):
+        express(poly, T ** (MAX_WALK_STEPS // 2) * S * T**11 * S * T ** (MAX_WALK_STEPS // 2))
+    assert time.perf_counter() - start < 0.05
+    assert express(poly, T**10**5) == [(0, 100000)]
+    # the bit caps of powers and words raise the same class
+    g = Psl2Elt(2, 1, 7, 4)
+    with pytest.raises(WorkBoundError):
+        g ** MAX_POWER_BITS
+    with pytest.raises(WorkBoundError):
+        evaluate_word([(g, 0)], [(0, MAX_POWER_BITS)])
+    assert issubclass(WorkBoundError, ValueError)
+
+
+def test_schreier_word_of_the_whole_group_is_the_su_normal_form():
+    # in PSL2(Z) = gamma0(1) the two generators are S and U^2 (or U): the
+    # rewritten word is the reduced S/U word, letter for letter
+    poly = built_polygon("gamma0", 1)
+    gens = poly.generators
+    (i_s,) = [i for i, (g, _) in enumerate(gens) if g == S]
+    (i_u,) = [i for i, (g, _) in enumerate(gens) if g in (U, U * U)]
+    u_sign = 1 if gens[i_u][0] == U else -1
+
+    def letters(word):
+        return [(i_s, 1) if gen == "S" else (i_u, e * u_sign % 3) for gen, e in word]
+
+    rng = random.Random(29)
+    elements = [su_evaluate([("S", 1) if rng.random() < 0.4 else ("U", rng.randint(1, 2))
+                             for _ in range(rng.randint(0, 40))]) for _ in range(300)]
+    for _ in range(300):
+        g = T ** rng.randint(-6, 6)
+        for _ in range(rng.randint(0, 8)):
+            g = g * S * T ** rng.randint(-6, 6)
+        elements.append(g)
+    assert express(poly, T) == letters([("U", 2), ("S", 1)])
+    assert express(poly, S) == letters([("S", 1)]) and express(poly, IDENTITY) == []
+    runs_seen = set()
+    for g in elements:
+        runs = t_runs(g)
+        runs_seen.update(runs)
+        reference = reference_su_word(runs)
+        assert su_evaluate(reference) == g
+        # reduced: letters alternate between the two factors
+        assert all(a[0] != b[0] for a, b in zip(reference, reference[1:]))
+        assert express(poly, g) == letters(reference)
+    assert min(runs_seen) < 0 and 0 in runs_seen
 
 
 def test_express_schreier_whole_group():

@@ -11,7 +11,10 @@ generators).  The tracer, run from the first strictly interior base point,
 reaches random points, points just beyond every elliptic vertex and the
 boundary, vertex and near-cusp points with no restart: _locate_by_trace's
 retry from the next base point would otherwise hide a wrong crossing.
-locate_point rests on coset(dev[e]) == e and never tests a polygon side.
+locate_point rests on coset(dev[e]) == e, never tests a polygon side and
+runs no Euclidean descent: its one walk of the runs of the reduction gives
+what the two-walk reference (coset lookup, then Schreier rewriting of
+gamma) gives, also far out in x and close to the real axis.
 A trace step tests at most two sides for a crossing, the same number at
 index 1010 and 10008, and express --trace restarts from no other base point
 on any generator of gamma0(1009)."""
@@ -24,7 +27,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from modpoly import reduce
+from modpoly import cosets, reduce
 from modpoly.cosets import FAMILIES
 from modpoly.polygon import SpecialPolygon
 from modpoly.psl2 import IDENTITY, S, U, Psl2Elt
@@ -42,7 +45,7 @@ from modpoly.reduce import (
     reduce_word,
 )
 
-from oracles import built_polygon
+from oracles import built_polygon, reference_locate
 
 # Gamma(N) has index about N^3 / 2, so its levels stop at 12 (index 576)
 groups = st.sampled_from(FAMILIES).flatmap(
@@ -249,6 +252,46 @@ def test_locate_never_tests_a_side(monkeypatch):
     for z in zs:
         _locate_by_trace(poly, lift(z.x, z.y**2))
     assert calls["_excluding_side"] >= len(zs)
+
+
+small_groups = st.sampled_from(FAMILIES).flatmap(
+    lambda family: st.tuples(st.just(family), st.integers(1, 6 if family == "gamma" else 16)))
+wide_points = st.builds(ExactPoint,
+                        st.fractions(min_value=-1000, max_value=1000, max_denominator=1000),
+                        st.fractions(min_value=Fraction(1, 10**6), max_value=20,
+                                     max_denominator=10**6))
+
+
+@BOUNDED
+@given(small_groups, wide_points)
+@example(("gamma0", 11), ExactPoint(Fraction(-1000), Fraction(1, 10**6)))
+@example(("gamma", 5), ExactPoint(Fraction(999, 7), Fraction(1)))
+def test_locate_equals_the_two_walk_reference(group, z):
+    poly = built_polygon(*group)
+    assert locate_point(poly, z) == reference_locate(poly, z)
+
+
+def test_locate_runs_no_euclidean_descent(monkeypatch):
+    # t_runs is counted wherever the library calls it; express, which
+    # descends once per element, shows the counting is live
+    poly = built_polygon("gamma0", 13)
+    calls = []
+    descend = reduce.t_runs
+
+    def counted(g):
+        calls.append(g)
+        return descend(g)
+
+    monkeypatch.setattr(reduce, "t_runs", counted)
+    monkeypatch.setattr(cosets, "t_runs", counted)
+    zs = [poly.base_point, ExactPoint(Fraction(7, 8), Fraction(3, 8)),
+          ExactPoint(Fraction(-41, 3), Fraction(1, 97))]
+    located = [locate_point(poly, z) for z in zs]
+    assert calls == []
+    express(poly, poly.generators[0][0])
+    assert len(calls) == 1
+    for z, (w, word) in zip(zs, located):
+        assert_located(poly, z, w, word)
 
 
 @pytest.mark.parametrize("level", [1009, 10007])
