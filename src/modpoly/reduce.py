@@ -204,51 +204,126 @@ def evaluate_word(generators, word: GenWord) -> Psl2Elt:
 # ---------------------------------------------------------------------------
 # combinatorial rewriting along the coset permutations (Schreier path)
 
-# runs T^r0 * S * ... * S * T^rk with sum |r| above this are not walked
+# the rewriting walk refuses to take its letters and the syllables its
+# powers of a turn add past this count
 MAX_WALK_STEPS = 10**7
+# runs shorter than this are walked letter by letter and not counted.  A
+# turn and its split cost about as much as five letters, so a shorter run
+# gains nothing from them, and such runs are most runs of products (2-5
+# letters) and of locate (0-3).  Their number, from t_runs or from the
+# reduction of a point, grows with the bit length of the input, and so do
+# their letters
+MIN_COUNTED_RUN = 6
+
+
+def _split_cyclic(word: GenWord, generators) -> tuple[GenWord, GenWord]:
+    """(u, c) with word = u * c * u^-1 for a reduced word, where c is at
+    most one syllable or begins and ends with powers of different
+    generators, so that c * c * ... * c is reduced as it stands."""
+    i, j = 0, len(word) - 1
+    while i < j and word[i][0] == word[j][0]:
+        idx, exp = word[i]
+        order = generators[idx][1]
+        merged = exp + word[j][1]
+        if order:
+            merged %= order
+        if merged:
+            # word[i] * middle * word[j] = word[i] * (middle * word[j] * word[i]) * word[i]^-1
+            return word[:i + 1], word[i + 1:j] + [(idx, merged)]
+        i, j = i + 1, j - 1
+    return word[:i], word[i:j + 1]
 
 
 def _rewrite(poly, runs: list[int]) -> tuple[int, GenWord]:
     """(label, word) for T^r0 * S * T^r1 * ... * S * T^rk, walked from the
-    distinguished label through the coset permutations one letter at a
-    time, with T = U^2 * S and T^-1 = S * U.  A step emits the s_gen /
-    u_gen syllable of the label it leaves, if any; the other steps follow
-    the Schreier transversal dev, so the word is that of the element times
-    dev[label]^-1.  Sum |r| > MAX_WALK_STEPS is refused with WorkBoundError."""
-    steps = sum(map(abs, runs))
-    if steps > MAX_WALK_STEPS:
-        raise WorkBoundError(f"rewriting would walk {steps} powers of T, over "
-                             f"MAX_WALK_STEPS = {MAX_WALK_STEPS}")
-    ss, su = poly.system.sigma_s, poly.system.sigma_u
-    s_gen, u_gen = poly.s_gen, poly.u_gen
+    distinguished label through the coset permutations letter by letter,
+    with T = U^2 * S and T^-1 = S * U, and by whole turns of a T-cycle as
+    below.  A step emits the s_gen / u_gen syllable of the label it leaves,
+    if any; the other steps follow the Schreier transversal dev, so the word
+    is that of the element times dev[label]^-1.
+
+    A run T^r from a label x whose T-cycle has w labels returns to x after
+    every w letters.  When |r| >= 2w and |r| >= MIN_COUNTED_RUN, one turn is
+    walked, its reduced word split as u * c * u^-1 (_split_cyclic), and
+    u * c^k * u^-1 emitted for k = |r| // w, c^k being one syllable when c
+    is; then the |r| mod w letters left are walked.  The letters walked in
+    runs of at least MIN_COUNTED_RUN letters count against MAX_WALK_STEPS,
+    and so do the syllables a power c^k adds past its first copy, or the
+    letters those turns stand for where they are fewer; the count is checked
+    before each such run and each power is taken, with WorkBoundError past
+    the bound.  It never exceeds sum |r|, the letters of the whole walk, and
+    a turn has at most two syllables per letter, so the work stays within
+    twice the count."""
+    system = poly.system
+    ss, su, cycle_of = system.sigma_s, system.sigma_u, system.t_cycle
+    s_gen, u_gen, gens = poly.s_gen, poly.u_gen, poly.generators
     word: GenWord = []
     emit = word.append
-    x = poly.system.distinguished
+    budget = MAX_WALK_STEPS
+    short_lo, short_hi = -MIN_COUNTED_RUN, MIN_COUNTED_RUN
+    turns = 0
+    x = system.distinguished
     for k, r in enumerate(runs):
         if k:
             if s_gen[x] is not None:
                 emit(s_gen[x])
             x = ss[x]
-        for _ in range(r):
-            # T = U * U * S
-            if u_gen[x] is not None:
-                emit(u_gen[x])
-            x = su[x]
-            if u_gen[x] is not None:
-                emit(u_gen[x])
-            x = su[x]
-            if s_gen[x] is not None:
-                emit(s_gen[x])
-            x = ss[x]
-        for _ in range(-r):
-            # T^-1 = S * U
-            if s_gen[x] is not None:
-                emit(s_gen[x])
-            x = ss[x]
-            if u_gen[x] is not None:
-                emit(u_gen[x])
-            x = su[x]
-    return x, reduce_word(word, poly.generators)
+        if not short_lo < r < short_hi:
+            w = len(cycle_of[x])
+            steps = r if r > 0 else -r
+            if steps >= 2 * w:
+                # one turn, then the rest, in the direction of the run
+                turns, rest = divmod(steps, w)
+                steps = w + rest
+                r, rest = (w, rest) if r > 0 else (-w, -rest)
+                mark = len(word)
+            budget -= steps
+            if budget < 0:
+                raise _over_walk_bound(budget)
+        while True:
+            for _ in range(r):
+                # T = U * U * S
+                if u_gen[x] is not None:
+                    emit(u_gen[x])
+                x = su[x]
+                if u_gen[x] is not None:
+                    emit(u_gen[x])
+                x = su[x]
+                if s_gen[x] is not None:
+                    emit(s_gen[x])
+                x = ss[x]
+            for _ in range(-r):
+                # T^-1 = S * U
+                if s_gen[x] is not None:
+                    emit(s_gen[x])
+                x = ss[x]
+                if u_gen[x] is not None:
+                    emit(u_gen[x])
+                x = su[x]
+            if not turns:
+                break
+            # word[mark:] is one turn from x back to x
+            u, c = _split_cyclic(reduce_word(word[mark:], gens), gens)
+            del word[mark:]
+            if len(c) == 1:
+                idx, exp = c[0]
+                c = [(idx, exp * turns)]
+            else:
+                budget -= min(len(c), w) * (turns - 1)
+                if budget < 0:
+                    raise _over_walk_bound(budget)
+                c *= turns
+            word += u
+            word += c
+            if u:
+                word += [(idx, -exp) for idx, exp in reversed(u)]
+            turns, r = 0, rest
+    return x, reduce_word(word, gens)
+
+
+def _over_walk_bound(budget: int) -> WorkBoundError:
+    return WorkBoundError(f"rewriting would take at least {MAX_WALK_STEPS - budget} letters "
+                          f"and syllables, over MAX_WALK_STEPS = {MAX_WALK_STEPS}")
 
 
 def express_schreier(poly, g: Psl2Elt) -> GenWord:
@@ -349,7 +424,9 @@ def _locate_by_trace(poly, target: Point, stats: dict | None = None,
     stats["trace_steps"] and the traces abandoned for the next base point
     to stats["trace_restarts"]; record collects every crossing of every
     trace, see _trace.  The first base point is interior by construction
-    (see BASE_POINTS); a restart tests the next one before it traces."""
+    (see BASE_POINTS); a restart tests the next one before it traces.  A
+    trace that runs out of steps raises WorkBoundError at once: every base
+    point crosses the same sides, so a restart cannot help."""
     last = None
     for i, source in enumerate(BASE_POINTS):
         if i and not poly._contains(source, strict=True):
@@ -400,7 +477,8 @@ def _trace(poly, source: Point, target: Point, record: list | None = None,
     the polygon's sides, pulling target back by each side's generator;
     returns the pulled-back target t, which lies in the polygon, the word of
     the element h that moves it onto target, and h, evaluated once for the
-    check act(h, t) == target.
+    check act(h, t) == target.  A trace of more than _MAX_TRACE_STEPS
+    crossings is refused with WorkBoundError.
 
     The polygon is convex, so the travel segment leaves it once, and the
     vertical ray over each cusp vertex lies in it, so the segment passes
@@ -468,7 +546,8 @@ def _trace(poly, source: Point, target: Point, record: list | None = None,
         source = act(r, point)
         geod = transform(geod, r)
         below = poly._excluding_side(t)
-    raise TraceDegenerateError("step budget exhausted")
+    raise WorkBoundError(f"the trace crossed {_MAX_TRACE_STEPS} sides without reaching the "
+                         f"polygon, the bound _MAX_TRACE_STEPS = {_MAX_TRACE_STEPS}")
 
 
 def _side_crossing(geod: Geodesic, side, pa, pt, dsign):

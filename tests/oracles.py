@@ -12,8 +12,16 @@ from math import gcd, lcm
 
 from modpoly.cosets import _p1_line, build_system, unit_classes
 from modpoly.polygon import build_polygon, develop
-from modpoly.psl2 import IDENTITY, S, U, Psl2Elt
-from modpoly.reduce import _exact_point, _reduce_to_base_triangle, act, express_schreier, lift
+from modpoly.psl2 import IDENTITY, S, T, U, Psl2Elt, WorkBoundError, t_runs
+from modpoly.reduce import (
+    MAX_WALK_STEPS,
+    _exact_point,
+    _reduce_to_base_triangle,
+    act,
+    express_schreier,
+    lift,
+    reduce_word,
+)
 
 
 def prime_factors(n):
@@ -196,6 +204,59 @@ def reference_locate(poly, z):
     w0, h, _ = _reduce_to_base_triangle(lift(z.x, z.y**2))
     g = Psl2Elt._make(*poly.dev[poly.system.coset(h)])
     return _exact_point(act(g, w0)), express_schreier(poly, h * g.inv())
+
+
+def reference_rewrite(poly, runs):
+    """(label, word) for T^r0 * S * T^r1 * ... * S * T^rk, walked from the
+    distinguished label through the coset permutations one letter at a
+    time, with T = U^2 * S and T^-1 = S * U.  A step emits the s_gen /
+    u_gen syllable of the label it leaves, if any; the other steps follow
+    the Schreier transversal dev, so the word is that of the element times
+    dev[label]^-1.  Sum |r| > MAX_WALK_STEPS is refused with WorkBoundError.
+    This is the letter walk that reduce._rewrite shortens by whole turns of
+    a T-cycle."""
+    steps = sum(map(abs, runs))
+    if steps > MAX_WALK_STEPS:
+        raise WorkBoundError(f"rewriting would walk {steps} powers of T, over "
+                             f"MAX_WALK_STEPS = {MAX_WALK_STEPS}")
+    ss, su = poly.system.sigma_s, poly.system.sigma_u
+    s_gen, u_gen = poly.s_gen, poly.u_gen
+    word = []
+    emit = word.append
+    x = poly.system.distinguished
+    for k, r in enumerate(runs):
+        if k:
+            if s_gen[x] is not None:
+                emit(s_gen[x])
+            x = ss[x]
+        for _ in range(r):
+            # T = U * U * S
+            if u_gen[x] is not None:
+                emit(u_gen[x])
+            x = su[x]
+            if u_gen[x] is not None:
+                emit(u_gen[x])
+            x = su[x]
+            if s_gen[x] is not None:
+                emit(s_gen[x])
+            x = ss[x]
+        for _ in range(-r):
+            # T^-1 = S * U
+            if s_gen[x] is not None:
+                emit(s_gen[x])
+            x = ss[x]
+            if u_gen[x] is not None:
+                emit(u_gen[x])
+            x = su[x]
+    return x, reduce_word(word, poly.generators)
+
+
+def turn_runs(poly, x, k):
+    """Runs of T of dev[x] * T^(k w) * dev[x]^-1, w the length of the
+    T-cycle of label x: k turns round the cusp of that cycle, a member of
+    the subgroup."""
+    g = Psl2Elt._make(*poly.dev[x])
+    return t_runs(g * T ** (k * len(poly.system.t_cycle[x])) * g.inv())
 
 
 def reference_t_runs(g):

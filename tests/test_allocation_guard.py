@@ -9,7 +9,10 @@ when the build went through a cuboid graph, a cut tree and a parent table).  A b
 most 111 000 more objects for the garbage collector to track (333 377 when
 the polygon held a matrix per triangle, cusp objects per side and the
 cuboid graph), and a built gamma0(10007) retains at most 530 bytes per
-index under tracemalloc (482 measured, 765 before).  A power g ** n makes at
+index under tracemalloc (482 measured, 765 before).  Expressing T^(10^6)
+in gamma0(11) peaks under 64 KB, and T^(10^7) takes under 0.05 s (8.06 MB,
+and 2.4 s for T^(10^7), when the rewriting walk took every power of T as
+three letters).  A power g ** n makes at
 most 2 * bit_length(|n|) matrices, and g ** 1 is g itself.  Constructions
 and cusp reductions are counted as calls of Psl2Elt.__init__ /
 Psl2Elt._make and act_cusp seen by a profile hook."""
@@ -17,6 +20,7 @@ Psl2Elt._make and act_cusp seen by a profile hook."""
 import gc
 import random
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -25,8 +29,9 @@ import pytest
 from modpoly.cosets import build_system
 from modpoly.polygon import assemble, build_polygon, develop
 from modpoly.psl2 import T, Psl2Elt, act_cusp, t_runs
+from modpoly.reduce import express
 
-from oracles import built_develop, built_system, random_unimodular, reference_t_runs
+from oracles import built_develop, built_polygon, built_system, random_unimodular, reference_t_runs
 
 _MADE = {Psl2Elt.__init__.__code__: "Psl2Elt", Psl2Elt._make.__func__.__code__: "Psl2Elt",
          act_cusp.__code__: "act_cusp"}
@@ -172,3 +177,18 @@ def test_power_makes_at_most_two_matrices_per_bit():
     assert power == Psl2Elt(1, 12345, 0, 1)
     made, _ = constructions(pow, g, -1)
     assert made == Counter({"Psl2Elt": 1})
+
+
+def test_express_of_a_long_run_of_t_is_small_and_fast():
+    # the run goes round the width-1 cusp at infinity of gamma0(11) once per
+    # power of T: one turn is walked and its one syllable raised to the
+    # power, so the walk keeps a few syllables, not one per letter
+    poly = built_polygon("gamma0", 11)
+    g = T ** 10**6
+    peak, word = traced_peak(express, poly, g)
+    assert word == [(0, 10**6)]
+    assert peak < 64 * 1024, peak
+    g = T ** 10**7
+    start = time.perf_counter()
+    assert express(poly, g) == [(0, 10**7)]
+    assert time.perf_counter() - start < 0.05

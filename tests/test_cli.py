@@ -224,9 +224,15 @@ def test_query_arguments_are_checked_before_building(capsys, monkeypatch, argv, 
     assert message in err
 
 
+# [[1, 0], [-n, 1]] and the image of i under it, for n = 11 * 10^9: a run
+# of n round the width-11 cusp 0 of gamma0(11), whose word has 5 * 10^9
+# syllables
+_N = 11 * 10**9
+
+
 @pytest.mark.parametrize("argv", [
-    ["express", "--matrix", "1,1000000000,0,1"],
-    ["locate", "--x", "1000000000", "--y", "1"],
+    ["express", "--matrix", f"1,0,{-_N},1"],
+    ["locate", f"--x={-_N}/{1 + _N * _N}", f"--y=1/{1 + _N * _N}"],
 ])
 def test_walk_past_the_bound_exits_2(capsys, argv):
     command, *flags = argv
@@ -235,6 +241,30 @@ def test_walk_past_the_bound_exits_2(capsys, argv):
     assert time.perf_counter() - start < 0.05
     assert (code, out) == (2, "")
     assert "over MAX_WALK_STEPS" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["express", "--matrix", "1,1000000000,0,1"],
+    ["locate", "--x", "1000000000", "--y", "1"],
+])
+def test_a_run_of_10_to_the_9_is_answered(capsys, argv):
+    command, *flags = argv
+    start = time.perf_counter()
+    code, out, _ = run(capsys, command, "--group", "gamma0", "--level", "11", *flags)
+    assert time.perf_counter() - start < 0.05
+    assert code == 0 and json.loads(out)["word"] == [[0, 10**9]]
+
+
+def test_spent_trace_budget_exits_2(capsys):
+    # T^(10^5) crosses one pair of sides per power of T, past the tracer's
+    # budget of 10^5 crossings: refused after one budget, not one per base
+    # point
+    start = time.perf_counter()
+    code, out, err = run(capsys, "express", "--group", "gamma0", "--level", "11",
+                         "--matrix", "1,100000,0,1", "--trace")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert "_MAX_TRACE_STEPS" in err
 
 
 def test_max_index_option(capsys):

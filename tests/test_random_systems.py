@@ -11,7 +11,8 @@ that evaluates back to it, a rational point is located in the polygon by a
 word that maps it back, and to the same pair as the two-walk reference
 (coset lookup, then Schreier rewriting), the generator count of the graph
 invariants is the polygon's, the system is pointed-isomorphic to itself,
-and normality agrees with the orbit of the distinguished edge."""
+and normality agrees with the orbit of the distinguished edge, and the
+rewriting walk gives the word of the letter walk on long and short runs."""
 
 import random
 
@@ -23,9 +24,9 @@ from modpoly.cosets import CosetSystem
 from modpoly.cuboid import distinguished_edge_orbit, graph_invariants, is_normal, pointed_isomorphic
 from modpoly.polygon import build_polygon, develop, validate_special
 from modpoly.psl2 import Psl2Elt
-from modpoly.reduce import ExactPoint, act_point, evaluate_word, express, locate_point
+from modpoly.reduce import ExactPoint, _rewrite, act_point, evaluate_word, express, locate_point
 
-from oracles import reference_develop, reference_locate
+from oracles import reference_develop, reference_locate, reference_rewrite, turn_runs
 
 
 def _cycles(order, fixed, length):
@@ -103,3 +104,14 @@ def test_random_transitive_pair_gives_a_special_polygon(system, z):
 def test_locate_equals_the_two_walk_reference(system, z):
     poly = build_polygon(system)
     assert locate_point(poly, z) == reference_locate(poly, z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coset_systems(), st.lists(st.integers(-200, 200), min_size=1, max_size=6), st.data())
+def test_rewrite_equals_the_letter_walk(system, runs, data):
+    # runs of both signs, many of them several turns round their T-cycle,
+    # and k turns round the cusp of a drawn label
+    poly = build_polygon(system)
+    assert _rewrite(poly, runs) == reference_rewrite(poly, runs)
+    turns = turn_runs(poly, data.draw(st.integers(0, system.n - 1)), data.draw(st.integers(-4, 4)))
+    assert _rewrite(poly, turns) == reference_rewrite(poly, turns)

@@ -261,19 +261,30 @@ def test_express_refuses_a_long_run_at_once():
 
 
 def test_express_and_locate_refuse_a_walk_past_the_bound():
-    # T^(10^9) is in gamma0(11): membership passes, and the walk of its one
-    # run of 10^9 letters is refused before it starts, as is the walk of
-    # the translation that locate makes for x = 10^9
+    # the run T^(10^9) goes round the width-1 cusp at infinity of gamma0(11)
+    # 10^9 times: one turn is walked and raised to that power, for express
+    # and for the translation that locate makes for x = 10^9
     poly = built_polygon("gamma0", 11)
     start = time.perf_counter()
-    with pytest.raises(WorkBoundError, match="over MAX_WALK_STEPS"):
-        express(poly, T**10**9)
-    with pytest.raises(WorkBoundError, match="over MAX_WALK_STEPS"):
-        locate_point(poly, ExactPoint(F(10**9), F(1)))
-    with pytest.raises(WorkBoundError, match="over MAX_WALK_STEPS"):
-        express(poly, T ** (MAX_WALK_STEPS // 2) * S * T**11 * S * T ** (MAX_WALK_STEPS // 2))
+    assert express(poly, T**10**9) == [(0, 10**9)]
+    assert locate_point(poly, ExactPoint(F(10**9), F(1))) == (ExactPoint(F(0), F(1)),
+                                                              [(0, 10**9)])
     assert time.perf_counter() - start < 0.05
-    assert express(poly, T**10**5) == [(0, 100000)]
+    # the turn round the width-11 cusp 0 reduces to 5 syllables, so the
+    # finite-cusp parabolic [[1, 0], [-11 m, 1]] has a word of 5 m
+    # syllables, refused before it is built for m = 10^9, by express and by
+    # locate at the image of i, whose reduction runs through the same run
+    c = -11 * 10**9
+    start = time.perf_counter()
+    with pytest.raises(WorkBoundError, match="over MAX_WALK_STEPS"):
+        express(poly, Psl2Elt(1, 0, c, 1))
+    with pytest.raises(WorkBoundError, match="over MAX_WALK_STEPS"):
+        locate_point(poly, ExactPoint(F(c, 1 + c * c), F(1, 1 + c * c)))
+    assert time.perf_counter() - start < 0.05
+    assert len(express(poly, Psl2Elt(1, 0, -11 * 1000, 1))) == 5 * 1000
+    # two long runs at infinity round one short run at cusp 0: a member
+    word = express(poly, T ** (MAX_WALK_STEPS // 2) * S * T**11 * S * T ** (MAX_WALK_STEPS // 2))
+    assert word[0] == (0, MAX_WALK_STEPS // 2 - 1) and word[-1] == (0, MAX_WALK_STEPS // 2)
     # the bit caps of powers and words raise the same class
     g = Psl2Elt(2, 1, 7, 4)
     with pytest.raises(WorkBoundError):
