@@ -249,10 +249,10 @@ def _cmd_query(args) -> int:
 
     counts = {"index": system.n, **_polygon_counts(poly)}
     if args.command == "express":
-        trace = {"trace_steps": 0, "trace_restarts": 0} if args.trace else None
-        record = [] if args.explain else None
-        word = _timed(seconds, "query", express, poly, g, args.trace, trace, record)
-        counts.update(trace or {})
+        record = [] if args.trace else None
+        word = _timed(seconds, "query", express, poly, g, args.trace, record)
+        if args.trace:
+            counts["trace_steps"] = len(record)
         check = evaluate_word(poly.generators, word)
         if check != g:
             raise RuntimeError("internal error: word does not evaluate back")

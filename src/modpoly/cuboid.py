@@ -49,12 +49,20 @@ class SurfaceInvariants:
     n_generators: int
 
 
+def betti_number(n: int, e2: int, e3: int, cusps: int) -> int:
+    """The Betti number from the Euler characteristic of n edges, (n + e2) / 2
+    type-(0) and (n + 2 e3) / 3 type-(1) vertices; betti + 1 - cusps must be twice the genus."""
+    betti = n - ((n + e2) // 2 + (n + 2 * e3) // 3) + 1
+    if (betti + 1 - cusps) % 2 != 0 or betti + 1 - cusps < 0:
+        raise ValueError("inconsistent Betti/cusp data")
+    return betti
+
+
 def graph_invariants(system: CosetSystem) -> SurfaceInvariants:
     """Surface data read off the graph: elliptic counts are the fixed points
     of the two actions, cusps are the orbits of the T-action (their lengths,
     the cusp widths, are the system's T-cycles), the Betti number comes from
-    the Euler characteristic, with (n + e2) / 2 type-(0) and (n + 2 e3) / 3
-    type-(1) vertices."""
+    the Euler characteristic (betti_number)."""
     n = system.n
     ss, su = system.sigma_s, system.sigma_u
     e2 = sum(1 for i in range(n) if ss[i] == i)
@@ -62,9 +70,7 @@ def graph_invariants(system: CosetSystem) -> SurfaceInvariants:
     t_cycle, t_pos = system.t_cycle, system.t_pos
     widths = sorted(len(t_cycle[x]) for x in range(n) if t_pos[x] == 0)
     cusps = len(widths)
-    betti = n - ((n + e2) // 2 + (n + 2 * e3) // 3) + 1
-    if (betti + 1 - cusps) % 2 != 0 or betti + 1 - cusps < 0:
-        raise ValueError("inconsistent Betti/cusp data")
+    betti = betti_number(n, e2, e3, cusps)
     genus = (betti + 1 - cusps) // 2
     return SurfaceInvariants(
         n=n,

@@ -29,10 +29,11 @@ from math import gcd
 from typing import NamedTuple
 
 from .cosets import CosetSystem
+from .cuboid import betti_number
 from .jsonout import extend_array
 from .psl2 import Psl2Elt, act_cusp
 from .reduce import (
-    BASE_POINTS,
+    BASE_POINT,
     I_POINT,
     RHO_POINT,
     ExactPoint,
@@ -65,9 +66,9 @@ INF: Vertex = (1, 0)
 # (a, b, c, d): c > 0, or c = 0 and d > 0
 Matrix = tuple[int, int, int, int]
 
-# the polygon's base point, interior to the root triangle; its triple is
-# reduce.BASE_POINTS[0], the tracer's first source
-BASE_POINT = ExactPoint(Fraction(1, 4), Fraction(1))
+# to_svg's width in pixels and the height where it clamps rays toward infinity
+SVG_WIDTH = 640
+SVG_CLAMP_HEIGHT = 2.5
 
 
 class Side(NamedTuple):
@@ -146,8 +147,8 @@ def develop(system: CosetSystem) -> tuple[bytearray, list[Matrix]]:
     g = [[a, b], [c, d]]: g*S = (b, -a, d, -c), g*U = (-b, a+b, -d, c+d)
     and g*U^2 = (-a-b, a, -c-d, c).
 
-    The cuts are counted against the Betti number of the orbit counts,
-    n - ((n + e2)/2 + (n + 2*e3)/3) + 1, and that against the cusp count."""
+    The cuts are counted against the Betti number of the orbit counts
+    (cuboid.betti_number), which is checked against the cusp count."""
     n = system.n
     ss, su = system.sigma_s, system.sigma_u
     crossed = bytearray(n)
@@ -205,12 +206,8 @@ def develop(system: CosetSystem) -> tuple[bytearray, list[Matrix]]:
     if None in dev:
         raise ValueError("internal error: cut graph is not connected")
 
-    betti = n - ((n + e2) // 2 + (n + 2 * e3) // 3) + 1
-    if (n - e2 - crossed.count(1)) // 2 != betti:
+    if (n - e2 - crossed.count(1)) // 2 != betti_number(n, e2, e3, system.t_pos.count(0)):
         raise ValueError("internal error: cut count differs from the Betti number")
-    cusps = system.t_pos.count(0)
-    if (betti + 1 - cusps) % 2 != 0 or betti + 1 - cusps < 0:
-        raise ValueError("inconsistent Betti/cusp data")
     return crossed, dev
 
 
@@ -281,18 +278,21 @@ class SpecialPolygon:
     plane above that side's semicircle, so membership is a bisection on x
     and one or two dot products."""
 
-    def __init__(self, system, dev, sides, generators, s_gen, u_gen, base_point, left_wall):
+    # reduce.BASE_POINT, the tracer's base point, as a rational point
+    base_point = ExactPoint(Fraction(1, 4), Fraction(1))
+
+    def __init__(self, system, dev, sides, generators, s_gen, u_gen, left_wall):
         self.system = system
         self.dev = dev
         self.sides = sides
         self.generators = generators
         self.s_gen = s_gen
         self.u_gen = u_gen
-        self.base_point = base_point
         self.left_wall = left_wall
 
     def contains(self, x: Fraction, y2: Fraction, strict: bool = False) -> bool:
-        """Exact membership of a point given as (x, y^2)."""
+        """Exact membership of a point given as (x, y^2).  The benchmark's
+        locate check (perfbench/checks.py) calls it on every located point."""
         return self._contains(lift(x, y2), strict)
 
     def _contains(self, point: Point, strict: bool = False) -> bool:
@@ -430,9 +430,8 @@ def assemble(system: CosetSystem, crossed: bytearray, dev: list[Matrix]) -> Spec
 
     if left_wall is None:
         raise ValueError("internal error: no side leaves infinity")
-    poly = SpecialPolygon(system, dev, sides, generators, s_gen, u_gen,
-                          BASE_POINT, left_wall)
-    if not poly._contains(BASE_POINTS[0], strict=True):
+    poly = SpecialPolygon(system, dev, sides, generators, s_gen, u_gen, left_wall)
+    if not poly._contains(BASE_POINT, strict=True):
         raise ValueError("internal error: base point is not interior")
     return poly
 
@@ -659,17 +658,17 @@ def to_json(poly: SpecialPolygon) -> str:
     return "".join(parts)
 
 
-def to_svg(poly: SpecialPolygon, width: int = 640, clamp_height: float = 2.5) -> str:
+def to_svg(poly: SpecialPolygon) -> str:
     """Render the boundary sides, one colour per pairing orbit; rays toward
-    infinity are clamped at a fixed height.  Presentation only."""
+    infinity are clamped at SVG_CLAMP_HEIGHT.  Presentation only."""
     xs = [v[-2] / v[-1] for side in poly.sides for v in (side.start, side.end) if v[-1]]
     x_min = min(xs, default=0.0) - 0.3
     x_max = max(xs, default=1.0) + 0.3
-    scale = width / (x_max - x_min)
-    height = int(clamp_height * scale) + 20
+    scale = SVG_WIDTH / (x_max - x_min)
+    height = int(SVG_CLAMP_HEIGHT * scale) + 20
 
     def to_screen(x: float, y: float) -> tuple[float, float]:
-        return ((x - x_min) * scale, height - 10 - min(y, clamp_height) * scale)
+        return ((x - x_min) * scale, height - 10 - min(y, SVG_CLAMP_HEIGHT) * scale)
 
     def endpoint_xy(side: Side, vertex: Vertex) -> tuple[float, float]:
         if len(vertex) == 3:
@@ -678,13 +677,13 @@ def to_svg(poly: SpecialPolygon, width: int = 640, clamp_height: float = 2.5) ->
         p, q = vertex
         if q == 0:
             _, b, c = side.geodesic
-            return -c / b, clamp_height
+            return -c / b, SVG_CLAMP_HEIGHT
         return p / q, 0.0
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<line x1="0" y1="{height - 10}" x2="{width}" y2="{height - 10}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{height}" '
+        f'viewBox="0 0 {SVG_WIDTH} {height}">',
+        f'<line x1="0" y1="{height - 10}" x2="{SVG_WIDTH}" y2="{height - 10}" '
         'stroke="#888" stroke-width="1"/>',
     ]
     for i, side in enumerate(poly.sides):
@@ -700,9 +699,8 @@ def to_svg(poly: SpecialPolygon, width: int = 640, clamp_height: float = 2.5) ->
                          f'y2="{sy2:.2f}" stroke="{color}" stroke-width="2" fill="none"/>')
         else:
             r = ((b * b - 4 * a * c) / (4 * a * a)) ** 0.5 * scale
-            large = 0
             sweep = 1 if x1 < x2 else 0
-            parts.append(f'<path d="M {sx1:.2f} {sy1:.2f} A {r:.2f} {r:.2f} 0 {large} '
+            parts.append(f'<path d="M {sx1:.2f} {sy1:.2f} A {r:.2f} {r:.2f} 0 0 '
                          f'{sweep} {sx2:.2f} {sy2:.2f}" stroke="{color}" '
                          'stroke-width="2" fill="none"/>')
     parts.append("</svg>")

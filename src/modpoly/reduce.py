@@ -30,11 +30,6 @@ from .psl2 import IDENTITY, MAX_POWER_BITS, Psl2Elt, WorkBoundError, t_runs
 GenWord = list[tuple[int, int]]
 
 
-class TraceDegenerateError(RuntimeError):
-    """The trace hit a configuration the crossing rules cannot resolve;
-    the caller restarts from the next base point."""
-
-
 @dataclass(frozen=True)
 class ExactPoint:
     """Rational point x + iy of the upper half-plane.  Coordinates are
@@ -404,40 +399,11 @@ def _reduce_to_base_triangle(point: Point) -> tuple[Point, Psl2Elt, list[int]]:
 # ---------------------------------------------------------------------------
 # geodesic tracing (the geometric reduction procedure)
 
-# base points x + i, all interior to the root triangle, as the triples
-# (p^2+q^2, pq, q^2) for x = p/q.  The first, (17, 4, 16) for 1/4 + i, is the
-# polygon's base point: assemble refuses a polygon that does not hold it
-# strictly inside, so the tracer starts there untested
-BASE_POINTS: list[Point] = [(p * p + q * q, p * q, q * q) for p, q in
-                            ((1, 4), (1, 3), (2, 7), (3, 11), (1, 5), (2, 9), (3, 13), (5, 17))]
+# the tracer's base point 1/4 + i, (p^2+q^2, pq, q^2) for x = p/q: assemble
+# refuses a polygon without it strictly inside, so _trace starts there untested
+BASE_POINT: Point = (17, 4, 16)
 
 _MAX_TRACE_STEPS = 100000
-
-
-def _locate_by_trace(poly, target: Point, stats: dict | None = None,
-                     record: list | None = None) -> tuple[Point, GenWord, Psl2Elt]:
-    """The point triple w of the polygon, the word of the element h that
-    moves it onto target, and h, by the geometric reduction procedure: trace
-    the geodesic from an interior base point to target, pulling target back
-    across each side it crosses.  express(use_trace=True) runs this
-    independent route.  With stats, adds the sides crossed to
-    stats["trace_steps"] and the traces abandoned for the next base point
-    to stats["trace_restarts"]; record collects every crossing of every
-    trace, see _trace.  The first base point is interior by construction
-    (see BASE_POINTS); a restart tests the next one before it traces.  A
-    trace that runs out of steps raises WorkBoundError at once: every base
-    point crosses the same sides, so a restart cannot help."""
-    last = None
-    for i, source in enumerate(BASE_POINTS):
-        if i and not poly._contains(source, strict=True):
-            continue
-        try:
-            return _trace(poly, source, target, record, stats)
-        except TraceDegenerateError as err:
-            last = err
-            if stats is not None:
-                stats["trace_restarts"] += 1
-    raise RuntimeError(f"geodesic trace failed from every base point: {last}")
 
 
 def _exact_point(point: Point) -> ExactPoint:
@@ -451,34 +417,29 @@ def _exact_point(point: Point) -> ExactPoint:
     return ExactPoint(Fraction(m, k), Fraction(ky, k))
 
 
-def express(poly, g: Psl2Elt, use_trace: bool = False, stats: dict | None = None,
-            record: list | None = None) -> GenWord:
+def express(poly, g: Psl2Elt, use_trace: bool = False, record: list | None = None) -> GenWord:
     """Word in the polygon's independent generators evaluating exactly to g;
-    raises MembershipError when g is not in the subgroup.  With use_trace,
-    stats (a dict with the keys trace_steps and trace_restarts) counts the
-    tracer's work and record collects its crossings, see _locate_by_trace.
-    The traced word is evaluated once: the h that _trace checked against
-    its target is the element compared with g here."""
+    raises MembershipError when g is not in the subgroup.  With use_trace
+    the word is traced (_trace, whose crossings record collects), and the h
+    that _trace checked against its target is the element compared with g."""
     if not use_trace:
         return express_schreier(poly, g)
     label = poly.system.coset(g)
     if label != poly.system.distinguished:
         raise _not_member(poly.system, g, label)
-    base = BASE_POINTS[0]
-    w, word, h = _locate_by_trace(poly, act(g, base), stats, record)
-    if w != base or h != g:
+    w, word, h = _trace(poly, act(g, BASE_POINT), record)
+    if w != BASE_POINT or h != g:
         raise ValueError("internal error: trace did not reproduce the element")
     return word
 
 
-def _trace(poly, source: Point, target: Point, record: list | None = None,
-           stats: dict | None = None) -> tuple[Point, GenWord, Psl2Elt]:
-    """Follow the geodesic from the interior point source to target across
-    the polygon's sides, pulling target back by each side's generator;
-    returns the pulled-back target t, which lies in the polygon, the word of
-    the element h that moves it onto target, and h, evaluated once for the
-    check act(h, t) == target.  A trace of more than _MAX_TRACE_STEPS
-    crossings is refused with WorkBoundError.
+def _trace(poly, target: Point, record: list | None = None) -> tuple[Point, GenWord, Psl2Elt]:
+    """The geometric reduction procedure: follow the geodesic from the
+    interior BASE_POINT to target across the polygon's sides, pulling target
+    back by each side's generator.  Returns the pulled-back target t, in the
+    polygon, the word of the element h that moves it onto target, and h,
+    evaluated once for the check act(h, t) == target.  More than
+    _MAX_TRACE_STEPS crossings are refused with WorkBoundError.
 
     The polygon is convex, so the travel segment leaves it once, and the
     vertical ray over each cusp vertex lies in it, so the segment passes
@@ -486,8 +447,8 @@ def _trace(poly, source: Point, target: Point, record: list | None = None,
     two consecutive cusps (or infinity) over which t lies.  That stretch is
     one even side or an elliptic pair of adjacent partners, and it holds the
     side that _excluding_side finds for t, so a step tests at most two
-    sides, however many the polygon has.  The target is tested before the
-    travel geodesic is formed: a trace from the source to itself has none.
+    sides, however many the polygon has.  Only a target outside the polygon
+    gets a travel geodesic.
 
     record, when given, gets one entry per crossing, (geod, t, side, gen,
     exp, vertex): the travel geodesic and the target before the crossing,
@@ -499,9 +460,8 @@ def _trace(poly, source: Point, target: Point, record: list | None = None,
     word: GenWord = []
     t = target
     below = poly._excluding_side(t)
-    if below is None and source == target:
-        return t, word, IDENTITY
-    geod = _geodesic(*_cross(source, target))
+    source = BASE_POINT
+    geod = _geodesic(*_cross(source, target)) if below is not None else None
 
     for _ in range(_MAX_TRACE_STEPS):
         if below is None:
@@ -515,7 +475,8 @@ def _trace(poly, source: Point, target: Point, record: list | None = None,
         pt = geodesic_param(geod, t)
         ahead = det2(pt, pa)
         if ahead == 0:
-            raise TraceDegenerateError("target and source share the geodesic parameter")
+            # unreachable: a crossing lies strictly inside its segment, so source != t
+            raise ValueError("internal error: target and source share the geodesic parameter")
         dsign = 1 if ahead > 0 else -1
 
         best = None
@@ -530,7 +491,8 @@ def _trace(poly, source: Point, target: Point, record: list | None = None,
             if nearer < 0 or (nearer == 0 and hit[1] == "vertex" and best[1] == "side"):
                 best = hit
         if best is None:
-            raise TraceDegenerateError("no boundary crossing found on an exiting segment")
+            # unreachable: the exit lies in the stretch that holds below (see above)
+            raise ValueError("internal error: no boundary crossing found on an exiting segment")
 
         _, kind, side, point = best
         gi, ge = side.gen, side.gen_exp
@@ -538,8 +500,6 @@ def _trace(poly, source: Point, target: Point, record: list | None = None,
             ge = 1 if side.ell_order == 2 else _pick_rotation(poly, geod, dsign, side)
         r = gens[gi][0] ** ge
         word.append((gi, -ge))
-        if stats is not None:
-            stats["trace_steps"] += 1
         if record is not None:
             record.append((geod, t, sides[side.pair].pair, gi, ge, kind == "vertex"))
         t = act(r, t)
@@ -598,7 +558,8 @@ def _pick_rotation(poly, geod: Geodesic, dsign: int, side) -> int:
         w = _apply_differential(gen**exp, vertex, d_out)
         if det2(u1, w) >= 0 and det2(w, u2) >= 0:
             return exp
-    raise TraceDegenerateError("no rotation re-enters the polygon wedge")
+    # unreachable: the closed wedge and its two rotations cover the full angle
+    raise ValueError("internal error: no rotation re-enters the polygon wedge")
 
 
 def _tangent(geod: Geodesic, vertex: Point, dsign: int) -> tuple[int, int]:

@@ -294,7 +294,7 @@ QUERY_INPUTS = {"express": ["--matrix", "1,1,0,1"], "locate": ["--x", "5/2", "--
     ("invariants", ["invariants", "system", "write"],
      ["gc_collections", "generators", "index"]),
     ("express", QUERY_LAYERS, QUERY_COUNTS),
-    ("express --trace", QUERY_LAYERS, QUERY_COUNTS + ["trace_restarts", "trace_steps"]),
+    ("express --trace", QUERY_LAYERS, QUERY_COUNTS + ["trace_steps"]),
     ("locate", QUERY_LAYERS, QUERY_COUNTS),
 ])
 def test_stats_leave_stdout_unchanged(capsys, command, layers, counts):
@@ -323,7 +323,7 @@ def test_stats_leave_stdout_unchanged(capsys, command, layers, counts):
         assert stats["syllables"] == len(json.loads(out)["word"])
     if flags == ["--trace"]:
         # T leaves the polygon through one side
-        assert (stats["trace_steps"], stats["trace_restarts"]) == (1, 0)
+        assert stats["trace_steps"] == 1
 
 
 def test_tracked_objects_are_the_sides_and_generators(capsys):
@@ -369,7 +369,7 @@ def test_express_explain_lines_follow_the_crossings(capsys, level, elliptic):
         assert out == plain
         *lines, stats = err.splitlines()
         stats = json.loads(stats)
-        assert len(lines) == stats["trace_steps"] and stats["trace_restarts"] == 0
+        assert len(lines) == stats["trace_steps"]
         crossings = [json.loads(line) for line in lines]
         assert [c["step"] for c in crossings] == list(range(len(crossings)))
         syllables = []

@@ -1,8 +1,8 @@
 """Points move as integer triples: assembling a polygon, stepping the
-geodesic tracer, locating a point triple by the tracer and a traced express
-construct no Fraction, however many steps the trace takes, and
-locate_point constructs three whatever the point: the square of its input's
-y, which it lifts on integers, and the two coordinates of its result.
+geodesic tracer and a traced express construct no Fraction, however many
+steps the trace takes, and locate_point constructs three whatever the
+point: the square of its input's y, which it lifts on integers, and the two
+coordinates of its result.
 Constructions are counted as calls of Fraction.__new__ seen by a profile
 hook."""
 
@@ -14,9 +14,7 @@ import pytest
 
 from modpoly.polygon import assemble
 from modpoly.reduce import (
-    BASE_POINTS,
     ExactPoint,
-    _locate_by_trace,
     _trace,
     evaluate_word,
     express,
@@ -66,11 +64,9 @@ def test_trace_and_locate_fraction_count_is_fixed():
         if poly.contains(z.x, z.y**2):
             continue
         steps = []
-        count, _ = fraction_constructions(_trace, poly, BASE_POINTS[0], target, record=steps)
+        count, _ = fraction_constructions(_trace, poly, target, record=steps)
         assert count == 0
         step_counts.add(len(steps))
-        count, _ = fraction_constructions(_locate_by_trace, poly, target)
-        assert count == 0
         count, _ = fraction_constructions(locate_point, poly, z)
         located.add(count)
     assert len(step_counts) >= 3

@@ -16,9 +16,9 @@ from math import gcd
 from hypothesis import assume, example, given, settings, strategies as st
 
 from modpoly.cosets import FAMILIES, build_system
-from modpoly.polygon import BASE_POINT, _cusp, develop
+from modpoly.polygon import SpecialPolygon, _cusp, develop
 from modpoly.psl2 import IDENTITY, S, T, U, act_cusp, t_runs
-from modpoly.reduce import BASE_POINTS, lift
+from modpoly.reduce import BASE_POINT, lift
 
 from oracles import (
     random_unimodular,
@@ -112,4 +112,5 @@ def test_lift_matches_the_fraction_lift(x, y2):
 
 
 def test_polygon_base_point_lifts_to_the_first_base_point():
-    assert lift(BASE_POINT.x, BASE_POINT.y**2) == BASE_POINTS[0] == (17, 4, 16)
+    z = SpecialPolygon.base_point
+    assert lift(z.x, z.y**2) == BASE_POINT == (17, 4, 16)

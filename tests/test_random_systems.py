@@ -7,7 +7,8 @@ PSL2(Z) = Z/2 * Z/3, so the whole pipeline must hold on it: the polygon is
 special, each developing matrix lies in its edge's coset, the one pass over
 the U-orbits agrees with the reference through the cuboid graph, every
 generator is expressed, by Schreier rewriting and by the tracer, as a word
-that evaluates back to it, a rational point is located in the polygon by a
+that evaluates back to it, a random product of up to four syllables is
+traced to its Schreier word, a rational point is located in the polygon by a
 word that maps it back, and to the same pair as the two-walk reference
 (coset lookup, then Schreier rewriting), the generator count of the graph
 invariants is the polygon's, the system is pointed-isomorphic to itself,
@@ -79,8 +80,8 @@ wide_points = st.builds(ExactPoint,
 
 
 @settings(max_examples=300, deadline=None)
-@given(coset_systems(), points)
-def test_random_transitive_pair_gives_a_special_polygon(system, z):
+@given(coset_systems(), points, st.data())
+def test_random_transitive_pair_gives_a_special_polygon(system, z, data):
     poly = build_polygon(system)
     assert validate_special(poly) == []
     crossed, dev = develop(system)
@@ -91,6 +92,9 @@ def test_random_transitive_pair_gives_a_special_polygon(system, z):
     for g, _ in poly.generators:
         for use_trace in (False, True):
             assert evaluate_word(poly.generators, express(poly, g, use_trace)) == g
+    syllables = st.tuples(st.integers(0, len(poly.generators) - 1), st.sampled_from([-2, -1, 1, 2]))
+    g = evaluate_word(poly.generators, data.draw(st.lists(syllables, max_size=4)))
+    assert express(poly, g, True) == express(poly, g)
     w, word = locate_point(poly, z)
     assert poly.contains(w.x, w.y**2)
     assert act_point(evaluate_word(poly.generators, word), w) == z

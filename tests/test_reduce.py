@@ -9,10 +9,9 @@ from modpoly.cosets import MembershipError
 from modpoly.polygon import SpecialPolygon
 from modpoly.psl2 import IDENTITY, MAX_POWER_BITS, S, T, U, Psl2Elt, WorkBoundError, t_runs
 from modpoly.reduce import (
-    BASE_POINTS,
+    BASE_POINT,
     MAX_WALK_STEPS,
     ExactPoint,
-    _locate_by_trace,
     _trace,
     act,
     act_point,
@@ -149,7 +148,7 @@ def test_locate_point_through_order3_vertex():
     assert act_point(evaluate_word(poly.generators, word), w) == z
     assert poly.contains(w.x, w.y**2)
     target = lift(z.x, z.y**2)
-    w, word, h = _locate_by_trace(poly, target)
+    w, word, h = _trace(poly, target)
     assert h == evaluate_word(poly.generators, word)
     assert act(h, w) == target
     assert poly._contains(w)
@@ -182,20 +181,19 @@ def test_express_identity():
 @pytest.mark.parametrize("family, level", [("gamma0", 1), ("gamma0", 13), ("gamma", 5),
                                            ("gamma1", 7)])
 def test_trace_from_a_point_to_itself(family, level):
-    # every base point is interior, and a trace to the source itself has no
-    # travel geodesic: it ends before forming one
+    # the base point is interior, and a trace to the base point itself has
+    # no travel geodesic: it ends before forming one
     poly = built_polygon(family, level)
-    for p in BASE_POINTS:
-        assert poly._contains(p, strict=True)
-        assert _trace(poly, p, p) == (p, [], IDENTITY)
+    assert poly._contains(BASE_POINT, strict=True)
+    assert _trace(poly, BASE_POINT) == (BASE_POINT, [], IDENTITY)
 
 
 def test_trace_tests_each_target_once(monkeypatch):
-    # _trace tests the target once per step, step 0 included, and
-    # _locate_by_trace starts from the first base point, which assemble has
-    # checked, untested: s crossings cost s + 1 side searches (testing the
-    # base point on every call made them s + 2, and a separate test of the
-    # target before the trace s + 3)
+    # _trace tests the target once per step, step 0 included, and starts
+    # from the base point, which assemble has checked, untested: s
+    # crossings cost s + 1 side searches (testing the base point on every
+    # call made them s + 2, and a separate test of the target before the
+    # trace s + 3)
     calls = 0
     excluding = SpecialPolygon._excluding_side
 
@@ -206,20 +204,18 @@ def test_trace_tests_each_target_once(monkeypatch):
 
     monkeypatch.setattr(SpecialPolygon, "_excluding_side", counting)
     poly = built_polygon("gamma0", 1009)
-    base = BASE_POINTS[0]
     crossings = 0
     for g, _ in poly.generators:
-        for target in (act(g, base), act(g.inv(), base)):
-            stats = {"trace_steps": 0, "trace_restarts": 0}
+        for target in (act(g, BASE_POINT), act(g.inv(), BASE_POINT)):
+            record: list = []
             calls = 0
-            assert _locate_by_trace(poly, target, stats)[0] == base
-            assert stats["trace_restarts"] == 0
-            assert calls == stats["trace_steps"] + 1
-            crossings += stats["trace_steps"]
+            assert _trace(poly, target, record)[0] == BASE_POINT
+            assert calls == len(record) + 1
+            crossings += len(record)
     assert crossings >= 2 * len(poly.generators)
     # a target in the polygon: step 0 alone
     calls = 0
-    assert _locate_by_trace(poly, base) == (base, [], IDENTITY)
+    assert _trace(poly, BASE_POINT) == (BASE_POINT, [], IDENTITY)
     assert calls == 1
 
 
@@ -363,7 +359,7 @@ def test_trace_intermediate_states_stay_on_geodesic():
             continue
         steps = []
         target = lift(z.x, z.y**2)
-        w, out, h = _trace(poly, BASE_POINTS[0], target, record=steps)
+        w, out, h = _trace(poly, target, record=steps)
         assert steps
         for geod, (n, m, k), side, gen, exp, _ in steps:
             assert geodesic_eval_at(geod, F(m, k), F(n * k - m * m, k * k)) == 0
@@ -389,16 +385,14 @@ def test_trace_hits_order2_vertices_exactly():
                 continue
             z = act_point(g, z0)
             target = lift(z.x, z.y**2)
-            w, word, _ = _locate_by_trace(poly, target)
+            w, word, _ = _trace(poly, target)
             assert act(evaluate_word(gens, word), w) == target
             assert poly._contains(w)
 
 
 def test_trace_hits_order3_vertices_exactly():
     # rational target strictly beyond an order-3 vertex on the geodesic
-    # through the base point and that vertex; the segment exits exactly there.
-    # The trace runs from the base point alone, since locate_point would hide
-    # a wrong rotation at the vertex by restarting from another base point
+    # through the base point and that vertex; the segment exits exactly there
     from modpoly.reduce import _trace
 
     def second_intersection(z0, center, t):
@@ -435,7 +429,7 @@ def test_trace_hits_order3_vertices_exactly():
             if target is None:
                 continue
             lifted = lift(target.x, target.y**2)
-            w, word, _ = _trace(poly, lift(z0.x, z0.y**2), lifted)
+            w, word, _ = _trace(poly, lifted)
             assert act(evaluate_word(gens, word), w) == lifted
             checked += 1
         assert checked > 0

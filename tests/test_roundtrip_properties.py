@@ -7,17 +7,17 @@ and near cusps; wherever the tracer's answer is strictly interior, the two
 routes return the same pair (an interior point has one representative and
 one gamma); and for random members the traced word of express equals the
 Schreier word (both are the unique normal form in the independent
-generators).  The tracer, run from the first strictly interior base point,
-reaches random points, points just beyond every elliptic vertex and the
-boundary, vertex and near-cusp points with no restart: _locate_by_trace's
-retry from the next base point would otherwise hide a wrong crossing.
+generators).  The tracer, run from its one base point, reaches random
+points, points just beyond every elliptic vertex and the boundary, vertex
+and near-cusp points; it has no retry, and a degenerate crossing is an
+internal error at once.
 locate_point rests on coset(dev[e]) == e, never tests a polygon side and
 runs no Euclidean descent: its one walk of the runs of the reduction gives
 what the two-walk reference (coset lookup, then Schreier rewriting of
 gamma) gives, also far out in x and close to the real axis.
 A trace step tests at most two sides for a crossing, the same number at
-index 1010 and 10008, and express --trace restarts from no other base point
-on any generator of gamma0(1009)."""
+index 1010 and 10008, and express --trace writes every generator of
+gamma0(1009) and its inverse."""
 
 import random
 from collections import Counter
@@ -32,9 +32,8 @@ from modpoly.cosets import FAMILIES
 from modpoly.polygon import SpecialPolygon
 from modpoly.psl2 import IDENTITY, S, U, Psl2Elt
 from modpoly.reduce import (
-    BASE_POINTS,
+    BASE_POINT,
     ExactPoint,
-    _locate_by_trace,
     _trace,
     act,
     act_point,
@@ -81,7 +80,7 @@ def test_locate_returns_a_polygon_point_and_a_member(group, z):
 def test_locate_agrees_with_the_tracer_at_interior_points(group, z):
     poly = built_polygon(*group)
     w, word = locate_point(poly, z)
-    traced_w, traced_word, _ = _locate_by_trace(poly, lift(z.x, z.y**2))
+    traced_w, traced_word, _ = _trace(poly, lift(z.x, z.y**2))
     if poly._contains(traced_w, strict=True):
         assert (lift(w.x, w.y**2), word) == (traced_w, traced_word)
 
@@ -99,10 +98,6 @@ def test_traced_word_is_the_schreier_word(group, data):
     assert express(poly, g, use_trace=True) == schreier
 
 
-def _first_base_point(poly):
-    return next(p for p in BASE_POINTS if poly._contains(p, strict=True))
-
-
 def _half_turn(vertex, point):
     """The point triple opposite point across the elliptic vertex (n, m, k):
     the image under the half-turn about the vertex, z -> (mz - n)/(kz - m),
@@ -118,9 +113,9 @@ def _half_turn(vertex, point):
     return tuple(x // g for x in out)
 
 
-def assert_traced_without_restart(poly, z):
+def assert_traced(poly, z):
     target = lift(z.x, z.y**2)
-    w, word, _ = _trace(poly, _first_base_point(poly), target)
+    w, word, _ = _trace(poly, target)
     assert poly._contains(w)
     assert act(evaluate_word(poly.generators, word), w) == target
 
@@ -128,7 +123,7 @@ def assert_traced_without_restart(poly, z):
 @BOUNDED
 @given(groups, points)
 def test_trace_reaches_random_points_without_restart(group, z):
-    assert_traced_without_restart(built_polygon(*group), z)
+    assert_traced(built_polygon(*group), z)
 
 
 @BOUNDED
@@ -137,11 +132,10 @@ def test_trace_passes_elliptic_vertices_without_restart(group):
     # the travel segment leaves the polygon exactly at the vertex, where an
     # order-3 crossing must pick the rotation that re-enters the polygon
     poly = built_polygon(*group)
-    source = _first_base_point(poly)
     vertices = {end for side in poly.sides for end in (side.start, side.end) if len(end) == 3}
     for vertex in vertices:
-        target = _half_turn(vertex, source)
-        w, word, _ = _trace(poly, source, target)
+        target = _half_turn(vertex, BASE_POINT)
+        w, word, _ = _trace(poly, target)
         assert poly._contains(w)
         assert act(evaluate_word(poly.generators, word), w) == target
 
@@ -176,7 +170,7 @@ def test_locate_boundary_points(group, data, t):
     assert poly.contains(z.x, z.y**2)
     z = act_point(_random_member(poly, data), z)
     assert_located(poly, z, *locate_point(poly, z))
-    assert_traced_without_restart(poly, z)
+    assert_traced(poly, z)
 
 
 def _near_rho(digits):
@@ -202,7 +196,7 @@ def test_locate_at_and_next_to_elliptic_vertices(group, data, digits):
         for p in model:
             z = act_point(gamma * Psl2Elt(*poly.dev[side.edge]), p)
             assert_located(poly, z, *locate_point(poly, z))
-            assert_traced_without_restart(poly, z)
+            assert_traced(poly, z)
 
 
 @BOUNDED
@@ -217,7 +211,7 @@ def test_locate_near_cusps(group, data, x, height_bits):
     g = Psl2Elt(*poly.dev[e]) * data.draw(st.sampled_from([IDENTITY, S]))
     z = act_point(_random_member(poly, data) * g, ExactPoint(x, 2**height_bits))
     assert_located(poly, z, *locate_point(poly, z))
-    assert_traced_without_restart(poly, z)
+    assert_traced(poly, z)
 
 
 def test_coset_of_each_developing_matrix_is_its_label():
@@ -250,7 +244,7 @@ def test_locate_never_tests_a_side(monkeypatch):
         locate_point(poly, z)
     assert calls == Counter()
     for z in zs:
-        _locate_by_trace(poly, lift(z.x, z.y**2))
+        _trace(poly, lift(z.x, z.y**2))
     assert calls["_excluding_side"] >= len(zs)
 
 
@@ -309,16 +303,14 @@ def test_trace_step_tests_at_most_four_sides(monkeypatch, level):
     monkeypatch.setattr(reduce, "_side_crossing", counting)
     poly = built_polygon("gamma0", level)
     gens = poly.generators
-    source = _first_base_point(poly)
     rng = random.Random(level)
     crossings = 0
     for _ in range(20):
         word = [(rng.randrange(len(gens)), rng.choice([-1, 1])) for _ in range(rng.randint(1, 3))]
         steps.clear()
         per_step.clear()
-        w, traced, _ = _trace(poly, source, act(evaluate_word(gens, word), source),
-                              record=steps)
-        assert (w, traced) == (source, reduce_word(word, gens))
+        w, traced, _ = _trace(poly, act(evaluate_word(gens, word), BASE_POINT), steps)
+        assert (w, traced) == (BASE_POINT, reduce_word(word, gens))
         assert max(per_step.values(), default=0) <= 4
         crossings += len(steps)
     assert crossings >= 20
@@ -326,29 +318,24 @@ def test_trace_step_tests_at_most_four_sides(monkeypatch, level):
 
 def test_traced_generators_of_gamma0_1009_need_no_restart():
     poly = built_polygon("gamma0", 1009)
-    stats = {"trace_steps": 0, "trace_restarts": 0}
+    record: list = []
     gens = poly.generators
     for i, (g, _) in enumerate(gens):
-        assert express(poly, g, use_trace=True, stats=stats) == [(i, 1)]
-        assert express(poly, g.inv(), use_trace=True, stats=stats) == reduce_word([(i, -1)], gens)
-    assert stats["trace_restarts"] == 0
-    assert stats["trace_steps"] >= 2 * len(gens)
+        assert express(poly, g, True, record) == [(i, 1)]
+        assert express(poly, g.inv(), True, record) == reduce_word([(i, -1)], gens)
+    assert len(record) >= 2 * len(gens)
 
 
-def test_a_restart_is_counted(monkeypatch):
-    # the first trace is abandoned, the one from the next base point counts
-    trace = reduce._trace
+def test_a_degenerate_crossing_is_an_internal_error_at_once(monkeypatch):
+    # with no crossing found on the exiting segment the trace stops in its
+    # first step: no second step and no second trace
     calls = []
 
-    def failing_once(*args, **kwargs):
-        calls.append(args[1])
-        if len(calls) == 1:
-            raise reduce.TraceDegenerateError("forced")
-        return trace(*args, **kwargs)
+    def no_crossing(*args):
+        calls.append(args)
 
-    monkeypatch.setattr(reduce, "_trace", failing_once)
+    monkeypatch.setattr(reduce, "_side_crossing", no_crossing)
     poly = built_polygon("gamma0", 11)
-    stats = {"trace_steps": 0, "trace_restarts": 0}
-    assert express(poly, poly.generators[0][0], use_trace=True, stats=stats) == [(0, 1)]
-    assert len(calls) == 2 and calls[0] != calls[1]
-    assert stats["trace_restarts"] == 1 and stats["trace_steps"] >= 1
+    with pytest.raises(ValueError, match="internal error"):
+        express(poly, poly.generators[0][0], use_trace=True)
+    assert 1 <= len(calls) <= 2
