@@ -36,13 +36,13 @@ from .reduce import (
     BASE_POINT,
     I_POINT,
     RHO_POINT,
-    ExactPoint,
     Geodesic,
     Point,
+    _exact_point,
+    _rational,
     act,
     det2,
     geodesic_between_cusps,
-    geodesic_param,
     lift,
 )
 
@@ -81,10 +81,6 @@ class Side(NamedTuple):
     start: Vertex
     end: Vertex
     geodesic: Geodesic
-    # position range lo < hi on the geodesic (reduce.geodesic_param), as
-    # (num, den) pairs, hi None for the cusp at infinity
-    lo: tuple[int, int]
-    hi: tuple[int, int] | None
     # index of the paired side, and the generator power that maps this side
     # onto it
     pair: int
@@ -95,27 +91,6 @@ class Side(NamedTuple):
     def ell_order(self) -> int | None:
         """The order of the side's elliptic vertex, None for an even side."""
         return _ELL_ORDER[self.kind]
-
-
-def _side(kind: str, edge: int, start: Vertex, geodesic: Geodesic, pair: int, gen: int,
-          gen_exp: int, end: Vertex) -> Side:
-    """A side with its position range and its pairing."""
-    lo, hi = _position(geodesic, start), _position(geodesic, end)
-    if lo is None or (hi is not None and det2(hi, lo) < 0):
-        lo, hi = hi, lo
-    return Side(kind, edge, start, end, geodesic, lo, hi, pair, gen, gen_exp)
-
-
-def _position(geod: Geodesic, vertex: Vertex) -> tuple[int, int] | None:
-    """Position of a vertex on a side's geodesic, None for the cusp at
-    infinity.  A finite cusp p/q sits at x = p/q on a circle, so its vertex
-    pair is its position, and at x^2 = p^2/q^2 on a vertical line."""
-    if len(vertex) == 3:
-        return geodesic_param(geod, vertex)
-    p, q = vertex
-    if q == 0:
-        return None
-    return vertex if geod[0] else (p * p, q * q)
 
 
 def _cusp(p: int, q: int) -> Vertex:
@@ -278,8 +253,8 @@ class SpecialPolygon:
     plane above that side's semicircle, so membership is a bisection on x
     and one or two dot products."""
 
-    # reduce.BASE_POINT, the tracer's base point, as a rational point
-    base_point = ExactPoint(Fraction(1, 4), Fraction(1))
+    # the tracer's base point as a rational point
+    base_point = _exact_point(BASE_POINT)
 
     def __init__(self, system, dev, sides, generators, s_gen, u_gen, left_wall):
         self.system = system
@@ -292,7 +267,12 @@ class SpecialPolygon:
 
     def contains(self, x: Fraction, y2: Fraction, strict: bool = False) -> bool:
         """Exact membership of a point given as (x, y^2).  The benchmark's
-        locate check (perfbench/checks.py) calls it on every located point."""
+        locate check (perfbench/checks.py) calls it on every located point.
+        As ExactPoint does, it refuses with ValueError a coordinate that is
+        not an int or a Fraction, and y^2 <= 0, a point not in H."""
+        x, y2 = _rational("x", x), _rational("y2", y2)
+        if y2 <= 0:
+            raise ValueError(f"point with x = {x}, y^2 = {y2} is not in the upper half-plane")
         return self._contains(lift(x, y2), strict)
 
     def _contains(self, point: Point, strict: bool = False) -> bool:
@@ -423,9 +403,10 @@ def assemble(system: CosetSystem, crossed: bytearray, dev: list[Matrix]) -> Spec
     made = _side_data(dev, slots, ss, axis_side, m, s_gen, u_gen)
     first = last = next(made)
     for data in chain(made, (first,)):
-        if last[2] == INF:
+        kind, edge, start, geodesic, pair, gen, gen_exp = last
+        if start == INF:
             left_wall = len(sides)
-        sides.append(_side(*last, end=data[2]))
+        sides.append(Side(kind, edge, start, data[2], geodesic, pair, gen, gen_exp))
         last = data
 
     if left_wall is None:

@@ -13,8 +13,7 @@ two points are equal exactly when their triples are), and a position along
 a geodesic is an integer pair (num, den), den > 0, compared by
 cross-multiplication.  Fractions appear only at the API boundary: the
 ExactPoint a caller passes in, lifted once, and the point locate_point
-returns.  A tangent direction at an order-3 vertex (m + i*sqrt(3))/k is
-the integer pair (beta, gamma) of (beta*sqrt(3), gamma).
+returns.
 """
 
 from __future__ import annotations
@@ -42,12 +41,18 @@ class ExactPoint:
     def __post_init__(self):
         for name in ("x", "y"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-                raise ValueError(f"point coordinate {name} = {v!r} is not an int or a Fraction")
             if not isinstance(v, Fraction):
-                object.__setattr__(self, name, Fraction(v))
+                object.__setattr__(self, name, _rational(name, v))
         if self.y <= 0:
             raise ValueError(f"point {self.x} + {self.y}i is not in the upper half-plane")
+
+
+def _rational(name: str, v) -> Fraction:
+    """A point coordinate as a Fraction: an int is converted, any other type
+    (float, Decimal, bool) is refused with ValueError."""
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+        raise ValueError(f"point coordinate {name} = {v!r} is not an int or a Fraction")
+    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 # the geodesic a(x^2+y^2) + bx + c = 0 as a primitive integer triple
@@ -109,6 +114,10 @@ def _cross(u, v) -> tuple[int, int, int]:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
+def _dot(u, v) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def meet(g1: Geodesic, g2: Geodesic) -> Point | None:
     """Point triple, not necessarily primitive, where two geodesics cross in
     the upper half-plane, or None: k = 0 for the same geodesic, two vertical
@@ -149,8 +158,8 @@ def geodesic_param(geod: Geodesic, point: Point) -> tuple[int, int]:
 
 
 def det2(u: tuple[int, int], v: tuple[int, int]) -> int:
-    """u[0] v[1] - u[1] v[0].  For two positions (num, den), den > 0, its sign
-    is that of u - v; for two directions, that of their cross product."""
+    """u[0] v[1] - u[1] v[0]: for two positions (num, den), den > 0, its
+    sign is that of u - v."""
     return u[0] * v[1] - u[1] * v[0]
 
 
@@ -446,9 +455,26 @@ def _trace(poly, target: Point, record: list | None = None) -> tuple[Point, GenW
     over no cusp vertex after it leaves: it exits in the stretch between
     two consecutive cusps (or infinity) over which t lies.  That stretch is
     one even side or an elliptic pair of adjacent partners, and it holds the
-    side that _excluding_side finds for t, so a step tests at most two
-    sides, however many the polygon has.  Only a target outside the polygon
-    gets a travel geodesic.
+    side below that _excluding_side finds for t.  Only a target outside the
+    polygon gets a travel geodesic.  Since two geodesics meet at most once,
+    convexity lets at most two meets (_meet_ahead) and the signs of dot
+    products name the exit:
+
+    - even side: the side is its whole geodesic, so the meet is the exit.
+    - order-3 pair, two geodesics through the vertex v: the nearer meet.
+      Past v each geodesic runs outside the other side's half-plane, where
+      the segment starts, so the first meet lies on a side; two meets at
+      one position are v, a vertex hit, reported on below.
+    - order-2 pair, one geodesic split at v: its meet P is v, a vertex hit
+      pulled back by the half-turn of either half, when _cross(P, v) = 0.
+      Else P is on below when it is on the side of the geodesic through
+      BASE_POINT and v, which parts the halves at v, that holds below's
+      cusp end, p/q as (p^2, pq, q^2) and infinity as (1, 0, 0).
+    - rotation at an order-3 vertex: gen^e for the first of e = 1, -1 that
+      moves t into the closed half-plane of each side that holds
+      BASE_POINT.  The rotated ray from v meets each side's geodesic only at
+      v, so it lies in the half-plane of its far point gen^e t; the closed
+      wedge, of angle 2 pi/3, and its two rotations cover every direction.
 
     record, when given, gets one entry per crossing, (geod, t, side, gen,
     exp, vertex): the travel geodesic and the target before the crossing,
@@ -479,30 +505,50 @@ def _trace(poly, target: Point, record: list | None = None) -> tuple[Point, GenW
             raise ValueError("internal error: target and source share the geodesic parameter")
         dsign = 1 if ahead > 0 else -1
 
-        best = None
-        for side in (below, sides[below.pair]) if below.ell_order else (below,):
-            hit = _side_crossing(geod, side, pa, pt, dsign)
-            if hit is None:
-                continue
-            if best is None:
-                best = hit
-                continue
-            nearer = det2(hit[0], best[0]) * dsign
-            if nearer < 0 or (nearer == 0 and hit[1] == "vertex" and best[1] == "side"):
-                best = hit
-        if best is None:
+        side, vertex = below, False
+        hit = _meet_ahead(geod, below.geodesic, pa, pt, dsign)
+        order = below.ell_order
+        if order == 3:
+            partner = sides[below.pair]
+            other = _meet_ahead(geod, partner.geodesic, pa, pt, dsign)
+            if other is not None:
+                nearer = -1 if hit is None else det2(other[0], hit[0]) * dsign
+                if nearer < 0:
+                    side, hit = partner, other
+                vertex = nearer == 0
+        if hit is None:
             # unreachable: the exit lies in the stretch that holds below (see above)
             raise ValueError("internal error: no boundary crossing found on an exiting segment")
+        point = hit[1]
+        if order == 2:
+            v, cusp = (below.start, below.end) if len(below.start) == 3 else (below.end, below.start)
+            if _cross(point, v) == (0, 0, 0):
+                vertex = True
+            else:
+                line = _cross(BASE_POINT, v)
+                p, q = cusp
+                if _dot(line, point) * _dot(line, (p * p, p * q, q * q)) < 0:
+                    side = sides[below.pair]
 
-        _, kind, side, point = best
         gi, ge = side.gen, side.gen_exp
-        if kind == "vertex":
-            ge = 1 if side.ell_order == 2 else _pick_rotation(poly, geod, dsign, side)
-        r = gens[gi][0] ** ge
+        if vertex and order == 3:
+            gen = gens[gi][0]
+            for ge in (1, -1):
+                r = gen ** ge
+                moved = act(r, t)
+                if all(_dot(s.geodesic, moved) * _dot(s.geodesic, BASE_POINT) >= 0
+                       for s in (below, partner)):
+                    break
+            else:
+                # unreachable: the closed wedge and its two rotations cover every direction
+                raise ValueError("internal error: no rotation re-enters the polygon wedge")
+        else:
+            r = gens[gi][0] ** ge
+            moved = act(r, t)
         word.append((gi, -ge))
         if record is not None:
-            record.append((geod, t, sides[side.pair].pair, gi, ge, kind == "vertex"))
-        t = act(r, t)
+            record.append((geod, t, sides[side.pair].pair, gi, ge, vertex))
+        t = moved
         source = act(r, point)
         geod = transform(geod, r)
         below = poly._excluding_side(t)
@@ -510,85 +556,17 @@ def _trace(poly, target: Point, record: list | None = None) -> tuple[Point, GenW
                          f"polygon, the bound _MAX_TRACE_STEPS = {_MAX_TRACE_STEPS}")
 
 
-def _side_crossing(geod: Geodesic, side, pa, pt, dsign):
-    """Intersection of the travel segment with one polygon side.
-
-    Returns (position, "side" | "vertex", side, point triple) or None.
-    Crossings are strict between the segment ends; hitting an end of the
-    side's range is reported as a vertex hit, since a cusp end lies on the
-    real axis and only an elliptic end can be met in H.
-    """
-    point = meet(geod, side.geodesic)
+def _meet_ahead(geod: Geodesic, side_geod: Geodesic, pa, pt, dsign: int):
+    """(position, point triple) of the meet of the travel geodesic with a
+    side's geodesic strictly inside the travel segment, from position pa to
+    pt in the direction dsign, or None.  It tests no range of the side: the
+    meet is the exit across an even side, one of the two candidates of an
+    order-3 pair and the one point of an order-2 pair, and _trace tells by
+    its rules which side or vertex of a pair the meet lies on."""
+    point = meet(geod, side_geod)
     if point is None:
         return None
-
-    # within the travel segment, strictly
     p = geodesic_param(geod, point)
-    if not (det2(p, pa) * dsign > 0 and det2(pt, p) * dsign > 0):
-        return None
-
-    # within the side segment
-    sp = geodesic_param(side.geodesic, point)
-    above_lo = det2(sp, side.lo)
-    below_hi = 1 if side.hi is None else det2(side.hi, sp)
-    if above_lo < 0 or below_hi < 0:
-        return None
-    return (p, "vertex" if above_lo == 0 or below_hi == 0 else "side", side, point)
-
-
-def _pick_rotation(poly, geod: Geodesic, dsign: int, side) -> int:
-    """Choose the exponent e in {1, -1} so that rotating the continuation by
-    generators[side.gen]^e points back into the polygon wedge at the side's
-    order-3 vertex.
-
-    Every tangent at that vertex (m + i*sqrt(3))/k, scaled by k, is
-    (beta*sqrt(3), gamma) for integers beta and gamma, and a rotation's
-    differential keeps that shape, so a direction is the pair (beta, gamma)
-    and two directions turn by the sign of beta_u*gamma_v - gamma_u*beta_v.
-    """
-    vertex = side.start if len(side.start) == 3 else side.end
-    # travel direction at the vertex
-    d_out = _tangent(geod, vertex, dsign)
-    u1 = _side_direction(side, vertex)
-    u2 = _side_direction(poly.sides[side.pair], vertex)
-    if det2(u1, u2) < 0:
-        u1, u2 = u2, u1
-    gen = poly.generators[side.gen][0]
-    for exp in (1, -1):
-        w = _apply_differential(gen**exp, vertex, d_out)
-        if det2(u1, w) >= 0 and det2(w, u2) >= 0:
-            return exp
-    # unreachable: the closed wedge and its two rotations cover the full angle
-    raise ValueError("internal error: no rotation re-enters the polygon wedge")
-
-
-def _tangent(geod: Geodesic, vertex: Point, dsign: int) -> tuple[int, int]:
-    """Tangent (2ay, -(2ax+b)) at an order-3 vertex (n, m, k), where
-    nk - m^2 = 3, so x = m/k and y = sqrt(3)/k; scaled by k > 0 it is
-    (2a*sqrt(3), -(2am+bk)).  Along increasing position times dsign."""
-    _, m, k = vertex
-    a, b, _ = geod
-    return dsign * 2 * a, -dsign * (2 * a * m + b * k)
-
-
-def _side_direction(side, vertex: Point) -> tuple[int, int]:
-    """Direction from the elliptic vertex along the side toward its cusp end:
-    up the side's positions when the vertex is at the low end lo."""
-    at_lo = det2(geodesic_param(side.geodesic, vertex), side.lo) == 0
-    return _tangent(side.geodesic, vertex, 1 if at_lo else -1)
-
-
-def _apply_differential(r: Psl2Elt, vertex: Point, direction) -> tuple[int, int]:
-    """Multiply a direction by conj(k(cz+d))^2, a positive multiple of
-    dr/dz = 1/(cz+d)^2, at the order-3 vertex z = (m + i*sqrt(3))/k.
-
-    With A = cm + dk, k(cz+d) = A + i*c*sqrt(3), so the factor is
-    P + i*Q*sqrt(3) with P = A^2 - 3c^2 and Q = -2Ac, and
-    (beta*sqrt(3) + i*gamma)(P + i*Q*sqrt(3))
-    = (beta*P - gamma*Q)*sqrt(3) + i*(3*beta*Q + gamma*P).
-    """
-    _, m, k = vertex
-    alpha = r.c * m + r.d * k
-    p, q = alpha * alpha - 3 * r.c * r.c, -2 * alpha * r.c
-    beta, gamma = direction
-    return beta * p - gamma * q, 3 * beta * q + gamma * p
+    if det2(p, pa) * dsign > 0 and det2(pt, p) * dsign > 0:
+        return p, point
+    return None

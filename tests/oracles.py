@@ -259,6 +259,21 @@ def turn_runs(poly, x, k):
     return t_runs(g * T ** (k * len(poly.system.t_cycle[x])) * g.inv())
 
 
+def half_turn(vertex, point):
+    """The point triple opposite point across the elliptic vertex (n, m, k):
+    the image under the half-turn about the vertex, z -> (mz - n)/(kz - m),
+    which lies on the geodesic from point through the vertex, as far beyond.
+    The map has determinant nk - m^2 > 0, so it acts on triples by the
+    symmetric square like any element of PSL2(Z)."""
+    vn, vm, vk = vertex
+    n, m, k = point
+    out = (vm * vm * n - 2 * vm * vn * m + vn * vn * k,
+           vm * vk * n - (vm * vm + vn * vk) * m + vn * vm * k,
+           vk * vk * n - 2 * vk * vm * m + vm * vm * k)
+    g = gcd(*out)
+    return tuple(x // g for x in out)
+
+
 def reference_t_runs(g):
     """The runs of T of g by the same Euclidean descent as psl2.t_runs, with
     one sign-normalised matrix object per step."""

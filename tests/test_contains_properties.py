@@ -1,9 +1,11 @@
 """Polygon membership by bisection on x against the full scan over every
 side's half-plane (oracles.reference_contains), strict and non-strict: at
 and next to every boundary vertex, on, inside and outside both walls, and at
-random points.  Besides the four stock groups, the level-1 and level-2, -3
-groups cover the walls other than a single even side: a left wall split at
-an order-2 vertex, and right walls that are an odd half or an e3 line."""
+random points; a coordinate that is not an int or a Fraction, or a point
+not in H, is refused.  Besides the four stock groups, the level-1 and
+level-2, -3 groups cover the walls other than a single even side: a left
+wall split at an order-2 vertex, and right walls that are an odd half or an
+e3 line."""
 
 from fractions import Fraction
 
@@ -96,3 +98,16 @@ def test_contains_matches_the_full_scan_at_random_points(group, u, r, e):
     x, y2 = x_min + u * (x_max - x_min), r / Fraction(4) ** e
     assert_agrees(poly, halfplanes, x, y2)
     assert poly.contains(x, y2) == reference_contains(halfplanes, lift(x, y2))
+
+
+@pytest.mark.parametrize("x, y2, message", [
+    (0.25, 1.0, "not an int or a Fraction"),
+    (Fraction(1, 4), 1.0, "not an int or a Fraction"),
+    (Fraction(1, 4), Fraction(-1), "not in the upper half-plane"),
+    (Fraction(1, 4), 0, "not in the upper half-plane"),
+])
+def test_contains_refuses_a_point_that_is_not_exact_or_not_in_h(x, y2, message):
+    poly = built_polygon("gamma0", 11)
+    with pytest.raises(ValueError, match=message):
+        poly.contains(x, y2)
+    assert poly.contains(Fraction(1, 4), 1)

@@ -8,12 +8,15 @@ special, each developing matrix lies in its edge's coset, the one pass over
 the U-orbits agrees with the reference through the cuboid graph, every
 generator is expressed, by Schreier rewriting and by the tracer, as a word
 that evaluates back to it, a random product of up to four syllables is
-traced to its Schreier word, a rational point is located in the polygon by a
-word that maps it back, and to the same pair as the two-walk reference
-(coset lookup, then Schreier rewriting), the generator count of the graph
-invariants is the polygon's, the system is pointed-isomorphic to itself,
-and normality agrees with the orbit of the distinguished edge, and the
-rewriting walk gives the word of the letter walk on long and short runs."""
+traced to its Schreier word, the half-turn of the tracer's base point
+across every elliptic vertex is traced into the polygon, where the rotation
+at an order-3 vertex must re-enter it, a rational point is located in the
+polygon by a word that maps it back, and to the same pair as the two-walk
+reference (coset lookup, then Schreier rewriting), the generator count of
+the graph invariants is the polygon's, the system is pointed-isomorphic to
+itself, and normality agrees with the orbit of the distinguished edge, and
+the rewriting walk gives the word of the letter walk on long and short
+runs."""
 
 import random
 
@@ -25,9 +28,19 @@ from modpoly.cosets import CosetSystem
 from modpoly.cuboid import distinguished_edge_orbit, graph_invariants, is_normal, pointed_isomorphic
 from modpoly.polygon import build_polygon, develop, validate_special
 from modpoly.psl2 import Psl2Elt
-from modpoly.reduce import ExactPoint, _rewrite, act_point, evaluate_word, express, locate_point
+from modpoly.reduce import (
+    BASE_POINT,
+    ExactPoint,
+    _rewrite,
+    _trace,
+    act,
+    act_point,
+    evaluate_word,
+    express,
+    locate_point,
+)
 
-from oracles import reference_develop, reference_locate, reference_rewrite, turn_runs
+from oracles import half_turn, reference_develop, reference_locate, reference_rewrite, turn_runs
 
 
 def _cycles(order, fixed, length):
@@ -95,6 +108,11 @@ def test_random_transitive_pair_gives_a_special_polygon(system, z, data):
     syllables = st.tuples(st.integers(0, len(poly.generators) - 1), st.sampled_from([-2, -1, 1, 2]))
     g = evaluate_word(poly.generators, data.draw(st.lists(syllables, max_size=4)))
     assert express(poly, g, True) == express(poly, g)
+    for vertex in {end for side in poly.sides for end in (side.start, side.end) if len(end) == 3}:
+        target = half_turn(vertex, BASE_POINT)
+        w, word, _ = _trace(poly, target)
+        assert poly._contains(w)
+        assert act(evaluate_word(poly.generators, word), w) == target
     w, word = locate_point(poly, z)
     assert poly.contains(w.x, w.y**2)
     assert act_point(evaluate_word(poly.generators, word), w) == z

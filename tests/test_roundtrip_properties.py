@@ -15,14 +15,15 @@ locate_point rests on coset(dev[e]) == e, never tests a polygon side and
 runs no Euclidean descent: its one walk of the runs of the reduction gives
 what the two-walk reference (coset lookup, then Schreier rewriting of
 gamma) gives, also far out in x and close to the real axis.
-A trace step tests at most two sides for a crossing, the same number at
+A trace step makes at most two meets, the same number at
 index 1010 and 10008, and express --trace writes every generator of
 gamma0(1009) and its inverse."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -44,7 +45,7 @@ from modpoly.reduce import (
     reduce_word,
 )
 
-from oracles import built_polygon, reference_locate
+from oracles import built_polygon, half_turn, reference_locate
 
 # Gamma(N) has index about N^3 / 2, so its levels stop at 12 (index 576)
 groups = st.sampled_from(FAMILIES).flatmap(
@@ -98,21 +99,6 @@ def test_traced_word_is_the_schreier_word(group, data):
     assert express(poly, g, use_trace=True) == schreier
 
 
-def _half_turn(vertex, point):
-    """The point triple opposite point across the elliptic vertex (n, m, k):
-    the image under the half-turn about the vertex, z -> (mz - n)/(kz - m),
-    which lies on the geodesic from point through the vertex, as far beyond.
-    The map has determinant nk - m^2 > 0, so it acts on triples by the
-    symmetric square like any element of PSL2(Z)."""
-    vn, vm, vk = vertex
-    n, m, k = point
-    out = (vm * vm * n - 2 * vm * vn * m + vn * vn * k,
-           vm * vk * n - (vm * vm + vn * vk) * m + vn * vm * k,
-           vk * vk * n - 2 * vk * vm * m + vm * vm * k)
-    g = gcd(*out)
-    return tuple(x // g for x in out)
-
-
 def assert_traced(poly, z):
     target = lift(z.x, z.y**2)
     w, word, _ = _trace(poly, target)
@@ -134,10 +120,55 @@ def test_trace_passes_elliptic_vertices_without_restart(group):
     poly = built_polygon(*group)
     vertices = {end for side in poly.sides for end in (side.start, side.end) if len(end) == 3}
     for vertex in vertices:
-        target = _half_turn(vertex, BASE_POINT)
+        target = half_turn(vertex, BASE_POINT)
         w, word, _ = _trace(poly, target)
         assert poly._contains(w)
         assert act(evaluate_word(poly.generators, word), w) == target
+
+
+def _crossing_records_digest(poly):
+    """SHA-256 of the crossing records and results of the traces of the
+    images of BASE_POINT under every generator, inverse and product of two
+    of them, and of every half-turn of BASE_POINT across an elliptic vertex."""
+    powers = [h for g, _ in poly.generators for h in (g, g.inv())]
+    targets = [act(h, BASE_POINT) for h in powers]
+    targets += [act(h1 * h2, BASE_POINT) for h1 in powers for h2 in powers]
+    vertices = {end for side in poly.sides for end in (side.start, side.end) if len(end) == 3}
+    targets += [half_turn(vertex, BASE_POINT) for vertex in sorted(vertices)]
+    digest = hashlib.sha256()
+    for target in targets:
+        record: list = []
+        w, word, _ = _trace(poly, target, record)
+        digest.update(repr((record, w, word)).encode())
+    return digest.hexdigest()
+
+
+# recorded with a tracer that tested each crossing against a position range
+# of the side and chose an order-3 rotation by tangent directions; the four
+# torsion-free groups cross only even sides, and gamma0(1), (13) and (21)
+# add crossings of both halves of elliptic pairs and hits on both orders of
+# vertex
+PINNED_RECORDS = {
+    ("gamma0", 11):
+        "c565967e4d3a64ef0aef7b389accf1b758e0e6e7ec56309f7a6be0a5ffd099bf",
+    ("gamma", 7):
+        "ff139e8b4902faeeda99e17d12486cadb6e72be5437f5e3478e941fbf941cd19",
+    ("gamma1", 13):
+        "42d32f2a1ef0dfb79b9f95d8ea1752fb519bf176aedbf4d4eb0d9b5731c0cc90",
+    ("gamma_upper1", 12):
+        "9d5041f28f32112384feddb58192606bd0f5b36777e4d87216f91d836769d626",
+    ("gamma0", 1):
+        "291f00dbc5f470c4813705d6957aa09e08e8352c66894f3504f939d11955e6ce",
+    ("gamma0", 13):
+        "f162518bf82424c717abd4190271ae316211a3f798302b77ce98936f75ee841b",
+    ("gamma0", 21):
+        "dc16fa3954d79d7132190e4ed52c6e723dfa6af2833d7f17cf351537b8d27df1",
+}
+
+
+@pytest.mark.parametrize("family, level", PINNED_RECORDS)
+def test_crossing_records_are_pinned(family, level):
+    assert _crossing_records_digest(built_polygon(family, level)) == PINNED_RECORDS[family, level]
 
 
 def _random_member(poly, data):
@@ -289,18 +320,18 @@ def test_locate_runs_no_euclidean_descent(monkeypatch):
 
 
 @pytest.mark.parametrize("level", [1009, 10007])
-def test_trace_step_tests_at_most_four_sides(monkeypatch, level):
+def test_trace_step_makes_at_most_two_meets(monkeypatch, level):
     # the segment leaves the polygon in the stretch between two cusps where
     # the pulled-back target lies: one even side or an elliptic pair
     steps: list = []
     per_step: Counter = Counter()
-    crossing = reduce._side_crossing
+    meet_ahead = reduce._meet_ahead
 
     def counting(*args):
         per_step[len(steps)] += 1
-        return crossing(*args)
+        return meet_ahead(*args)
 
-    monkeypatch.setattr(reduce, "_side_crossing", counting)
+    monkeypatch.setattr(reduce, "_meet_ahead", counting)
     poly = built_polygon("gamma0", level)
     gens = poly.generators
     rng = random.Random(level)
@@ -311,7 +342,7 @@ def test_trace_step_tests_at_most_four_sides(monkeypatch, level):
         per_step.clear()
         w, traced, _ = _trace(poly, act(evaluate_word(gens, word), BASE_POINT), steps)
         assert (w, traced) == (BASE_POINT, reduce_word(word, gens))
-        assert max(per_step.values(), default=0) <= 4
+        assert max(per_step.values(), default=0) <= 2
         crossings += len(steps)
     assert crossings >= 20
 
@@ -334,7 +365,7 @@ def test_a_degenerate_crossing_is_an_internal_error_at_once(monkeypatch):
     def no_crossing(*args):
         calls.append(args)
 
-    monkeypatch.setattr(reduce, "_side_crossing", no_crossing)
+    monkeypatch.setattr(reduce, "_meet_ahead", no_crossing)
     poly = built_polygon("gamma0", 11)
     with pytest.raises(ValueError, match="internal error"):
         express(poly, poly.generators[0][0], use_trace=True)
