@@ -78,7 +78,8 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("express", help="write a subgroup element as a generator word")
     _add_group_args(p)
-    p.add_argument("--matrix", required=True, help='entries "a,b,c,d"')
+    p.add_argument("--matrix", required=True,
+                   help='entries "a,b,c,d" (write --matrix=-1,0,0,-1 when a is negative)')
     p.add_argument("--trace", action="store_true",
                    help="use the geodesic tracer instead of coset rewriting")
     p.add_argument("--explain", action="store_true",

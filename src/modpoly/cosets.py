@@ -116,15 +116,15 @@ class CosetSystem:
 
     def walk(self, runs: list[int]) -> int:
         """Label reached from the distinguished label by
-        T^r0 * S * T^r1 * ... * S * T^rk, one table jump per run."""
+        T^r0 * S * T^r1 * ... * S * T^rk, one table jump per run (runs is
+        not empty, as t_runs gives it)."""
         ss, cycle_of, pos = self.sigma_s, self.t_cycle, self.t_pos
         x = self.distinguished
-        for k, r in enumerate(runs):
-            if k:
-                x = ss[x]
+        for r in runs:
             cycle = cycle_of[x]
-            x = cycle[(pos[x] + r) % len(cycle)]
-        return x
+            x = ss[cycle[(pos[x] + r) % len(cycle)]]
+        # S is an involution: step back over the S taken after the last run
+        return ss[x]
 
     def coset(self, g: Psl2Elt) -> int:
         """Label of the coset G*g: the walk of g's runs of T."""

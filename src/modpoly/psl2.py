@@ -61,18 +61,23 @@ class Psl2Elt:
         return Psl2Elt._make(self.d, -self.b, -self.c, self.a)
 
     def __pow__(self, n: int) -> "Psl2Elt":
-        """Square and multiply from the low bit, with no squaring past the
-        top bit: g ** 1 is g, g ** -1 is one inv(), and |n| takes at most
-        2 * bit_length(|n|) - 1 products in all.  Past |n| = 2, an elliptic
-        exponent is first reduced mod the element's order, and a hyperbolic
-        power with |n| * bit_length(|trace|) > MAX_POWER_BITS is refused
-        with WorkBoundError before any product; parabolic powers, whose entries
-        grow only like |n|, are not bounded."""
-        base = self
+        """Square and multiply on four int locals, from the low bit, with no
+        squaring past the top bit, and one Psl2Elt at the end: g ** 1 is g,
+        g ** 0 is IDENTITY, and any other power makes one matrix object.  |n|
+        takes at most bit_length(|n|) - 1 squarings (five products each, of
+        [[a^2 + bc, b(a + d)], [c(a + d), d^2 + bc]]) and as many products.
+        Past |n| = 2, an elliptic exponent is first reduced mod the
+        element's order, and a hyperbolic power with |n| *
+        bit_length(|trace|) > MAX_POWER_BITS is refused with WorkBoundError
+        before any product; parabolic powers, whose entries grow only like
+        |n|, are not bounded."""
+        if n == 1:
+            return self
+        a, b, c, d = self.a, self.b, self.c, self.d
         if n < 0:
-            base, n = self.inv(), -n
+            a, b, c, d, n = d, -b, -c, a, -n
         if n > 2:
-            t = abs(self.a + self.d)
+            t = abs(a + d)
             if t < 2:
                 # order 2 at trace 0, order 3 at trace +-1
                 n %= t + 2
@@ -82,14 +87,18 @@ class Psl2Elt:
                                      f"MAX_POWER_BITS = {MAX_POWER_BITS}")
         if not n:
             return IDENTITY
-        result = None
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
+        # square up to the lowest set bit of n, where the result starts
+        while not n & 1:
+            a, b, c, d = a * a + b * c, b * (a + d), c * (a + d), d * d + b * c
             n >>= 1
-            if not n:
-                return result
-            base = base * base
+        e, f, g, h = a, b, c, d
+        n >>= 1
+        while n:
+            a, b, c, d = a * a + b * c, b * (a + d), c * (a + d), d * d + b * c
+            if n & 1:
+                e, f, g, h = e * a + f * c, e * b + f * d, g * a + h * c, g * b + h * d
+            n >>= 1
+        return Psl2Elt._make(e, f, g, h)
 
     def tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -164,20 +173,28 @@ def act_cusp(g: Psl2Elt, x: tuple[int, int]) -> tuple[int, int]:
 def t_runs(g: Psl2Elt) -> list[int]:
     """Exponents [r0, r1, ..., rk] with g = T^r0 * S * T^r1 * S * ... * S * T^rk,
     found by Euclidean descent on the bottom row.  Each quotient is the
-    nearest integer to d/c, so |c| at least halves per step and k is at most
-    the bit length of c.  The descent runs on the four entries, with no
-    matrix object per step."""
+    nearest integer to d/c, ties rounded up, so |c| at least halves per step
+    and k is at most the bit length of c.  A step is one divmod(d, c) on the
+    four int entries, with no matrix object: d = q*c + r, 0 <= r < c, and q
+    rounds up when 2r >= c, which is (2d + c) // (2c) exactly."""
     a, b, c, d = g.a, g.b, g.c, g.d
     runs: list[int] = []
     while c:
-        q = (2 * d + c) // (2 * c)
-        r = d - q * c
-        # [[a, b], [c, d]] * T^-q * S = [[b - q*a, -a], [r, -c]], |r| <= c/2,
-        # sign-normalised: c > 0 here, so r = 0 flips it as well as r < 0
-        if r > 0:
-            a, b, c, d = b - q * a, -a, r, -c
+        # [[a, b], [c, d]] * T^-q * S = [[b - q*a, -a], [d - q*c, -c]],
+        # sign-normalised so that its c = |d - q*c| <= c/2 is positive, or
+        # 0 with d = c > 0
+        q, r = divmod(d, c)
+        if r + r >= c:
+            q += 1
+            a, b = q * a - b, a
+            c, d = c - r, c
+        elif r:
+            a, b = b - q * a, -a
+            c, d = r, -c
         else:
-            a, b, c, d = q * a - b, a, -r, c
+            # c divides d, so c = 1, and the step leaves [[1, a], [0, 1]]
+            a, b = q * a - b, a
+            c, d = 0, c
         runs.append(q)
     # the matrix is now sign-normalized with c = 0, so it is T^b exactly
     runs.append(b)

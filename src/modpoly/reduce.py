@@ -185,7 +185,10 @@ def reduce_word(word: GenWord, generators) -> GenWord:
 
 
 def evaluate_word(generators, word: GenWord) -> Psl2Elt:
-    """Left-to-right product of generator powers; the first power is taken
+    """Left-to-right product of generator powers on four int locals, with
+    one Psl2Elt at the end (the empty word is IDENTITY).  A syllable of
+    exponent +-1 is read from the generator's entries; only a power with
+    |exp| >= 2 is taken with **, one Psl2Elt each.  The first power is taken
     as it is, with no product by the identity.  A hyperbolic syllable (g, n)
     adds about |n| * bit_length(|trace g|) bits to the entries, and a word
     whose syllables add up past MAX_POWER_BITS, the bound __pow__ puts on
@@ -198,11 +201,23 @@ def evaluate_word(generators, word: GenWord) -> Psl2Elt:
     if bits > MAX_POWER_BITS:
         raise WorkBoundError(f"word would have entries of about {bits} bits, over "
                              f"MAX_POWER_BITS = {MAX_POWER_BITS}")
-    result = IDENTITY
+    a = None
     for idx, exp in word:
-        power = generators[idx][0] ** exp
-        result = power if result is IDENTITY else result * power
-    return result
+        g = generators[idx][0]
+        if exp == 1:
+            e, f, h, k = g.a, g.b, g.c, g.d
+        elif exp == -1:
+            e, f, h, k = g.d, -g.b, -g.c, g.a
+        else:
+            g = g ** exp
+            e, f, h, k = g.a, g.b, g.c, g.d
+        if a is None:
+            a, b, c, d = e, f, h, k
+        else:
+            a, b, c, d = a * e + b * h, a * f + b * k, c * e + d * h, c * f + d * k
+    if a is None:
+        return IDENTITY
+    return Psl2Elt._make(a, b, c, d)
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +254,17 @@ def _split_cyclic(word: GenWord, generators) -> tuple[GenWord, GenWord]:
 
 
 def _rewrite(poly, runs: list[int]) -> tuple[int, GenWord]:
-    """(label, word) for T^r0 * S * T^r1 * ... * S * T^rk, walked from the
-    distinguished label through the coset permutations letter by letter,
-    with T = U^2 * S and T^-1 = S * U, and by whole turns of a T-cycle as
-    below.  A step emits the s_gen / u_gen syllable of the label it leaves,
-    if any; the other steps follow the Schreier transversal dev, so the word
-    is that of the element times dev[label]^-1.
+    """(label, word) for T^r0 * S * T^r1 * ... * S * T^rk (runs is not
+    empty), walked from the distinguished label through the coset
+    permutations letter by letter, with T = U^2 * S and T^-1 = S * U, and by
+    whole turns of a T-cycle as below.  A step emits the s_gen / u_gen
+    syllable of the label it leaves, if any; the other steps follow the
+    Schreier transversal dev, so the word is that of the element times
+    dev[label]^-1.  Only a U-fixed label x has a u_gen syllable, so a T
+    letter tests u_gen[x] once, emits it twice when x is U-fixed (su[x] =
+    x), and jumps to su[su[x]].  The S between two runs is taken after
+    each run, and the one after the last run is stepped back over at the
+    end (S is an involution), so no run tests whether it is the first.
 
     A run T^r from a label x whose T-cycle has w labels returns to x after
     every w letters.  When |r| >= 2w and |r| >= MIN_COUNTED_RUN, one turn is
@@ -267,11 +287,7 @@ def _rewrite(poly, runs: list[int]) -> tuple[int, GenWord]:
     short_lo, short_hi = -MIN_COUNTED_RUN, MIN_COUNTED_RUN
     turns = 0
     x = system.distinguished
-    for k, r in enumerate(runs):
-        if k:
-            if s_gen[x] is not None:
-                emit(s_gen[x])
-            x = ss[x]
+    for r in runs:
         if not short_lo < r < short_hi:
             w = len(cycle_of[x])
             steps = r if r > 0 else -r
@@ -285,25 +301,26 @@ def _rewrite(poly, runs: list[int]) -> tuple[int, GenWord]:
             if budget < 0:
                 raise _over_walk_bound(budget)
         while True:
-            for _ in range(r):
-                # T = U * U * S
-                if u_gen[x] is not None:
-                    emit(u_gen[x])
-                x = su[x]
-                if u_gen[x] is not None:
-                    emit(u_gen[x])
-                x = su[x]
-                if s_gen[x] is not None:
-                    emit(s_gen[x])
-                x = ss[x]
-            for _ in range(-r):
-                # T^-1 = S * U
-                if s_gen[x] is not None:
-                    emit(s_gen[x])
-                x = ss[x]
-                if u_gen[x] is not None:
-                    emit(u_gen[x])
-                x = su[x]
+            if r > 0:
+                for _ in range(r):
+                    # T = U * U * S: only a U-fixed x has a u_gen syllable,
+                    # and it emits it twice, since su[x] = x
+                    if u_gen[x] is not None:
+                        emit(u_gen[x])
+                        emit(u_gen[x])
+                    x = su[su[x]]
+                    if s_gen[x] is not None:
+                        emit(s_gen[x])
+                    x = ss[x]
+            else:
+                for _ in range(-r):
+                    # T^-1 = S * U
+                    if s_gen[x] is not None:
+                        emit(s_gen[x])
+                    x = ss[x]
+                    if u_gen[x] is not None:
+                        emit(u_gen[x])
+                    x = su[x]
             if not turns:
                 break
             # word[mark:] is one turn from x back to x
@@ -322,6 +339,14 @@ def _rewrite(poly, runs: list[int]) -> tuple[int, GenWord]:
             if u:
                 word += [(idx, -exp) for idx, exp in reversed(u)]
             turns, r = 0, rest
+        # the S between this run and the next
+        if s_gen[x] is not None:
+            emit(s_gen[x])
+        x = ss[x]
+    # S is an involution: step back over the S taken after the last run
+    x = ss[x]
+    if s_gen[x] is not None:
+        word.pop()
     return x, reduce_word(word, gens)
 
 

@@ -306,6 +306,15 @@ def reference_power(g, n):
     return result
 
 
+def reference_evaluate(generators, word):
+    """The left-to-right product of Psl2Elt objects, one per syllable, of
+    the plain powers reference_power."""
+    result = IDENTITY
+    for idx, exp in word:
+        result = result * reference_power(generators[idx][0], exp)
+    return result
+
+
 def reference_orbits(perm):
     """The cycles of a permutation, each one a tuple that starts at its
     smallest point and follows perm, listed in increasing order of that

@@ -12,10 +12,13 @@ cuboid graph), and a built gamma0(10007) retains at most 530 bytes per
 index under tracemalloc (482 measured, 765 before).  Expressing T^(10^6)
 in gamma0(11) peaks under 64 KB, and T^(10^7) takes under 0.05 s (8.06 MB,
 and 2.4 s for T^(10^7), when the rewriting walk took every power of T as
-three letters).  A power g ** n makes at
-most 2 * bit_length(|n|) matrices, and g ** 1 is g itself.  Constructions
-and cusp reductions are counted as calls of Psl2Elt.__init__ /
-Psl2Elt._make and act_cusp seen by a profile hook."""
+three letters).  A power g ** n makes one matrix, g ** 1 is g itself and
+g ** 0 is IDENTITY; evaluate_word makes one matrix per word and one per
+syllable with |exp| >= 2, so express of a member of gamma0(10007) with
+800-bit entries and a word of thousands of syllables makes a few (one per
+syllable and per squaring before).  Constructions and cusp reductions are
+counted as calls of Psl2Elt.__init__ / Psl2Elt._make and act_cusp seen by
+a profile hook."""
 
 import gc
 import random
@@ -28,8 +31,8 @@ import pytest
 
 from modpoly.cosets import build_system
 from modpoly.polygon import assemble, build_polygon, develop
-from modpoly.psl2 import T, Psl2Elt, act_cusp, t_runs
-from modpoly.reduce import express
+from modpoly.psl2 import IDENTITY, T, Psl2Elt, act_cusp, t_runs
+from modpoly.reduce import evaluate_word, express, express_schreier, reduce_word
 
 from oracles import built_develop, built_polygon, built_system, random_unimodular, reference_t_runs
 
@@ -165,18 +168,53 @@ def test_build_of_gamma0_10007_retains_a_bounded_size_per_index():
     assert per_index <= 530, per_index
 
 
-def test_power_makes_at_most_two_matrices_per_bit():
-    # long exponents on T, whose powers (1, n; 0, 1) stay small
+def test_power_makes_one_matrix():
+    # long exponents on T, whose powers (1, n; 0, 1) stay small; g ** 1 is
+    # g and g ** 0 the shared IDENTITY
     g = Psl2Elt(2, 1, 7, 4)
-    assert g ** 1 is g and T ** 1 is T
+    assert g ** 1 is g and T ** 1 is T and g ** 0 is IDENTITY
     cases = [(g, n) for n in range(-70, 71)] + [(T, n) for n in (2**40 - 1, -(2**40 + 1), 12345)]
     for h, n in cases:
         made, power = constructions(pow, h, n)
-        assert made["Psl2Elt"] <= 2 * abs(n).bit_length(), n
-        assert set(made) <= {"Psl2Elt"}
+        assert made == (Counter() if n in (0, 1) else Counter({"Psl2Elt": 1})), n
     assert power == Psl2Elt(1, 12345, 0, 1)
-    made, _ = constructions(pow, g, -1)
-    assert made == Counter({"Psl2Elt": 1})
+
+
+def test_evaluate_word_makes_one_matrix_and_one_per_power():
+    # one Psl2Elt at the end of the product, and one per syllable that
+    # __pow__ takes, |exp| >= 2; reduced words of gamma0(11) (parabolic and
+    # hyperbolic) and gamma0(13) (orders 2 and 3) with exponents up to 5
+    rng = random.Random(11)
+    for N in (11, 13):
+        gens = built_polygon("gamma0", N).generators
+        for length in (1, 2, 5, 40):
+            word = reduce_word([(rng.randrange(len(gens)), rng.randint(-5, 5))
+                                for _ in range(length)], gens)
+            made, _ = constructions(evaluate_word, gens, word)
+            powers = sum(abs(exp) >= 2 for _, exp in word)
+            assert made == (Counter({"Psl2Elt": 1 + powers}) if word else Counter()), word
+    made, out = constructions(evaluate_word, gens, [])
+    assert made == Counter() and out is IDENTITY
+
+
+def test_express_of_an_800_bit_member_makes_few_matrices():
+    # members of gamma0(10007) with entries of 100 to 800 bits have words of
+    # 100 to 7000 syllables; express makes one matrix, the evaluated word,
+    # and one per power in it (none in t_runs, the walk and the rewriting)
+    poly = built_polygon("gamma0", 10007)
+    rng = random.Random(800)
+    for bits in (100, 400, 800, 800, 800):
+        while True:
+            g = random_unimodular(rng.getrandbits(bits) | 1 << (bits - 1),
+                                  10007 * (rng.getrandbits(bits - 14) | 1 << (bits - 15)), 0)
+            if g is not None:
+                break
+        made, word = constructions(express_schreier, poly, g)
+        powers = sum(abs(exp) >= 2 for _, exp in word)
+        assert made == Counter({"Psl2Elt": 1 + powers})
+        assert powers <= 3 and len(word) > 50
+        if bits == 800:
+            assert len(word) > 1000 and max(abs(v) for v in g.tuple()).bit_length() == 800
 
 
 def test_express_of_a_long_run_of_t_is_small_and_fast():

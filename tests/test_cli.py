@@ -101,6 +101,16 @@ def test_express_trace_flag(capsys):
     assert json.loads(out)["evaluates_to"] == [1, 1, 0, 1]
 
 
+def test_express_matrix_with_a_negative_first_entry(capsys):
+    # argparse reads "--matrix -1,0,0,-1" as a second option; the help says
+    # to write --matrix=-1,0,0,-1, which is -I, the identity of PSL2(Z)
+    code, out, _ = run(capsys, "express", "--group", "gamma0", "--level", "11",
+                       "--matrix=-1,0,0,-1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["word"] == [] and data["evaluates_to"] == [1, 0, 0, 1]
+
+
 def test_express_non_member(capsys):
     code, _, err = run(capsys, "express", "--group", "gamma", "--level", "2",
                        "--matrix", "1,1,0,1")

@@ -6,11 +6,14 @@ Inputs are runs of both signs, short and long, and the turns k times round
 each cusp, dev[x] * T^(k w) * dev[x]^-1, whose words are powers of the
 cusp's parabolic word: one syllable at a cusp whose pair of sides is one
 generator, 5 at the cusp 0 of gamma0(11) and up to 4991 in gamma0(15015).
-The random coset systems of test_random_systems get the same test there."""
+The random coset systems of test_random_systems get the same test there,
+and every U-fixed label of gamma0(1), (7), (13) and (91), where a T letter
+emits its u_gen syllable twice, is walked through by a deterministic one."""
 
 from hypothesis import given, settings, strategies as st
 
 from modpoly.cosets import FAMILIES
+from modpoly.psl2 import T, Psl2Elt, t_runs
 from modpoly.reduce import _rewrite, _split_cyclic, reduce_word
 
 from oracles import built_polygon, reference_rewrite, turn_runs
@@ -75,3 +78,19 @@ def test_turns_round_every_cusp():
             assert sorted(widths) == ([(1, 2)] if N == 1 else [(1, 1), (11, 5)])
         if N == 15015:
             assert max(widths) == (15015, 4991)
+
+
+def test_rewrite_at_every_u_fixed_label():
+    # the letter loop tests u_gen once per T and emits it twice at a U-fixed
+    # label x (su[x] = x): walk dev[x] * T^r, whose runs end in x's T-cycle,
+    # at each such label, which random draws may miss
+    for N, fixed in ((1, 1), (7, 2), (13, 2), (91, 4)):
+        poly = built_polygon("gamma0", N)
+        labels = [x for x in range(poly.system.n) if poly.system.sigma_u[x] == x]
+        assert len(labels) == fixed
+        for x in labels:
+            assert poly.u_gen[x] is not None
+            g = Psl2Elt._make(*poly.dev[x])
+            for r in range(-7, 8):
+                runs = t_runs(g * T ** r)
+                assert _rewrite(poly, runs) == reference_rewrite(poly, runs), (N, x, r)
