@@ -12,7 +12,7 @@ label in its orbit, which keeps every output canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cosets import CosetSystem
 from .jsonout import extend_array, int_array
@@ -37,8 +37,7 @@ def _orbits(perm: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
     return orbits, orbit_of
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(NamedTuple):
     n: int
     e2: int
     e3: int

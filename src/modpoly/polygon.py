@@ -273,7 +273,8 @@ class SpecialPolygon:
         x, y2 = _rational("x", x), _rational("y2", y2)
         if y2 <= 0:
             raise ValueError(f"point with x = {x}, y^2 = {y2} is not in the upper half-plane")
-        return self._contains(lift(x, y2), strict)
+        return self._contains(lift(x.numerator, x.denominator, y2.numerator, y2.denominator),
+                              strict)
 
     def _contains(self, point: Point, strict: bool = False) -> bool:
         """Exact membership of a point triple (with strict, in the interior)."""
@@ -578,7 +579,7 @@ def validate_special(poly: SpecialPolygon) -> list[str]:
 def _map_vertex(g: Psl2Elt, vertex: Vertex) -> Vertex:
     """The image of a vertex under g: a cusp pair reduced by act_cusp, a
     point triple moved by reduce.act."""
-    return act(g, vertex) if len(vertex) == 3 else act_cusp(g, vertex)
+    return act(g.tuple(), vertex) if len(vertex) == 3 else act_cusp(g, vertex)
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,17 @@ a > 0, a vertical line when a = 0), and a point is a primitive integer triple
 geodesic, or on one side of it, by the sign of the dot product of the two
 triples; the geodesic through two points and the point where two geodesics
 meet are both cross products.  Points move by the symmetric square of g, an
-integer matrix of determinant 1 (so a primitive triple stays primitive and
-two points are equal exactly when their triples are), and a position along
-a geodesic is an integer pair (num, den), den > 0, compared by
-cross-multiplication.  Fractions appear only at the API boundary: the
-ExactPoint a caller passes in, lifted once, and the point locate_point
-returns.
+integer matrix of determinant 1 given by its entries (so a primitive triple
+stays primitive and two points are equal exactly when their triples are),
+and a position along a geodesic is an integer pair (num, den), den > 0,
+compared by cross-multiplication.  Fractions appear only at the API
+boundary: a point a caller passes in is lifted once from the numerators and
+denominators of its coordinates, with no Fraction arithmetic, and the point
+locate_point returns is made once, at the end, from its triple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -29,22 +29,49 @@ from .psl2 import IDENTITY, MAX_POWER_BITS, Psl2Elt, WorkBoundError, t_runs
 GenWord = list[tuple[int, int]]
 
 
-@dataclass(frozen=True)
 class ExactPoint:
-    """Rational point x + iy of the upper half-plane.  Coordinates are
-    Fractions; an int is converted, any other type (float, Decimal, bool)
-    is refused."""
+    """Rational point x + iy of the upper half-plane, immutable.  Coordinates
+    are Fractions; an int is converted, any other type (float, Decimal,
+    bool) is refused, and so is y <= 0.  Equality, hash and repr are those
+    of the (x, y) pair."""
 
-    x: Fraction
-    y: Fraction
+    __slots__ = ("x", "y")
+    __match_args__ = ("x", "y")
 
-    def __post_init__(self):
-        for name in ("x", "y"):
-            v = getattr(self, name)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, name, _rational(name, v))
-        if self.y <= 0:
-            raise ValueError(f"point {self.x} + {self.y}i is not in the upper half-plane")
+    def __init__(self, x: Fraction, y: Fraction):
+        x, y = _rational("x", x), _rational("y", y)
+        if y <= 0:
+            raise ValueError(f"point {x} + {y}i is not in the upper half-plane")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    @classmethod
+    def _make(cls, x: Fraction, y: Fraction) -> ExactPoint:
+        # internal fast path: x and y are Fractions and y > 0
+        self = object.__new__(cls)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ExactPoint, (self.x, self.y)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) == (other.x, other.y)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(x={self.x!r}, y={self.y!r})"
 
 
 def _rational(name: str, v) -> Fraction:
@@ -69,9 +96,10 @@ def _geodesic(a: int, b: int, c: int) -> Geodesic:
     return a // g, b // g, c // g
 
 
-def transform(geod: Geodesic, g: Psl2Elt) -> Geodesic:
-    """Image of a geodesic under g: the endpoint form composed with g^-1."""
-    p, q, r, s = g.tuple()
+def transform(geod: Geodesic, g: tuple[int, int, int, int]) -> Geodesic:
+    """Image of a geodesic under the matrix of entries g = (p, q, r, s),
+    determinant 1: the endpoint form composed with g^-1."""
+    p, q, r, s = g
     a, b, c = geod
     return _geodesic(a * s * s - b * r * s + c * r * r,
                      b * (p * s + q * r) - 2 * (a * q * s + c * p * r),
@@ -85,25 +113,23 @@ I_POINT: Point = (1, 0, 1)
 RHO_POINT: Point = (2, 1, 2)
 
 
-def lift(x: Fraction, y2: Fraction) -> Point:
+def lift(p: int, q: int, r: int, s: int) -> Point:
     """Primitive integer triple (n, m, k), k > 0, proportional to
-    (x^2+y^2, x, 1) for the point x + iy given as (x, y^2).  With x = p/q
-    and y^2 = r/s it is (p^2 s + r q^2, pqs, q^2 s) over its gcd, computed
-    on the numerators and denominators with no Fraction arithmetic."""
-    p, q = x.numerator, x.denominator
-    r, s = y2.numerator, y2.denominator
+    (x^2+y^2, x, 1) for the point x + iy with x = p/q and y^2 = r/s, q and
+    s > 0: (p^2 s + r q^2, pqs, q^2 s) over its gcd."""
     qs = q * s
     n, m, k = p * p * s + r * q * q, p * qs, q * qs
     g = gcd(n, m, k)
     return n // g, m // g, k // g
 
 
-def act(g: Psl2Elt, point: Point) -> Point:
-    """Moebius action on a point triple: the symmetric square of g, an
-    integer matrix of determinant 1, so a primitive triple stays primitive.
-    It is the contragredient of transform: a point's dot product
-    with a geodesic is unchanged, up to the sign transform normalises."""
-    a, b, c, d = g.tuple()
+def act(g: tuple[int, int, int, int], point: Point) -> Point:
+    """Moebius action on a point triple of the matrix of entries g = (a, b,
+    c, d), determinant 1: its symmetric square, an integer matrix of
+    determinant 1, so a primitive triple stays primitive.  It is the
+    contragredient of transform: a point's dot product with a geodesic is
+    unchanged, up to the sign transform normalises."""
+    a, b, c, d = g
     n, m, k = point
     return (a * a * n + 2 * a * b * m + b * b * k,
             a * c * n + (a * d + b * c) * m + b * d * k,
@@ -382,25 +408,37 @@ def locate_point(poly, z: ExactPoint) -> tuple[ExactPoint, GenWord]:
     """Find w in the fundamental polygon and a word evaluating to g with
     g * w = z, by one reduction into the base triangle and one walk.
 
-    z's triple is reduced into Delta = (0, e^(i pi/3), infinity), which
-    gives z = h * w0 and the runs of T of h.  Their walk (_rewrite) gives
-    the coset e of h, so w = dev[e] * w0 lies in the polygon's triangle
-    dev[e] * Delta, and the word of gamma = h * dev[e]^-1; checking that
-    the word evaluates to gamma also shows that gamma is in the subgroup.
-    The work grows with the bit length of z and with sum |r|, not with the
-    index.
+    z = p/q + i r/s is lifted to its triple from the four integers, with
+    y^2 = r^2/s^2, and reduced into Delta = (0, e^(i pi/3), infinity), which
+    gives z = h * w0, the entries of h and its runs of T.  Their walk
+    (_rewrite) gives the coset e of h, so w = dev[e] * w0 lies in the
+    polygon's triangle dev[e] * Delta, and the word of gamma = h *
+    dev[e]^-1; checking that the word evaluates to gamma, as sign-normalised
+    entries, also shows that gamma is in the subgroup.  From z to w the
+    point stays plain integers: the one Psl2Elt is the evaluated word, and w
+    is made once at the end, by _exact_point.  The work grows with the bit
+    length of z and with sum |r|, not with the index.
     """
-    w0, h, runs = _reduce_to_base_triangle(lift(z.x, z.y**2))
+    x, y = z.x, z.y
+    yn, yd = y.numerator, y.denominator
+    w0, (a, b, c, d), runs = _reduce_to_base_triangle(
+        lift(x.numerator, x.denominator, yn * yn, yd * yd))
     e, word = _rewrite(poly, runs)
-    g = Psl2Elt._make(*poly.dev[e])
-    if evaluate_word(poly.generators, word) != h * g.inv():
+    p, q, r, s = g = poly.dev[e]
+    # gamma = h * g^-1 = h * [[s, -q], [-r, p]], signed as Psl2Elt keeps it
+    ga, gb, gc, gd = a * s - b * r, b * p - a * q, c * s - d * r, d * p - c * q
+    if gc < 0 or (gc == 0 and gd < 0):
+        ga, gb, gc, gd = -ga, -gb, -gc, -gd
+    if evaluate_word(poly.generators, word).tuple() != (ga, gb, gc, gd):
         raise ValueError("internal error: located word does not evaluate back")
     return _exact_point(act(g, w0)), word
 
 
-def _reduce_to_base_triangle(point: Point) -> tuple[Point, Psl2Elt, list[int]]:
+def _reduce_to_base_triangle(point: Point) -> tuple[Point, tuple[int, int, int, int],
+                                                    list[int]]:
     """(w0, h, runs) with point = h * w0, w0 in Delta = (0, e^(i pi/3),
-    infinity) and h = T^r0 * S * T^r1 * ... * S * T^rk.
+    infinity) and h = T^r0 * S * T^r1 * ... * S * T^rk, its entries
+    (a, b, c, d) not sign-normalised.
 
     The loop reaches the standard domain |x| <= 1/2, |z| >= 1: translate by
     T^-j for j the nearest integer to x, and invert by S while |z| < 1.  A
@@ -427,7 +465,7 @@ def _reduce_to_base_triangle(point: Point) -> tuple[Point, Psl2Elt, list[int]]:
         n, m, k = k, -m, n
         a, b, c, d = b, -a, d, -c
         runs.append(0)
-    return (n, m, k), Psl2Elt._make(a, b, c, d), runs
+    return (n, m, k), (a, b, c, d), runs
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +479,17 @@ _MAX_TRACE_STEPS = 100000
 
 
 def _exact_point(point: Point) -> ExactPoint:
-    """The rational point of a primitive triple, whose nk - m^2 = (ky)^2
-    must be a perfect square."""
+    """The rational point m/k + i ky/k of a primitive triple, k > 0, whose
+    nk - m^2 = (ky)^2 must be a positive perfect square, or ValueError.  The
+    point is made by ExactPoint._make, two Fractions and no second
+    validation."""
     n, m, k = point
     ky2 = n * k - m * m
-    ky = isqrt(ky2)
-    if ky * ky != ky2:
-        raise ValueError("internal error: located point has an irrational height")
-    return ExactPoint(Fraction(m, k), Fraction(ky, k))
+    ky = isqrt(ky2) if ky2 > 0 else 0
+    if not ky or ky * ky != ky2:
+        raise ValueError("internal error: located point has an irrational or non-positive "
+                         "height")
+    return ExactPoint._make(Fraction(m, k), Fraction(ky, k))
 
 
 def express(poly, g: Psl2Elt, use_trace: bool = False, record: list | None = None) -> GenWord:
@@ -461,7 +502,7 @@ def express(poly, g: Psl2Elt, use_trace: bool = False, record: list | None = Non
     label = poly.system.coset(g)
     if label != poly.system.distinguished:
         raise _not_member(poly.system, g, label)
-    w, word, h = _trace(poly, act(g, BASE_POINT), record)
+    w, word, h = _trace(poly, act(g.tuple(), BASE_POINT), record)
     if w != BASE_POINT or h != g:
         raise ValueError("internal error: trace did not reproduce the element")
     return word
@@ -518,7 +559,7 @@ def _trace(poly, target: Point, record: list | None = None) -> tuple[Point, GenW
         if below is None:
             word = reduce_word(word, gens)
             h = evaluate_word(gens, word)
-            if act(h, t) != target:
+            if act(h.tuple(), t) != target:
                 raise ValueError("internal error: trace postcondition failed")
             return t, word, h
 
@@ -559,7 +600,7 @@ def _trace(poly, target: Point, record: list | None = None) -> tuple[Point, GenW
         if vertex and order == 3:
             gen = gens[gi][0]
             for ge in (1, -1):
-                r = gen ** ge
+                r = (gen ** ge).tuple()
                 moved = act(r, t)
                 if all(_dot(s.geodesic, moved) * _dot(s.geodesic, BASE_POINT) >= 0
                        for s in (below, partner)):
@@ -568,7 +609,7 @@ def _trace(poly, target: Point, record: list | None = None) -> tuple[Point, GenW
                 # unreachable: the closed wedge and its two rotations cover every direction
                 raise ValueError("internal error: no rotation re-enters the polygon wedge")
         else:
-            r = gens[gi][0] ** ge
+            r = (gens[gi][0] ** ge).tuple()
             moved = act(r, t)
         word.append((gi, -ge))
         if record is not None:

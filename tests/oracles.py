@@ -15,9 +15,8 @@ from modpoly.polygon import build_polygon, develop
 from modpoly.psl2 import IDENTITY, S, T, U, Psl2Elt, WorkBoundError, t_runs
 from modpoly.reduce import (
     MAX_WALK_STEPS,
-    _exact_point,
     _reduce_to_base_triangle,
-    act,
+    act_point,
     express_schreier,
     lift,
     reduce_word,
@@ -200,10 +199,14 @@ def reference_su_word(runs):
 def reference_locate(poly, z):
     """locate by two walks: the coset e of h by CosetSystem.coset, then
     Schreier rewriting of gamma = h * dev[e]^-1, for z = h * w0 with w0 in
-    the base triangle."""
-    w0, h, _ = _reduce_to_base_triangle(lift(z.x, z.y**2))
-    g = Psl2Elt._make(*poly.dev[poly.system.coset(h)])
-    return _exact_point(act(g, w0)), express_schreier(poly, h * g.inv())
+    the base triangle.  Only the reduction is shared with locate_point: z
+    is lifted by reference_lift and w = gamma^-1 * z is found by act_point,
+    on Fractions and Psl2Elt objects."""
+    _, h, _ = _reduce_to_base_triangle(reference_lift(z.x, z.y**2))
+    h = Psl2Elt(*h)
+    g = Psl2Elt(*poly.dev[poly.system.coset(h)])
+    gamma = h * g.inv()
+    return act_point(gamma.inv(), z), express_schreier(poly, gamma)
 
 
 def reference_rewrite(poly, runs):
@@ -287,6 +290,11 @@ def reference_t_runs(g):
     runs.append(h.b)
     runs.reverse()
     return runs
+
+
+def lift_rational(x, y2):
+    """modpoly's lift of the point x + iy given by the rationals (x, y^2)."""
+    return lift(x.numerator, x.denominator, y2.numerator, y2.denominator)
 
 
 def reference_lift(x, y2):
@@ -637,7 +645,7 @@ def geodesic_through(p, q):
     of modpoly.reduce (a > 0, or a = 0 and b < 0)."""
     if p == q:
         raise ValueError("need two distinct points")
-    u, v = lift(p.x, p.y**2), lift(q.x, q.y**2)
+    u, v = reference_lift(p.x, p.y**2), reference_lift(q.x, q.y**2)
     a, b, c = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
                u[0] * v[1] - u[1] * v[0])
     g = gcd(a, b, c)
@@ -650,7 +658,7 @@ def reference_halfplanes(poly):
     """One integer triple per distinct side geodesic, signed so that its dot
     product with the base point's triple is positive: the polygon, convex,
     is the intersection of these half-planes."""
-    n, m, k = lift(poly.base_point.x, poly.base_point.y**2)
+    n, m, k = reference_lift(poly.base_point.x, poly.base_point.y**2)
     out = []
     for geod in dict.fromkeys(side.geodesic for side in poly.sides):
         a, b, c = geod

@@ -16,9 +16,12 @@ three letters).  A power g ** n makes one matrix, g ** 1 is g itself and
 g ** 0 is IDENTITY; evaluate_word makes one matrix per word and one per
 syllable with |exp| >= 2, so express of a member of gamma0(10007) with
 800-bit entries and a word of thousands of syllables makes a few (one per
-syllable and per squaring before).  Constructions and cusp reductions are
-counted as calls of Psl2Elt.__init__ / Psl2Elt._make and act_cusp seen by
-a profile hook."""
+syllable and per squaring before).  locate_point makes its one result,
+an ExactPoint of two Fractions, and only the matrices of evaluate_word
+(four more Psl2Elt, a third Fraction and a validated ExactPoint before).
+Constructions and cusp reductions are counted as calls of Psl2Elt.__init__
+/ Psl2Elt._make and act_cusp seen by a profile hook, and so are those of
+ExactPoint and Fraction.__new__."""
 
 import gc
 import random
@@ -26,13 +29,21 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from modpoly.cosets import build_system
 from modpoly.polygon import assemble, build_polygon, develop
 from modpoly.psl2 import IDENTITY, T, Psl2Elt, act_cusp, t_runs
-from modpoly.reduce import evaluate_word, express, express_schreier, reduce_word
+from modpoly.reduce import (
+    ExactPoint,
+    evaluate_word,
+    express,
+    express_schreier,
+    locate_point,
+    reduce_word,
+)
 
 from oracles import built_develop, built_polygon, built_system, random_unimodular, reference_t_runs
 
@@ -40,14 +51,14 @@ _MADE = {Psl2Elt.__init__.__code__: "Psl2Elt", Psl2Elt._make.__func__.__code__: 
          act_cusp.__code__: "act_cusp"}
 
 
-def constructions(fn, *args):
+def constructions(fn, *args, made_by=_MADE):
     """(Counter of the Psl2Elt objects fn(*args) makes and of its act_cusp
-    calls, its result)."""
+    calls, its result); made_by maps the code objects to count to names."""
     made: Counter = Counter()
 
     def hook(frame, event, arg):
-        if event == "call" and frame.f_code in _MADE:
-            made[_MADE[frame.f_code]] += 1
+        if event == "call" and frame.f_code in made_by:
+            made[made_by[frame.f_code]] += 1
 
     sys.setprofile(hook)
     try:
@@ -215,6 +226,31 @@ def test_express_of_an_800_bit_member_makes_few_matrices():
         assert powers <= 3 and len(word) > 50
         if bits == 800:
             assert len(word) > 1000 and max(abs(v) for v in g.tuple()).bit_length() == 800
+
+
+def test_locate_makes_one_point_and_the_evaluated_word():
+    # locate_point lifts, reduces, checks and moves the point on ints: it
+    # makes its result, one ExactPoint of two Fractions, and the matrices
+    # of evaluate_word, one for the product and one per power, and no other
+    # Psl2Elt, ExactPoint or Fraction; points near the real axis have words
+    # of a few dozen syllables
+    made_by = {**_MADE, ExactPoint.__init__.__code__: "ExactPoint",
+               ExactPoint._make.__func__.__code__: "ExactPoint",
+               Fraction.__new__.__code__: "Fraction"}
+    rng = random.Random(25)
+    for family, level in (("gamma0", 1009), ("gamma0", 13), ("gamma", 5)):
+        poly = built_polygon(family, level)
+        lengths = set()
+        for _ in range(40):
+            z = ExactPoint(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)),
+                           Fraction(rng.randint(1, 50), rng.randint(1, 10**5)))
+            made, (w, word) = constructions(locate_point, poly, z, made_by=made_by)
+            product = 1 if word else 0
+            powers = sum(abs(exp) >= 2 for _, exp in word)
+            assert made == Counter({"ExactPoint": 1, "Fraction": 2, "Psl2Elt": product + powers}), z
+            assert type(w.x) is Fraction and type(w.y) is Fraction
+            lengths.add(len(word))
+        assert max(lengths) > 10
 
 
 def test_express_of_a_long_run_of_t_is_small_and_fast():

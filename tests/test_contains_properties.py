@@ -12,9 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modpoly.reduce import lift
-
-from oracles import built_polygon, reference_contains, reference_halfplanes
+from oracles import built_polygon, lift_rational, reference_contains, reference_halfplanes
 
 GROUPS = [("gamma0", 1009), ("gamma", 7), ("gamma1", 13), ("gamma_upper1", 30),
           ("gamma0", 1), ("gamma_upper0", 2), ("gamma_upper0", 3)]
@@ -38,7 +36,7 @@ def finite_vertices(poly):
 
 
 def assert_agrees(poly, halfplanes, x, y2):
-    point = lift(x, y2)
+    point = lift_rational(x, y2)
     for strict in (False, True):
         assert poly._contains(point, strict) == reference_contains(halfplanes, point, strict), \
             (x, y2, strict)
@@ -51,8 +49,8 @@ def test_contains_at_and_next_to_every_vertex(group):
     for x, y2 in finite_vertices(poly):
         if y2:
             # the elliptic vertex itself, and points next to it
-            assert reference_contains(halfplanes, lift(x, y2))
-            assert not reference_contains(halfplanes, lift(x, y2), strict=True)
+            assert reference_contains(halfplanes, lift_rational(x, y2))
+            assert not reference_contains(halfplanes, lift_rational(x, y2), strict=True)
             near = [(x, y2)] + [(x + dx, y2 * s)
                                 for dx in (0, Fraction(1, 10**9), -Fraction(1, 10**9))
                                 for s in (Fraction(999, 1000), Fraction(1001, 1000))]
@@ -77,10 +75,10 @@ def test_contains_on_and_beside_both_walls(group):
                     assert_agrees(poly, halfplanes, x + dx, y2)
     # on a wall, nothing is interior
     for y2 in HEIGHTS2:
-        assert not poly._contains(lift(x_min, y2), strict=True)
-        assert not poly._contains(lift(x_max, y2), strict=True)
+        assert not poly._contains(lift_rational(x_min, y2), strict=True)
+        assert not poly._contains(lift_rational(x_max, y2), strict=True)
     # high above the strip, inside it exactly
-    assert poly._contains(lift((x_min + x_max) / 2, Fraction(10**4)), strict=True)
+    assert poly._contains(lift_rational((x_min + x_max) / 2, Fraction(10**4)), strict=True)
 
 
 @settings(max_examples=300, deadline=None)
@@ -97,7 +95,7 @@ def test_contains_matches_the_full_scan_at_random_points(group, u, r, e):
     x_min, x_max = vertices[0][0], vertices[-1][0]
     x, y2 = x_min + u * (x_max - x_min), r / Fraction(4) ** e
     assert_agrees(poly, halfplanes, x, y2)
-    assert poly.contains(x, y2) == reference_contains(halfplanes, lift(x, y2))
+    assert poly.contains(x, y2) == reference_contains(halfplanes, lift_rational(x, y2))
 
 
 @pytest.mark.parametrize("x, y2, message", [

@@ -21,12 +21,17 @@ from modpoly.reduce import (
     act,
     act_point,
     geodesic_between_cusps,
-    lift,
     meet,
     transform,
 )
 
-from oracles import built_polygon, geodesic_eval_at, geodesic_through, reference_halfplanes
+from oracles import (
+    built_polygon,
+    geodesic_eval_at,
+    geodesic_through,
+    lift_rational,
+    reference_halfplanes,
+)
 
 coords = st.fractions(min_value=-20, max_value=20, max_denominator=60)
 heights = st.fractions(min_value=Fraction(1, 60), max_value=20, max_denominator=60)
@@ -48,14 +53,14 @@ BOUNDED = settings(max_examples=150, deadline=None)
 def test_transform_of_join_is_join_of_images(p, q, g):
     assume(p != q)
     image = geodesic_through(act_point(g, p), act_point(g, q))
-    assert transform(geodesic_through(p, q), g) == image
+    assert transform(geodesic_through(p, q), g.tuple()) == image
 
 
 @BOUNDED
 @given(cusps, cusps, elements)
 def test_transform_of_cusp_geodesic_is_geodesic_of_images(c1, c2, g):
     assume(c1 != c2)
-    assert (transform(geodesic_between_cusps(c1, c2), g)
+    assert (transform(geodesic_between_cusps(c1, c2), g.tuple())
             == geodesic_between_cusps(act_cusp(g, c1), act_cusp(g, c2)))
 
 
@@ -73,7 +78,7 @@ def test_meet_of_crossing_geodesics_lies_on_both(z, p, q):
     x, y2 = Fraction(m, k), Fraction(n * k - m * m, k * k)
     assert (x, y2) == (z.x, z.y**2)
     assert geodesic_eval_at(g1, x, y2) == 0 and geodesic_eval_at(g2, x, y2) == 0
-    n2, m2, k2 = lift(z.x, z.y**2)
+    n2, m2, k2 = lift_rational(z.x, z.y**2)
     assert n * k2 == n2 * k and m * k2 == m2 * k
 
 
@@ -95,15 +100,15 @@ def dot(u, v):
 @given(points, elements)
 def test_act_on_lifted_point_is_lift_of_image(z, g):
     w = act_point(g, z)
-    assert act(g, lift(z.x, z.y**2)) == lift(w.x, w.y**2)
+    assert act(g.tuple(), lift_rational(z.x, z.y**2)) == lift_rational(w.x, w.y**2)
 
 
 @BOUNDED
 @given(points, elements)
 def test_act_keeps_triples_primitive(z, g):
-    point = lift(z.x, z.y**2)
+    point = lift_rational(z.x, z.y**2)
     assert gcd(*point) == 1
-    n, m, k = act(g, point)
+    n, m, k = act(g.tuple(), point)
     assert gcd(n, m, k) == 1 and k > 0
 
 
@@ -114,9 +119,9 @@ def test_act_preserves_dot_with_transformed_geodesic(p, q, z, w, g):
     # up to one sign for all points
     assume(p != q)
     geod = geodesic_through(p, q)
-    image = transform(geod, g)
-    before = [dot(geod, lift(v.x, v.y**2)) for v in (z, w)]
-    after = [dot(image, act(g, lift(v.x, v.y**2))) for v in (z, w)]
+    image = transform(geod, g.tuple())
+    before = [dot(geod, lift_rational(v.x, v.y**2)) for v in (z, w)]
+    after = [dot(image, act(g.tuple(), lift_rational(v.x, v.y**2))) for v in (z, w)]
     assert after in (before, [-d for d in before])
 
 
@@ -124,6 +129,6 @@ def test_act_preserves_dot_with_transformed_geodesic(p, q, z, w, g):
 @given(elements)
 def test_elliptic_images_have_the_fixed_heights(g):
     for point, height in ((I_POINT, 1), (RHO_POINT, 3)):
-        n, m, k = act(g, point)
+        n, m, k = act(g.tuple(), point)
         assert gcd(n, m, k) == 1 and k > 0
         assert n * k - m * m == height

@@ -112,7 +112,7 @@ def test_random_transitive_pair_gives_a_special_polygon(system, z, data):
         target = half_turn(vertex, BASE_POINT)
         w, word, _ = _trace(poly, target)
         assert poly._contains(w)
-        assert act(evaluate_word(poly.generators, word), w) == target
+        assert act(evaluate_word(poly.generators, word).tuple(), w) == target
     w, word = locate_point(poly, z)
     assert poly.contains(w.x, w.y**2)
     assert act_point(evaluate_word(poly.generators, word), w) == z

@@ -12,13 +12,13 @@ from modpoly.reduce import (
     BASE_POINT,
     MAX_WALK_STEPS,
     ExactPoint,
+    _exact_point,
     _trace,
     act,
     act_point,
     evaluate_word,
     express,
     express_schreier,
-    lift,
     locate_point,
     reduce_word,
     transform,
@@ -29,6 +29,7 @@ from oracles import (
     built_polygon,
     geodesic_eval_at,
     geodesic_through,
+    lift_rational,
     reference_su_word,
     su_evaluate,
 )
@@ -81,7 +82,7 @@ def test_geodesic_transform():
         for _ in range(rng.randint(0, 8)):
             g = g * (S if rng.random() < 0.5 else U)
         geod = geodesic_through(p, q)
-        image = transform(geod, g)
+        image = transform(geod, g.tuple())
         gp, gq = act_point(g, p), act_point(g, q)
         assert geodesic_eval_at(image, gp.x, gp.y**2) == 0
         assert geodesic_eval_at(image, gq.x, gq.y**2) == 0
@@ -96,7 +97,7 @@ def test_act_point_matches_act():
         for _ in range(rng.randint(0, 8)):
             g = g * (S if rng.random() < 0.5 else U)
         w = act_point(g, z)
-        assert act(g, lift(z.x, z.y**2)) == lift(w.x, w.y**2)
+        assert act(g.tuple(), lift_rational(z.x, z.y**2)) == lift_rational(w.x, w.y**2)
 
 
 def test_exact_point_validation():
@@ -104,6 +105,12 @@ def test_exact_point_validation():
         ExactPoint(F(0), F(0))
     with pytest.raises(ValueError):
         ExactPoint(F(1), F(-2))
+    # the point of a triple, made without the constructor's validation, has
+    # its height nk - m^2 = (ky)^2 checked instead
+    assert _exact_point(BASE_POINT) == ExactPoint(F(1, 4), F(1))
+    for triple in ((3, 1, 1), (1, 1, 1), (1, 2, 1)):
+        with pytest.raises(ValueError, match="irrational or non-positive height"):
+            _exact_point(triple)
 
 
 def test_exact_point_coordinate_types():
@@ -147,10 +154,10 @@ def test_locate_point_through_order3_vertex():
     w, word = locate_point(poly, z)
     assert act_point(evaluate_word(poly.generators, word), w) == z
     assert poly.contains(w.x, w.y**2)
-    target = lift(z.x, z.y**2)
+    target = lift_rational(z.x, z.y**2)
     w, word, h = _trace(poly, target)
     assert h == evaluate_word(poly.generators, word)
-    assert act(h, w) == target
+    assert act(h.tuple(), w) == target
     assert poly._contains(w)
 
 
@@ -206,7 +213,7 @@ def test_trace_tests_each_target_once(monkeypatch):
     poly = built_polygon("gamma0", 1009)
     crossings = 0
     for g, _ in poly.generators:
-        for target in (act(g, BASE_POINT), act(g.inv(), BASE_POINT)):
+        for target in (act(g.tuple(), BASE_POINT), act(g.inv().tuple(), BASE_POINT)):
             record: list = []
             calls = 0
             assert _trace(poly, target, record)[0] == BASE_POINT
@@ -358,7 +365,7 @@ def test_trace_intermediate_states_stay_on_geodesic():
         if poly.contains(z.x, z.y**2):
             continue
         steps = []
-        target = lift(z.x, z.y**2)
+        target = lift_rational(z.x, z.y**2)
         w, out, h = _trace(poly, target, record=steps)
         assert steps
         for geod, (n, m, k), side, gen, exp, _ in steps:
@@ -366,10 +373,10 @@ def test_trace_intermediate_states_stay_on_geodesic():
             assert poly.sides[side].gen == gen
         # the final target, on the last geodesic pulled back across the last side
         n, m, k = w
-        assert geodesic_eval_at(transform(geod, gens[gen][0] ** exp),
+        assert geodesic_eval_at(transform(geod, (gens[gen][0] ** exp).tuple()),
                                 F(m, k), F(n * k - m * m, k * k)) == 0
         assert h == evaluate_word(gens, out)
-        assert act(h, w) == target
+        assert act(h.tuple(), w) == target
 
 
 def test_trace_hits_order2_vertices_exactly():
@@ -384,9 +391,9 @@ def test_trace_hits_order2_vertices_exactly():
             if order != 2:
                 continue
             z = act_point(g, z0)
-            target = lift(z.x, z.y**2)
+            target = lift_rational(z.x, z.y**2)
             w, word, _ = _trace(poly, target)
-            assert act(evaluate_word(gens, word), w) == target
+            assert act(evaluate_word(gens, word).tuple(), w) == target
             assert poly._contains(w)
 
 
@@ -428,9 +435,9 @@ def test_trace_hits_order3_vertices_exactly():
                     break
             if target is None:
                 continue
-            lifted = lift(target.x, target.y**2)
+            lifted = lift_rational(target.x, target.y**2)
             w, word, _ = _trace(poly, lifted)
-            assert act(evaluate_word(gens, word), w) == lifted
+            assert act(evaluate_word(gens, word).tuple(), w) == lifted
             checked += 1
         assert checked > 0
 

@@ -14,7 +14,9 @@ internal error at once.
 locate_point rests on coset(dev[e]) == e, never tests a polygon side and
 runs no Euclidean descent: its one walk of the runs of the reduction gives
 what the two-walk reference (coset lookup, then Schreier rewriting of
-gamma) gives, also far out in x and close to the real axis.
+gamma) gives, also far out in x and close to the real axis, and on points
+whose coordinates have numerators and denominators of up to 128 bits, with
+y from 2^-64 to 2^64, for the five families at N <= 25.
 A trace step makes at most two meets, the same number at
 index 1010 and 10008, and express --trace writes every generator of
 gamma0(1009) and its inverse."""
@@ -24,6 +26,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,7 +34,7 @@ from hypothesis import example, given, settings, strategies as st
 from modpoly import cosets, reduce
 from modpoly.cosets import FAMILIES
 from modpoly.polygon import SpecialPolygon
-from modpoly.psl2 import IDENTITY, S, U, Psl2Elt
+from modpoly.psl2 import IDENTITY, S, U, Psl2Elt, WorkBoundError
 from modpoly.reduce import (
     BASE_POINT,
     ExactPoint,
@@ -40,12 +43,11 @@ from modpoly.reduce import (
     act_point,
     evaluate_word,
     express,
-    lift,
     locate_point,
     reduce_word,
 )
 
-from oracles import built_polygon, half_turn, reference_locate
+from oracles import built_polygon, half_turn, lift_rational, reference_locate
 
 # Gamma(N) has index about N^3 / 2, so its levels stop at 12 (index 576)
 groups = st.sampled_from(FAMILIES).flatmap(
@@ -81,9 +83,9 @@ def test_locate_returns_a_polygon_point_and_a_member(group, z):
 def test_locate_agrees_with_the_tracer_at_interior_points(group, z):
     poly = built_polygon(*group)
     w, word = locate_point(poly, z)
-    traced_w, traced_word, _ = _trace(poly, lift(z.x, z.y**2))
+    traced_w, traced_word, _ = _trace(poly, lift_rational(z.x, z.y**2))
     if poly._contains(traced_w, strict=True):
-        assert (lift(w.x, w.y**2), word) == (traced_w, traced_word)
+        assert (lift_rational(w.x, w.y**2), word) == (traced_w, traced_word)
 
 
 @BOUNDED
@@ -100,10 +102,10 @@ def test_traced_word_is_the_schreier_word(group, data):
 
 
 def assert_traced(poly, z):
-    target = lift(z.x, z.y**2)
+    target = lift_rational(z.x, z.y**2)
     w, word, _ = _trace(poly, target)
     assert poly._contains(w)
-    assert act(evaluate_word(poly.generators, word), w) == target
+    assert act(evaluate_word(poly.generators, word).tuple(), w) == target
 
 
 @BOUNDED
@@ -123,7 +125,7 @@ def test_trace_passes_elliptic_vertices_without_restart(group):
         target = half_turn(vertex, BASE_POINT)
         w, word, _ = _trace(poly, target)
         assert poly._contains(w)
-        assert act(evaluate_word(poly.generators, word), w) == target
+        assert act(evaluate_word(poly.generators, word).tuple(), w) == target
 
 
 def _crossing_records_digest(poly):
@@ -131,8 +133,8 @@ def _crossing_records_digest(poly):
     images of BASE_POINT under every generator, inverse and product of two
     of them, and of every half-turn of BASE_POINT across an elliptic vertex."""
     powers = [h for g, _ in poly.generators for h in (g, g.inv())]
-    targets = [act(h, BASE_POINT) for h in powers]
-    targets += [act(h1 * h2, BASE_POINT) for h1 in powers for h2 in powers]
+    targets = [act(h.tuple(), BASE_POINT) for h in powers]
+    targets += [act((h1 * h2).tuple(), BASE_POINT) for h1 in powers for h2 in powers]
     vertices = {end for side in poly.sides for end in (side.start, side.end) if len(end) == 3}
     targets += [half_turn(vertex, BASE_POINT) for vertex in sorted(vertices)]
     digest = hashlib.sha256()
@@ -275,7 +277,7 @@ def test_locate_never_tests_a_side(monkeypatch):
         locate_point(poly, z)
     assert calls == Counter()
     for z in zs:
-        _trace(poly, lift(z.x, z.y**2))
+        _trace(poly, lift_rational(z.x, z.y**2))
     assert calls["_excluding_side"] >= len(zs)
 
 
@@ -294,6 +296,48 @@ wide_points = st.builds(ExactPoint,
 def test_locate_equals_the_two_walk_reference(group, z):
     poly = built_polygon(*group)
     assert locate_point(poly, z) == reference_locate(poly, z)
+
+
+@st.composite
+def large_points(draw):
+    """Points whose coordinates have numerators and denominators of up to
+    128 bits, each bit length drawn first: x of either sign, and y = r/s
+    with r of r_bits and s of s_bits bits, |r_bits - s_bits| <= 63, so that
+    2^-64 < y < 2^64."""
+    def of_bits(bits):
+        return draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) if bits else 0
+
+    p = of_bits(draw(st.integers(0, 128))) * draw(st.sampled_from([1, -1]))
+    q = of_bits(draw(st.integers(1, 128)))
+    s_bits = draw(st.integers(1, 128))
+    r_bits = draw(st.integers(max(1, s_bits - 63), min(128, s_bits + 63)))
+    return ExactPoint(Fraction(p, q), Fraction(of_bits(r_bits), of_bits(s_bits)))
+
+
+# a continued fraction quotient of x can be as large as 2^128, and a long
+# run at a cusp whose turn is several syllables has as long a word: the
+# rewriting walk, shared by both routes, is held to this many letters and
+# syllables, so that a point is answered in milliseconds or refused
+LARGE_POINT_WALK_STEPS = 20_000
+
+
+@BOUNDED
+@given(st.sampled_from(FAMILIES), st.integers(1, 25), large_points())
+@example("gamma0", 25, ExactPoint(Fraction(2**128 - 1, 3), Fraction(1, 2**64)))
+@example("gamma1", 24, ExactPoint(Fraction(-1, 2**128 - 1), Fraction(2**64)))
+@example("gamma", 5, ExactPoint(Fraction(2**127 + 1, 2**128 - 1),
+                               Fraction(2**100 + 7, 2**127 + 3)))
+def test_locate_equals_the_two_walk_reference_on_128_bit_points(family, level, z):
+    # the reference lifts z by Fraction arithmetic and moves it by act_point,
+    # independently of the integer lift and move of locate_point
+    poly = built_polygon(family, level)
+    with mock.patch.object(reduce, "MAX_WALK_STEPS", LARGE_POINT_WALK_STEPS):
+        try:
+            located = locate_point(poly, z)
+        except WorkBoundError:
+            return
+        assert located == reference_locate(poly, z)
+    assert_located(poly, z, *located)
 
 
 def test_locate_runs_no_euclidean_descent(monkeypatch):
@@ -340,7 +384,7 @@ def test_trace_step_makes_at_most_two_meets(monkeypatch, level):
         word = [(rng.randrange(len(gens)), rng.choice([-1, 1])) for _ in range(rng.randint(1, 3))]
         steps.clear()
         per_step.clear()
-        w, traced, _ = _trace(poly, act(evaluate_word(gens, word), BASE_POINT), steps)
+        w, traced, _ = _trace(poly, act(evaluate_word(gens, word).tuple(), BASE_POINT), steps)
         assert (w, traced) == (BASE_POINT, reduce_word(word, gens))
         assert max(per_step.values(), default=0) <= 2
         crossings += len(steps)
